@@ -13,7 +13,8 @@ comes from ``--log-level`` or the ``FINRELEX_LOG_LEVEL`` environment variable
 (flag wins); logs go to standard error, data only to files.  Output files are
 written atomically (temp file + rename), so an interrupted run never leaves a
 truncated file, and runs with identical inputs and seed produce byte-identical
-outputs regardless of the worker count.
+outputs.  Extraction runs in one process; ``--workers`` is validated (an
+integer >= 1) and kept for compatibility, and does not change the output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--embeddings", help="word embedding text file")
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")
-    p_extract.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    p_extract.add_argument("--workers", type=int,
+                           help="kept for compatibility: an integer >= 1 that does not change "
+                           "the output, since extraction runs in one process (default 1)")
 
     p_eval = sub.add_parser("evaluate", help="score a prediction file against gold targets")
     p_eval.add_argument("--gold", help="gold example file (JSON lines)")
@@ -134,31 +136,17 @@ def _configure_logging(level_flag: str | None) -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(table: semvec.EmbeddingTable, lex: semvec.LexiconConfig) -> None:
-    _WORKER_STATE["table"] = table
-    _WORKER_STATE["lex"] = lex
-
-
-def _extract_one(doc: corpus.AnnotatedDocument) -> tuple[str, str]:
-    view = TreeView.build(doc)
-    records = relex.extract(view, _WORKER_STATE["table"], _WORKER_STATE["lex"])
-    return doc.id, records_mod.serialize(records)
-
-
 def cmd_extract(args: argparse.Namespace) -> None:
+    # --workers is only validated: extraction runs in one process.
+    if type(args.workers) is not int or args.workers < 1:
+        raise ValueError(f"--workers must be an integer >= 1, got {args.workers!r}")
     docs = corpus.load_documents(args.corpus)
     table = semvec.load_embeddings(args.embeddings)
     lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()
-    workers = max(1, int(args.workers))
-    if workers > 1 and len(docs) > 1:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(table, lex)) as pool:
-            results = pool.map(_extract_one, docs)
-    else:
-        _init_worker(table, lex)
-        results = [_extract_one(doc) for doc in docs]
+    results = [
+        (doc.id, records_mod.serialize(relex.extract(TreeView.build(doc), table, lex)))
+        for doc in docs
+    ]
     records_mod.save_predictions(results, args.out)
     logger.info("wrote %d predictions to %s", len(results), args.out)
 
@@ -254,7 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.subcommand](args)
     except Exception as exc:  # surfaced as a diagnostic plus nonzero exit
         logging.basicConfig(stream=sys.stderr)
-        logger.error("%s", exc)
+        logger.error("%s: %s", type(exc).__name__, exc,
+                     exc_info=logger.isEnabledFor(logging.DEBUG))
         return 1
     return 0
 

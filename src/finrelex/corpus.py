@@ -202,22 +202,22 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
 def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
     doc_id = str(_require(obj, "id", lineno))
     text = str(_require(obj, "text", lineno))
-    tokens = []
-    for tok_obj in _require(obj, "tokens", lineno):
-        try:
-            tokens.append(
-                Token(
-                    index=int(tok_obj["i"]),
-                    text=str(tok_obj["text"]),
-                    lemma=str(tok_obj["lemma"]),
-                    pos=str(tok_obj["pos"]),
-                    dep=str(tok_obj["dep"]),
-                    head=int(tok_obj["head"]),
-                    sentence=int(tok_obj["sent"]),
-                )
+    raw_tokens = _require(obj, "tokens", lineno)
+    try:
+        tokens = [
+            Token(
+                index=int(tok_obj["i"]),
+                text=str(tok_obj["text"]),
+                lemma=str(tok_obj["lemma"]),
+                pos=str(tok_obj["pos"]),
+                dep=str(tok_obj["dep"]),
+                head=int(tok_obj["head"]),
+                sentence=int(tok_obj["sent"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line {lineno}: bad token record ({exc})") from exc
+            for tok_obj in raw_tokens
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"line {lineno}: bad token record ({exc})") from exc
     try:
         raw_entities = [
             (int(e["start"]), int(e["end"]), str(e["label"])) for e in _require(obj, "entities", lineno)

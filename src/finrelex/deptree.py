@@ -1,7 +1,7 @@
 """Navigation and predicate primitives over a document's dependency trees.
 
 The relation heuristics are phrased in terms of children, ancestor chains,
-left/right subtrees, governing verbs, and the entity/chunk layers; this
+subtrees, governing verbs, and the entity/chunk layers; this
 module turns a validated :class:`~finrelex.corpus.AnnotatedDocument` into a
 :class:`TreeView` that answers those queries.  A view is immutable after
 construction and safe to share across threads.
@@ -64,16 +64,6 @@ def subtree(view: TreeView, t: int) -> list[int]:
     return sorted(found)
 
 
-def left_subtree(view: TreeView, t: int) -> list[int]:
-    """Descendants of ``t`` that precede it, in document order."""
-    return [d for d in subtree(view, t) if d < t]
-
-
-def right_subtree(view: TreeView, t: int) -> list[int]:
-    """Descendants of ``t`` that follow it, in document order."""
-    return [d for d in subtree(view, t) if d > t]
-
-
 def governing_verb(view: TreeView, t: int) -> int | None:
     """Nearest strict ancestor tagged VERB or AUX, or ``None``."""
     tokens = view.document.tokens
@@ -130,7 +120,3 @@ def is_attr(view: TreeView, t: int) -> bool:
 
 def is_prepositional_object(view: TreeView, t: int) -> bool:
     return dep_is(view, t, "pobj")
-
-
-def is_preposition(view: TreeView, t: int) -> bool:
-    return dep_is(view, t, "prep")

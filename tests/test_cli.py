@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -235,3 +236,36 @@ class TestConfigAndFlags:
         out = tmp_path / "pred.jsonl"
         assert run("--log-level", "NOISY", "extract", "--corpus", FIXTURE_CORPUS,
                    "--embeddings", TOY_EMBEDDINGS, "--out", out) != 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fails(self, tmp_path, workers):
+        out = tmp_path / "pred.jsonl"
+        assert main(["extract", "--corpus", str(FIXTURE_CORPUS), "--embeddings", str(TOY_EMBEDDINGS),
+                     "--out", str(out), "--workers", workers]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [2.0, True])
+    def test_config_workers_must_be_integer(self, tmp_path, caplog, workers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": workers}))
+        out = tmp_path / "pred.jsonl"
+        assert run("--config", config, "extract", "--corpus", FIXTURE_CORPUS,
+                   "--embeddings", TOY_EMBEDDINGS, "--out", out) == 1
+        assert "--workers" in caplog.text
+        assert not out.exists()
+
+
+class TestErrorLog:
+    def test_names_exception_type(self, tmp_path, caplog):
+        assert run("extract", "--corpus", tmp_path / "nope.jsonl",
+                   "--embeddings", TOY_EMBEDDINGS, "--out", tmp_path / "pred.jsonl") == 1
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage().startswith("FileNotFoundError: ")
+        assert not record.exc_info
+
+    def test_debug_keeps_traceback(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="finrelex")
+        assert run("extract", "--corpus", tmp_path / "nope.jsonl",
+                   "--embeddings", TOY_EMBEDDINGS, "--out", tmp_path / "pred.jsonl") == 1
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.exc_info[0] is FileNotFoundError

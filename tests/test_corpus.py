@@ -61,6 +61,13 @@ class TestLoadDocuments:
         write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), "{not json"])
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_documents(path)
+        # a non-list "tokens" field is a format error too, not a bare TypeError
+        for bad_tokens in (None, 7):
+            obj = corpus.document_to_dict(apple_doc)
+            obj["tokens"] = bad_tokens
+            write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+            with pytest.raises(CorpusFormatError, match="line 2"):
+                load_documents(path)
 
     def test_overlapping_entities_rejected(self, tmp_path, apple_doc):
         obj = corpus.document_to_dict(apple_doc)

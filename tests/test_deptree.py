@@ -36,26 +36,21 @@ class TestAncestors:
 
 
 class TestSubtrees:
-    def test_income_left_and_right(self, apple_view):
-        assert dt.left_subtree(apple_view, 4) == [2, 3]
-        assert dt.right_subtree(apple_view, 4) == [5, 6, 7, 8]
-
-    def test_root_left_subtree(self, apple_view):
-        assert dt.left_subtree(apple_view, 1) == [0]
+    def test_income_subtree(self, apple_view):
+        assert dt.subtree(apple_view, 4) == [2, 3, 5, 6, 7, 8]
 
     def test_leaf_subtrees_empty(self, apple_view):
-        assert dt.left_subtree(apple_view, 0) == []
-        assert dt.right_subtree(apple_view, 0) == []
+        assert dt.subtree(apple_view, 0) == []
 
-    def test_left_right_partition_subtree(self, documents):
+    def test_subtree_members_descend_from_token(self, documents):
         for doc in documents:
             view = TreeView.build(doc)
             for tok in doc.tokens:
                 t = tok.index
-                left, right = dt.left_subtree(view, t), dt.right_subtree(view, t)
-                assert sorted(left + right) == dt.subtree(view, t)
-                assert all(d < t for d in left)
-                assert all(d > t for d in right)
+                below = dt.subtree(view, t)
+                assert below == sorted(below)
+                assert t not in below
+                assert all(t in dt.ancestors(view, d) for d in below)
 
 
 class TestGoverningVerb:
@@ -123,7 +118,6 @@ class TestPredicates:
         assert not dt.is_direct_object(apple_view, t)
         assert not dt.is_attr(apple_view, t)
         assert not dt.is_prepositional_object(apple_view, t)
-        assert not dt.is_preposition(apple_view, t)
 
     def test_dep_is_matches_label(self, apple_view):
         assert dt.dep_is(apple_view, 5, "prep")
