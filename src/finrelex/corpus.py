@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,27 +95,29 @@ class AnnotatedDocument:
     noun_chunks: tuple[NounChunk, ...]
 
     @cached_property
-    def _char_offsets(self) -> tuple[tuple[int, int], ...] | None:
-        """Character offsets per token, found by scanning the raw text.
+    def _char_starts(self) -> array | None:
+        """Character offset of each token's start, found by scanning the raw
+        text; a token ends ``len(token.text)`` characters later.
 
         ``None`` when the tokens cannot be located left-to-right in the text;
-        span extraction then falls back to space-joined token texts.
+        span extraction then falls back to space-joined token texts.  A flat
+        integer array keeps the cache at 8 bytes per token.
         """
-        offsets: list[tuple[int, int]] = []
+        starts = array("q")
         cursor = 0
         for tok in self.tokens:
             pos = self.text.find(tok.text, cursor)
             if pos < 0:
                 return None
-            offsets.append((pos, pos + len(tok.text)))
+            starts.append(pos)
             cursor = pos + len(tok.text)
-        return tuple(offsets)
+        return starts
 
     def span_text(self, start: int, end: int) -> str:
         """Surface text of the token range [start, end)."""
-        offsets = self._char_offsets
-        if offsets is not None and start < end:
-            return self.text[offsets[start][0] : offsets[end - 1][1]]
+        starts = self._char_starts
+        if starts is not None and start < end:
+            return self.text[starts[start] : starts[end - 1] + len(self.tokens[end - 1].text)]
         return " ".join(t.text for t in self.tokens[start:end])
 
 
@@ -167,18 +170,27 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
     sentences: dict[int, list[Token]] = {}
     for tok in tokens:
         sentences.setdefault(tok.sentence, []).append(tok)
+    # One memoised head walk: 0 = unseen, 1 = on the current walk, 2 = reaches
+    # the root.  Heads stay inside a sentence, so a walk that meets a token
+    # of its own (state 1) has entered a cycle; the error names the first
+    # token, in document order, whose head chain does.
+    state = [0] * n
     for sent_id, sent_tokens in sentences.items():
         roots = [t for t in sent_tokens if t.head == t.index]
         if len(roots) != 1:
             fail(f"sentence {sent_id}: expected exactly one root, found {len(roots)}")
+        state[roots[0].index] = 2
         for tok in sent_tokens:
-            seen = {tok.index}
-            cur = tok
-            while cur.head != cur.index:
-                cur = tokens[cur.head]
-                if cur.index in seen:
-                    fail(f"token {tok.index}: cyclic head chain")
-                seen.add(cur.index)
+            walk = []
+            t = tok.index
+            while state[t] == 0:
+                state[t] = 1
+                walk.append(t)
+                t = tokens[t].head
+            if state[t] == 1:
+                fail(f"token {tok.index}: cyclic head chain")
+            for t in walk:
+                state[t] = 2
 
     spans = sorted(entities)
     for start, end, label in spans:
@@ -199,49 +211,65 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
             fail(f"noun chunks [{c1.start},{c1.end}) and [{c2.start},{c2.end}) overlap")
 
 
+def _wrong_type(obj: dict, key: str, expected: str):
+    """Raise the ``TypeError`` for a field whose JSON value has the wrong type."""
+    raise TypeError(f"field {key!r} must be {expected}, got {obj[key]!r}")
+
+
 def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
-    doc_id = str(_require(obj, "id", lineno))
-    text = str(_require(obj, "text", lineno))
+    # Every scalar is type-checked where it is read, with no per-field call
+    # on the valid path: ``int()``/``str()`` would coerce 1.7, true or null.
+    doc_id = _require(obj, "id", lineno)
+    text = _require(obj, "text", lineno)
+    for key, value in (("id", doc_id), ("text", text)):
+        if type(value) is not str:
+            raise CorpusFormatError(f"line {lineno}: field {key!r} must be a string, got {value!r}")
     raw_tokens = _require(obj, "tokens", lineno)
     try:
         tokens = [
             Token(
-                index=int(tok_obj["i"]),
-                text=str(tok_obj["text"]),
-                lemma=str(tok_obj["lemma"]),
-                pos=str(tok_obj["pos"]),
-                dep=str(tok_obj["dep"]),
-                head=int(tok_obj["head"]),
-                sentence=int(tok_obj["sent"]),
+                index=t["i"] if type(t["i"]) is int else _wrong_type(t, "i", "an integer"),
+                text=t["text"] if type(t["text"]) is str else _wrong_type(t, "text", "a string"),
+                lemma=t["lemma"] if type(t["lemma"]) is str else _wrong_type(t, "lemma", "a string"),
+                pos=t["pos"] if type(t["pos"]) is str else _wrong_type(t, "pos", "a string"),
+                dep=t["dep"] if type(t["dep"]) is str else _wrong_type(t, "dep", "a string"),
+                head=t["head"] if type(t["head"]) is int else _wrong_type(t, "head", "an integer"),
+                sentence=t["sent"] if type(t["sent"]) is int else _wrong_type(t, "sent", "an integer"),
             )
-            for tok_obj in raw_tokens
+            for t in raw_tokens
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"line {lineno}: bad token record ({exc})") from exc
     try:
         raw_entities = [
-            (int(e["start"]), int(e["end"]), str(e["label"])) for e in _require(obj, "entities", lineno)
+            (
+                e["start"] if type(e["start"]) is int else _wrong_type(e, "start", "an integer"),
+                e["end"] if type(e["end"]) is int else _wrong_type(e, "end", "an integer"),
+                e["label"] if type(e["label"]) is str else _wrong_type(e, "label", "a string"),
+            )
+            for e in _require(obj, "entities", lineno)
         ]
         chunks = [
-            NounChunk(int(c["start"]), int(c["end"]), int(c["root"]))
+            NounChunk(
+                c["start"] if type(c["start"]) is int else _wrong_type(c, "start", "an integer"),
+                c["end"] if type(c["end"]) is int else _wrong_type(c, "end", "an integer"),
+                c["root"] if type(c["root"]) is int else _wrong_type(c, "root", "an integer"),
+            )
             for c in _require(obj, "noun_chunks", lineno)
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"line {lineno}: bad span record ({exc})") from exc
 
     _validate_document(doc_id, tokens, raw_entities, chunks)
-
-    doc = AnnotatedDocument(
-        id=doc_id,
-        text=text,
-        tokens=tuple(tokens),
-        entities=(),
-        noun_chunks=tuple(chunks),
-    )
+    # Entity texts are cut with the document's own cached token offsets, so
+    # the offsets are found once; the document is complete before it is
+    # returned.
+    doc = AnnotatedDocument(doc_id, text, tuple(tokens), (), tuple(chunks))
     entities = tuple(
         EntitySpan(start, end, label, doc.span_text(start, end)) for start, end, label in raw_entities
     )
-    return AnnotatedDocument(doc.id, doc.text, doc.tokens, entities, doc.noun_chunks)
+    object.__setattr__(doc, "entities", entities)
+    return doc
 
 
 def load_documents(path: str | Path) -> list[AnnotatedDocument]:

@@ -3,8 +3,13 @@
 The relation heuristics are phrased in terms of children, ancestor chains,
 subtrees, governing verbs, and the entity/chunk layers; this
 module turns a validated :class:`~finrelex.corpus.AnnotatedDocument` into a
-:class:`TreeView` that answers those queries.  A view is immutable after
-construction and safe to share across threads.
+:class:`TreeView` that answers those queries.  ``TreeView.build`` indexes the
+document in one O(n) pass: the children of each token, the entity and the
+noun chunk covering each token, and each entity's root token, so
+:func:`entity_at`, :func:`noun_chunk_of` and :func:`entity_root` are O(1)
+lookups.  Ancestry (:func:`is_ancestor`, :func:`governing_verb`) walks the
+head chain, O(depth).  A view is immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -20,18 +25,43 @@ VERB_POS = frozenset({"VERB", "AUX"})
 
 @dataclass(frozen=True)
 class TreeView:
-    """A document plus a precomputed head-inverse (children) index."""
+    """A document plus per-token indexes of its trees and span layers.
+
+    ``children_index[t]`` lists the dependents of ``t``; ``entity_index[t]``
+    and ``chunk_index[t]`` hold the entity and the noun chunk covering ``t``
+    (spans of a validated document never overlap); ``entity_roots`` maps
+    each entity's start token to the entity's root token.
+    """
 
     document: AnnotatedDocument
     children_index: tuple[tuple[int, ...], ...]
+    entity_index: tuple[EntitySpan | None, ...]
+    chunk_index: tuple[NounChunk | None, ...]
+    entity_roots: dict[int, int]
 
     @classmethod
     def build(cls, document: AnnotatedDocument) -> "TreeView":
-        index: list[list[int]] = [[] for _ in document.tokens]
-        for tok in document.tokens:
+        tokens = document.tokens
+        index: list[list[int]] = [[] for _ in tokens]
+        for tok in tokens:
             if tok.head != tok.index:
                 index[tok.head].append(tok.index)
-        return cls(document, tuple(tuple(kids) for kids in index))
+        entity_index: list[EntitySpan | None] = [None] * len(tokens)
+        roots = {}
+        for span in document.entities:
+            start, end = span.start, span.end
+            entity_index[start:end] = [span] * (end - start)
+            for i in range(start, end):
+                if not start <= tokens[i].head < end:
+                    roots[start] = i
+                    break
+            else:
+                roots[start] = end - 1
+        chunk_index: list[NounChunk | None] = [None] * len(tokens)
+        for chunk in document.noun_chunks:
+            chunk_index[chunk.start : chunk.end] = [chunk] * (chunk.end - chunk.start)
+        children_index = tuple(tuple(kids) for kids in index)
+        return cls(document, children_index, tuple(entity_index), tuple(chunk_index), roots)
 
 
 def children(view: TreeView, t: int) -> list[int]:
@@ -51,6 +81,18 @@ def ancestors(view: TreeView, t: int) -> list[int]:
         cur = tokens[cur.head]
         chain.append(cur.index)
     return chain
+
+
+def is_ancestor(view: TreeView, a: int, t: int) -> bool:
+    """Whether ``a`` is a strict ancestor of ``t``, i.e. ``t`` lies in
+    ``subtree(view, a)``; walks the head chain, O(depth)."""
+    tokens = view.document.tokens
+    cur = tokens[t]
+    while cur.head != cur.index:
+        if cur.head == a:
+            return True
+        cur = tokens[cur.head]
+    return False
 
 
 def subtree(view: TreeView, t: int) -> list[int]:
@@ -75,31 +117,22 @@ def governing_verb(view: TreeView, t: int) -> int | None:
 
 def noun_chunk_of(view: TreeView, t: int) -> NounChunk | None:
     """The unique noun chunk whose range contains ``t``, if any."""
-    for chunk in view.document.noun_chunks:
-        if chunk.start <= t < chunk.end:
-            return chunk
-    return None
+    return view.chunk_index[t]
 
 
 def entity_at(view: TreeView, t: int) -> EntitySpan | None:
     """The entity span containing ``t``, if any."""
-    for span in view.document.entities:
-        if span.start <= t < span.end:
-            return span
-    return None
+    return view.entity_index[t]
 
 
 def entity_root(view: TreeView, span: EntitySpan) -> int:
     """The token inside ``span`` whose head lies outside it.
 
     Falls back to the last token of the span when every head is internal
-    (e.g. a span that contains its own sentence root).
+    (e.g. a span that contains its own sentence root).  ``span`` must be
+    one of the view's document entities.
     """
-    tokens = view.document.tokens
-    for i in range(span.start, span.end):
-        if not span.start <= tokens[i].head < span.end:
-            return i
-    return span.end - 1
+    return view.entity_roots[span.start]
 
 
 def dep_is(view: TreeView, t: int, label: str) -> bool:

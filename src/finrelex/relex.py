@@ -238,34 +238,41 @@ def relate_company_date(view: dt.TreeView, trace: list[str] | None = None) -> li
 
 
 def _related(view: dt.TreeView, left_root: int, right_root: int) -> bool:
-    tokens = view.document.tokens
-    if tokens[left_root].sentence != tokens[right_root].sentence:
-        return False
+    """Shared nearest governing verb, or one root in the other's subtree.
+
+    Both tests follow head chains, which never leave a sentence, so roots in
+    different sentences are never related.
+    """
     left_verb = dt.governing_verb(view, left_root)
-    right_verb = dt.governing_verb(view, right_root)
-    if left_verb is not None and left_verb == right_verb:
+    if left_verb is not None and left_verb == dt.governing_verb(view, right_root):
         return True
-    return right_root in dt.subtree(view, left_root) or left_root in dt.subtree(view, right_root)
+    return dt.is_ancestor(view, left_root, right_root) or dt.is_ancestor(view, right_root, left_root)
 
 
 def relate_other_pairs(view: dt.TreeView, trace: list[str] | None = None) -> list[PairwiseRelation]:
     """Shared-governor pairing for the four remaining relation kinds.
 
     Each right-hand entity pairs with its nearest related left-hand entity
-    (token distance between roots, leftmost on ties).
+    (token distance between roots, leftmost on ties).  Related entities share
+    a sentence, so each right-hand entity only scans the left-hand entities
+    of its own sentence.
     """
+    tokens = view.document.tokens
     relations = []
     for kind in (COMPANY_COUNTRY, COMPANY_PERSON, MONEY_DATE, PERSON_COUNTRY):
         left_label, right_label = KIND_LABELS[kind]
-        lefts = _spans(view, left_label)
-        if not lefts:
+        lefts_by_sentence: dict[int, list[tuple[int, int, EntitySpan]]] = {}
+        for left in _spans(view, left_label):
+            left_root = dt.entity_root(view, left)
+            anchored = _anchor(view, left_root) if left_label == "ORG" else left_root
+            sentence = tokens[left_root].sentence
+            lefts_by_sentence.setdefault(sentence, []).append((left_root, anchored, left))
+        if not lefts_by_sentence:
             continue
         for right in _spans(view, right_label):
             right_root = dt.entity_root(view, right)
             best: tuple[int, int, EntitySpan] | None = None
-            for left in lefts:
-                left_root = dt.entity_root(view, left)
-                anchored = _anchor(view, left_root) if left_label == "ORG" else left_root
+            for left_root, anchored, left in lefts_by_sentence.get(tokens[right_root].sentence, ()):
                 if not _related(view, anchored, right_root):
                     continue
                 key = (abs(left_root - right_root), left_root)
@@ -321,7 +328,10 @@ def extract(
     money_rels = relate_money_company(view, trace)
     date_rels = relate_company_date(view, trace)
     other_rels = relate_other_pairs(view, trace)
-    money_dates = [r for r in other_rels if r.kind == MONEY_DATE]
+    dates_of: dict[EntitySpan, list[EntitySpan]] = {}  # money or organization -> its related dates
+    for r in (*date_rels, *other_rels):
+        if r.kind in (COMPANY_DATE, MONEY_DATE):
+            dates_of.setdefault(r.left, []).append(r.right)
 
     rows: list[tuple[int, int, RelationRecord]] = []
 
@@ -340,8 +350,7 @@ def extract(
         if label == semvec.UNKNOWN:
             continue
         money_root = dt.entity_root(view, rel.right)
-        candidates = [r.right for r in money_dates if r.left == rel.right]
-        candidates += [r.right for r in date_rels if r.left == rel.left]
+        candidates = dates_of.get(rel.right, []) + dates_of.get(rel.left, [])
         date = _nearest_date(candidates, view, money_root)
         add(rel.left, label, rel.right, date.text if date else UNKNOWN_DATE)
 

@@ -121,7 +121,10 @@ def load_lexicon(path: str | Path) -> LexiconConfig:
     kwargs = {}
     for key in ("revenue_words", "investment_words", "founder_words"):
         if key in obj:
-            kwargs[key] = tuple(str(w) for w in obj[key])
+            words = obj[key]
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise EmbeddingFormatError(f"{path}: {key!r} must be a list of strings, got {words!r}")
+            kwargs[key] = tuple(words)
     if "threshold" in obj:
         kwargs["threshold"] = float(obj["threshold"])
     try:

@@ -3,6 +3,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finrelex import corpus
 from finrelex.corpus import (
@@ -10,6 +12,7 @@ from finrelex.corpus import (
     DocumentValidationError,
     GoldExample,
     SplitInfeasibleError,
+    Token,
     balanced_subset,
     load_documents,
     load_gold,
@@ -69,6 +72,30 @@ class TestLoadDocuments:
             with pytest.raises(CorpusFormatError, match="line 2"):
                 load_documents(path)
 
+    @pytest.mark.parametrize(
+        "where,updates",
+        [
+            (("tokens", 3), {"head": 1.7}),
+            (("tokens", 0), {"i": False}),
+            (("entities", 0), {"start": True, "end": 2}),
+            ((), {"id": None}),
+            ((), {"text": None}),
+        ],
+        ids=["head-float", "index-false", "entity-start-true", "id-null", "text-null"],
+    )
+    def test_wrong_scalar_type_names_line(self, tmp_path, apple_doc, where, updates):
+        # int() and str() would accept each of these as 1, 0, 1 or "None"
+        obj = corpus.document_to_dict(apple_doc)
+        target = obj
+        for step in where:
+            target = target[step]
+        target.update(updates)
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+        key = next(iter(updates))
+        with pytest.raises(CorpusFormatError, match=f"line 2: .*'{key}'"):
+            load_documents(path)
+
     def test_overlapping_entities_rejected(self, tmp_path, apple_doc):
         obj = corpus.document_to_dict(apple_doc)
         obj["entities"].append({"start": 0, "end": 2, "label": "PERSON"})
@@ -87,6 +114,65 @@ class TestLoadDocuments:
         corpus.save_documents(load_documents(first), second)
         assert first.read_bytes() == second.read_bytes()
         assert load_documents(second) == documents
+
+
+def _quadratic_tree_check(tokens: list[Token]) -> str | None:
+    """Root-count and cycle checks that walk every token's full head chain,
+    O(n * depth): the reference for the validator's single memoised walk."""
+    sentences: dict[int, list[Token]] = {}
+    for tok in tokens:
+        sentences.setdefault(tok.sentence, []).append(tok)
+    for sent_id, sent_tokens in sentences.items():
+        roots = [t for t in sent_tokens if t.head == t.index]
+        if len(roots) != 1:
+            return f"sentence {sent_id}: expected exactly one root, found {len(roots)}"
+        for tok in sent_tokens:
+            seen = {tok.index}
+            cur = tok
+            while cur.head != cur.index:
+                cur = tokens[cur.head]
+                if cur.index in seen:
+                    return f"token {tok.index}: cyclic head chain"
+                seen.add(cur.index)
+    return None
+
+
+@st.composite
+def _head_graphs(draw) -> list[Token]:
+    """Sentences whose heads stay inside the sentence: random trees, trees
+    with one head redirected, and arbitrary head maps (zero or many roots,
+    cycles)."""
+    tokens: list[Token] = []
+    for sent in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(["tree", "mutated", "any"]))
+        if kind == "any":
+            heads = [draw(st.integers(0, size - 1)) for _ in range(size)]
+        else:
+            order = draw(st.permutations(range(size)))
+            heads = [0] * size
+            heads[order[0]] = order[0]
+            for k in range(1, size):
+                heads[order[k]] = order[draw(st.integers(0, k - 1))]
+            if kind == "mutated":
+                heads[draw(st.integers(0, size - 1))] = draw(st.integers(0, size - 1))
+        off = len(tokens)
+        for i, head in enumerate(heads):
+            dep = "ROOT" if head == i else "dep"
+            tokens.append(Token(off + i, "w", "w", "NOUN", dep, off + head, sent))
+    return tokens
+
+
+class TestTreeValidation:
+    @given(_head_graphs())
+    def test_linear_check_matches_quadratic_reference(self, tokens):
+        expected = _quadratic_tree_check(tokens)
+        if expected is None:
+            corpus._validate_document("gen", tokens, [], [])
+        else:
+            with pytest.raises(DocumentValidationError) as info:
+                corpus._validate_document("gen", tokens, [], [])
+            assert str(info.value) == f"document 'gen': {expected}"
 
 
 class TestLoadGold:

@@ -105,6 +105,20 @@ class TestEntityAccess:
         assert span is not None and span.label == "MONEY"
 
 
+    def test_index_matches_linear_scans(self, documents):
+        for doc in documents:
+            view = TreeView.build(doc)
+            for t in range(len(doc.tokens)):
+                assert dt.entity_at(view, t) == next((e for e in doc.entities if e.start <= t < e.end), None)
+                assert dt.noun_chunk_of(view, t) == next(
+                    (c for c in doc.noun_chunks if c.start <= t < c.end), None
+                )
+            for span in doc.entities:
+                inside = range(span.start, span.end)
+                outside = [i for i in inside if doc.tokens[i].head not in inside]
+                assert dt.entity_root(view, span) == (outside[0] if outside else span.end - 1)
+
+
 class TestPredicates:
     def test_subject(self, apple_view):
         assert dt.is_subject(apple_view, 0)

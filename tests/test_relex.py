@@ -1,10 +1,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from finrelex import deptree as dt
 from finrelex import records as records_mod
 from finrelex import relex
-from finrelex.corpus import AnnotatedDocument
+from finrelex.corpus import AnnotatedDocument, Token
 from finrelex.deptree import TreeView
 from finrelex.records import RelationRecord
 from finrelex.relex import (
@@ -122,6 +125,49 @@ class TestRelateOtherPairs:
         org, money = apple_doc.entities
         with pytest.raises(ValueError, match="labels"):
             PairwiseRelation("company-date", org, money)
+
+
+def _subtree_related(view: TreeView, left_root: int, right_root: int) -> bool:
+    """The shared-governor test phrased with ``subtree()`` rebuilds: the
+    reference for ``relex._related``."""
+    tokens = view.document.tokens
+    if tokens[left_root].sentence != tokens[right_root].sentence:
+        return False
+    left_verb = dt.governing_verb(view, left_root)
+    right_verb = dt.governing_verb(view, right_root)
+    if left_verb is not None and left_verb == right_verb:
+        return True
+    return right_root in dt.subtree(view, left_root) or left_root in dt.subtree(view, right_root)
+
+
+@st.composite
+def _forests(draw) -> AnnotatedDocument:
+    """A document of one to three sentences, each a random dependency tree
+    with a random mix of verb and non-verb tokens."""
+    tokens: list[Token] = []
+    for sent in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 9))
+        order = draw(st.permutations(range(size)))
+        heads = [0] * size
+        heads[order[0]] = order[0]
+        for k in range(1, size):
+            heads[order[k]] = order[draw(st.integers(0, k - 1))]
+        off = len(tokens)
+        for i, head in enumerate(heads):
+            pos = draw(st.sampled_from(["VERB", "AUX", "NOUN", "PROPN", "ADP"]))
+            tokens.append(Token(off + i, "w", "w", pos, "ROOT" if head == i else "dep", off + head, sent))
+    return AnnotatedDocument("generated", " ".join(t.text for t in tokens), tuple(tokens), (), ())
+
+
+class TestRelated:
+    @given(_forests())
+    def test_matches_subtree_reference(self, doc):
+        view = TreeView.build(doc)
+        n = len(doc.tokens)
+        for a in range(n):
+            for b in range(n):
+                assert dt.is_ancestor(view, a, b) == (b in dt.subtree(view, a))
+                assert relex._related(view, a, b) == _subtree_related(view, a, b)
 
 
 class TestExtract:

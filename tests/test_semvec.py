@@ -195,6 +195,13 @@ class TestLexiconConfig:
         assert lex.threshold == 0.7
         assert lex.investment_words == ("raised", "investment", "received", "equity")
 
+    @pytest.mark.parametrize("value", ['"revenue"', '["sales", 3]', "null"])
+    def test_load_lexicon_rejects_non_list_words(self, tmp_path, value):
+        path = tmp_path / "lexicon.json"
+        path.write_text(f'{{"revenue_words": {value}}}', encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="'revenue_words' must be a list of strings"):
+            load_lexicon(path)
+
     def test_load_lexicon_rejects_bad_json(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text("not json", encoding="utf-8")
