@@ -1,4 +1,5 @@
-"""Shared file helpers: JSON-lines iteration and atomic writes."""
+"""Shared file helpers: JSON-lines reading and atomic writes.  A malformed
+line or field raises the caller's error class, naming the line; nothing is coerced."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, parsed object) for each non-blank line."""
+def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) per non-blank line; a non-object line raises ``error``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -18,10 +19,22 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
+                raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
             if not isinstance(obj, dict):
-                raise ValueError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+                raise error(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
             yield lineno, obj
+
+
+def require(obj: dict, key: str, lineno: int, error: type[Exception], kind: type = str):
+    """``obj[key]`` when it is present and exactly of type ``kind`` (``str``
+    or ``list``); otherwise ``error`` naming the line and the key."""
+    if key not in obj:
+        raise error(f"line {lineno}: missing field {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        expected = "a string" if kind is str else "a list"
+        raise error(f"line {lineno}: field {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def jsonl_dumps(objects: Iterable[dict]) -> str:

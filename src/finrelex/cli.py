@@ -162,8 +162,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     report = evalkit.evaluate_corpus(gold, predictions, cfg)
     atomic_write_text(args.report, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.breakdown:
-        rows = evalkit.score_breakdown(gold, predictions, cfg)
-        atomic_write_text(args.breakdown, jsonl_dumps(rows))
+        atomic_write_text(args.breakdown, jsonl_dumps(evalkit.score_breakdown(gold, report)))
     logger.info(
         "evaluated %d examples: accuracy %.4f, precision %.4f, recall %.4f, f1 %.4f",
         len(gold), report.accuracy, report.precision, report.recall, report.f1,
@@ -185,11 +184,9 @@ def cmd_prepare(args: argparse.Namespace) -> None:
 
 
 def cmd_inspect(args: argparse.Namespace) -> None:
-    docs = corpus.load_documents(args.corpus)
-    matches = [d for d in docs if d.id == str(args.id)]
-    if not matches:
+    doc = {d.id: d for d in corpus.load_documents(args.corpus)}.get(str(args.id))
+    if doc is None:
         raise ValueError(f"no document with id {args.id!r} in {args.corpus}")
-    doc = matches[0]
     view = TreeView.build(doc)
 
     print(f"document {doc.id}: {doc.text}")

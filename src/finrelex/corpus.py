@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import records as records_mod
-from ._fileio import atomic_write_text, iter_jsonl, jsonl_dumps
+from ._fileio import atomic_write_text, iter_jsonl, jsonl_dumps, require
 
 logger = logging.getLogger(__name__)
 
@@ -134,12 +134,6 @@ class GoldExample:
     target_text: str
 
 
-def _require(obj: dict, key: str, lineno: int):
-    if key not in obj:
-        raise CorpusFormatError(f"line {lineno}: missing field {key!r}")
-    return obj[key]
-
-
 def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[int, int, str]],
                        chunks: list[NounChunk]) -> None:
     n = len(tokens)
@@ -217,14 +211,11 @@ def _wrong_type(obj: dict, key: str, expected: str):
 
 
 def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
-    # Every scalar is type-checked where it is read, with no per-field call
+    # Token and span scalars are type-checked inline, with no per-field call
     # on the valid path: ``int()``/``str()`` would coerce 1.7, true or null.
-    doc_id = _require(obj, "id", lineno)
-    text = _require(obj, "text", lineno)
-    for key, value in (("id", doc_id), ("text", text)):
-        if type(value) is not str:
-            raise CorpusFormatError(f"line {lineno}: field {key!r} must be a string, got {value!r}")
-    raw_tokens = _require(obj, "tokens", lineno)
+    doc_id = require(obj, "id", lineno, CorpusFormatError)
+    text = require(obj, "text", lineno, CorpusFormatError)
+    raw_tokens = require(obj, "tokens", lineno, CorpusFormatError, list)
     try:
         tokens = [
             Token(
@@ -238,8 +229,10 @@ def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
             )
             for t in raw_tokens
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorpusFormatError(f"line {lineno}: bad token record ({exc})") from exc
+    entity_rows = require(obj, "entities", lineno, CorpusFormatError, list)
+    chunk_rows = require(obj, "noun_chunks", lineno, CorpusFormatError, list)
     try:
         raw_entities = [
             (
@@ -247,7 +240,7 @@ def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
                 e["end"] if type(e["end"]) is int else _wrong_type(e, "end", "an integer"),
                 e["label"] if type(e["label"]) is str else _wrong_type(e, "label", "a string"),
             )
-            for e in _require(obj, "entities", lineno)
+            for e in entity_rows
         ]
         chunks = [
             NounChunk(
@@ -255,9 +248,9 @@ def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
                 c["end"] if type(c["end"]) is int else _wrong_type(c, "end", "an integer"),
                 c["root"] if type(c["root"]) is int else _wrong_type(c, "root", "an integer"),
             )
-            for c in _require(obj, "noun_chunks", lineno)
+            for c in chunk_rows
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorpusFormatError(f"line {lineno}: bad span record ({exc})") from exc
 
     _validate_document(doc_id, tokens, raw_entities, chunks)
@@ -273,16 +266,15 @@ def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
 
 
 def load_documents(path: str | Path) -> list[AnnotatedDocument]:
-    """Load and validate a line-delimited document file, in file order."""
-    docs = []
-    try:
-        for lineno, obj in iter_jsonl(path):
-            docs.append(_document_from_dict(obj, lineno))
-    except ValueError as exc:
-        if isinstance(exc, (CorpusFormatError, DocumentValidationError)):
-            raise
-        raise CorpusFormatError(str(exc)) from exc
-    return docs
+    """Load and validate a line-delimited document file, in file order; ids
+    must be unique."""
+    docs: dict[str, AnnotatedDocument] = {}
+    for lineno, obj in iter_jsonl(path, CorpusFormatError):
+        doc = _document_from_dict(obj, lineno)
+        if doc.id in docs:
+            raise CorpusFormatError(f"line {lineno}: duplicate document id {doc.id!r}")
+        docs[doc.id] = doc
+    return list(docs.values())
 
 
 def document_to_dict(doc: AnnotatedDocument) -> dict:
@@ -306,35 +298,29 @@ def document_to_dict(doc: AnnotatedDocument) -> dict:
     }
 
 
-def save_documents(docs: list[AnnotatedDocument], path: str | Path) -> None:
-    atomic_write_text(path, jsonl_dumps(document_to_dict(d) for d in docs))
-
-
 def load_gold(path: str | Path) -> list[GoldExample]:
     """Load gold (id, input_text, target_text) examples.
 
-    Non-empty targets must parse under the record grammar; an empty target is
-    legal and marks a no-information paragraph.
+    All three fields are strings and ids are unique.  Non-empty targets must
+    parse under the record grammar; an empty target is legal and marks a
+    no-information paragraph.
     """
-    examples = []
-    try:
-        for lineno, obj in iter_jsonl(path):
-            example = GoldExample(
-                id=str(_require(obj, "id", lineno)),
-                input_text=str(_require(obj, "input_text", lineno)),
-                target_text=str(_require(obj, "target_text", lineno)),
-            )
-            if example.target_text.strip():
-                try:
-                    records_mod.parse(example.target_text)
-                except records_mod.RecordError as exc:
-                    raise CorpusFormatError(f"line {lineno}: bad target_text ({exc})") from exc
-            examples.append(example)
-    except ValueError as exc:
-        if isinstance(exc, CorpusFormatError):
-            raise
-        raise CorpusFormatError(str(exc)) from exc
-    return examples
+    examples: dict[str, GoldExample] = {}
+    for lineno, obj in iter_jsonl(path, CorpusFormatError):
+        example = GoldExample(
+            id=require(obj, "id", lineno, CorpusFormatError),
+            input_text=require(obj, "input_text", lineno, CorpusFormatError),
+            target_text=require(obj, "target_text", lineno, CorpusFormatError),
+        )
+        if example.id in examples:
+            raise CorpusFormatError(f"line {lineno}: duplicate gold id {example.id!r}")
+        if example.target_text.strip():
+            try:
+                records_mod.parse(example.target_text)
+            except records_mod.RecordError as exc:
+                raise CorpusFormatError(f"line {lineno}: bad target_text ({exc})") from exc
+        examples[example.id] = example
+    return list(examples.values())
 
 
 def save_gold(examples: list[GoldExample], path: str | Path) -> None:

@@ -7,11 +7,13 @@ position is a false negative and a predicted word beyond the target is a
 false positive.  A fully empty target/prediction pair contributes exactly
 one true negative.  Words compare either exactly (after case-folding) or
 fuzzily via normalized character edit distance at a configurable threshold.
+:func:`evaluate_corpus` scores each example once; :func:`score_breakdown`
+only formats the per-example counts kept on its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import GoldExample
 
@@ -47,6 +49,8 @@ class EvalReport:
     recall: float
     specificity: float
     f1: float
+    # (tp, tn, fp, fn) per example, in gold order; not part of the report file
+    per_example: tuple[tuple[int, int, int, int], ...] = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -136,7 +140,7 @@ def aggregate(scores: list[tuple[int, int, int, int]]) -> EvalReport:
     """Sum per-example counters and derive the five metrics.
 
     Zero-denominator metrics come out as 0 so degenerate corpora still
-    produce a stable report.
+    produce a stable report.  The report keeps ``scores`` as ``per_example``.
     """
     tp = sum(s[0] for s in scores)
     tn = sum(s[1] for s in scores)
@@ -158,6 +162,7 @@ def aggregate(scores: list[tuple[int, int, int, int]]) -> EvalReport:
         recall=recall,
         specificity=ratio(tn, tn + fp),
         f1=f1_score(precision, recall),
+        per_example=tuple(scores),
     )
 
 
@@ -172,16 +177,13 @@ def evaluate_corpus(
     missing = [ex.id for ex in gold if ex.id not in predictions]
     if missing:
         raise EvaluationError(f"missing predictions for ids: {', '.join(missing)}")
-    scores = [score_example(ex.target_text, predictions[ex.id], cfg) for ex in gold]
-    return aggregate(scores)
+    return aggregate([score_example(ex.target_text, predictions[ex.id], cfg) for ex in gold])
 
 
-def score_breakdown(
-    gold: list[GoldExample], predictions: dict[str, str], cfg: EvalConfig
-) -> list[dict]:
-    """Per-example counter rows, for the optional breakdown file."""
-    rows = []
-    for ex in gold:
-        tp, tn, fp, fn = score_example(ex.target_text, predictions[ex.id], cfg)
-        rows.append({"id": ex.id, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
-    return rows
+def score_breakdown(gold: list[GoldExample], report: EvalReport) -> list[dict]:
+    """Per-example counter rows for the optional breakdown file, taken from
+    the report that :func:`evaluate_corpus` made for ``gold``."""
+    return [
+        {"id": ex.id, "tp": tp, "tn": tn, "fp": fp, "fn": fn}
+        for ex, (tp, tn, fp, fn) in zip(gold, report.per_example, strict=True)
+    ]

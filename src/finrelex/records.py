@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._fileio import atomic_write_text, iter_jsonl, jsonl_dumps
+from ._fileio import atomic_write_text, iter_jsonl, jsonl_dumps, require
 
 VARIABLE_NAMES = ("founder", "country", "revenue", "customers/users", "investment")
 
@@ -98,15 +98,14 @@ def parse(s: str) -> list[RelationRecord]:
 
 
 def load_predictions(path) -> dict[str, str]:
-    """Load a prediction file (one ``{id, predicted_text}`` object per line)."""
+    """Load a prediction file: one ``{id, predicted_text}`` object of strings
+    per line, ids unique; a malformed line raises :class:`RecordError`."""
     predictions: dict[str, str] = {}
-    for lineno, obj in iter_jsonl(path):
-        if "id" not in obj or "predicted_text" not in obj:
-            raise RecordError(f"line {lineno}: prediction needs 'id' and 'predicted_text' fields")
-        pred_id = str(obj["id"])
+    for lineno, obj in iter_jsonl(path, RecordError):
+        pred_id = require(obj, "id", lineno, RecordError)
         if pred_id in predictions:
             raise RecordError(f"line {lineno}: duplicate prediction id {pred_id!r}")
-        predictions[pred_id] = str(obj["predicted_text"])
+        predictions[pred_id] = require(obj, "predicted_text", lineno, RecordError)
     return predictions
 
 

@@ -64,13 +64,15 @@ class TestLoadDocuments:
         write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), "{not json"])
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_documents(path)
-        # a non-list "tokens" field is a format error too, not a bare TypeError
-        for bad_tokens in (None, 7):
-            obj = corpus.document_to_dict(apple_doc)
-            obj["tokens"] = bad_tokens
-            write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
-            with pytest.raises(CorpusFormatError, match="line 2"):
-                load_documents(path)
+        # a non-list "tokens", "entities" or "noun_chunks" field is a format
+        # error naming the line and the key, not a bare TypeError
+        for key in ("tokens", "entities", "noun_chunks"):
+            for bad in (None, 7):
+                obj = corpus.document_to_dict(apple_doc)
+                obj[key] = bad
+                write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+                with pytest.raises(CorpusFormatError, match=f"^line 2: field '{key}' must be a list"):
+                    load_documents(path)
 
     @pytest.mark.parametrize(
         "where,updates",
@@ -96,6 +98,13 @@ class TestLoadDocuments:
         with pytest.raises(CorpusFormatError, match=f"line 2: .*'{key}'"):
             load_documents(path)
 
+    def test_duplicate_id_names_line(self, tmp_path, apple_doc):
+        line = json.dumps(corpus.document_to_dict(apple_doc))
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [line, line])
+        with pytest.raises(CorpusFormatError, match="line 2: duplicate document id 'apple-income'"):
+            load_documents(path)
+
     def test_overlapping_entities_rejected(self, tmp_path, apple_doc):
         obj = corpus.document_to_dict(apple_doc)
         obj["entities"].append({"start": 0, "end": 2, "label": "PERSON"})
@@ -110,8 +119,9 @@ class TestLoadDocuments:
     def test_round_trip_is_byte_identical(self, tmp_path, documents):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        corpus.save_documents(documents, first)
-        corpus.save_documents(load_documents(first), second)
+        write_lines(first, [json.dumps(corpus.document_to_dict(d), ensure_ascii=False) for d in documents])
+        write_lines(second, [json.dumps(corpus.document_to_dict(d), ensure_ascii=False)
+                             for d in load_documents(first)])
         assert first.read_bytes() == second.read_bytes()
         assert load_documents(second) == documents
 
@@ -192,6 +202,32 @@ class TestLoadGold:
         path = tmp_path / "gold.jsonl"
         write_lines(path, [json.dumps({"id": "1", "input_text": "t"})])
         with pytest.raises(CorpusFormatError, match="line 1"):
+            load_gold(path)
+
+    @pytest.mark.parametrize(
+        "key,value", [("id", None), ("id", 5), ("input_text", 3), ("target_text", None)],
+        ids=["id-null", "id-int", "input_text-int", "target_text-null"],
+    )
+    def test_non_string_field_names_line(self, tmp_path, key, value):
+        # str() would load these as "None", "5", "3" and "None"
+        row = dict({"id": "1", "input_text": "t", "target_text": ""}, **{key: value})
+        path = tmp_path / "gold.jsonl"
+        write_lines(path, [json.dumps({"id": "0", "input_text": "t", "target_text": ""}), json.dumps(row)])
+        with pytest.raises(CorpusFormatError, match=f"line 2: field '{key}' must be a string"):
+            load_gold(path)
+
+    def test_malformed_line_names_line(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        for bad in ("{not json", "[1, 2]"):
+            write_lines(path, [json.dumps({"id": "1", "input_text": "t", "target_text": ""}), bad])
+            with pytest.raises(CorpusFormatError, match="line 2"):
+                load_gold(path)
+
+    def test_duplicate_id_names_line(self, tmp_path):
+        line = json.dumps({"id": "a", "input_text": "t", "target_text": ""})
+        path = tmp_path / "gold.jsonl"
+        write_lines(path, [line, line])
+        with pytest.raises(CorpusFormatError, match="line 2: duplicate gold id 'a'"):
             load_gold(path)
 
     def test_unparsable_target_rejected(self, tmp_path):

@@ -10,6 +10,7 @@ from finrelex.evalkit import (
     edit_distance,
     evaluate_corpus,
     f1_score,
+    score_breakdown,
     score_example,
     word_match,
 )
@@ -163,6 +164,29 @@ class TestEvaluateCorpus:
         gold = [GoldExample("a", "t", "")]
         report = evaluate_corpus(gold, {"a": ""}, EXACT_CFG)
         assert (report.tn, report.accuracy) == (1, 1.0)
+
+
+class TestScoreBreakdown:
+    def test_rows_sum_to_report(self, gold_examples):
+        gold = gold_examples
+        # every third prediction empty, every third one with a typo
+        predictions = {
+            ex.id: ["", ex.target_text, ex.target_text.replace("million", "milion")][k % 3]
+            for k, ex in enumerate(gold)
+        }
+        report = evaluate_corpus(gold, predictions, FUZZY_CFG)
+        rows = score_breakdown(gold, report)
+        assert [r["id"] for r in rows] == [ex.id for ex in gold]
+        for key in ("tp", "tn", "fp", "fn"):
+            assert sum(r[key] for r in rows) == getattr(report, key)
+        assert report.fp and report.fn and report.tp
+
+    def test_counts_stay_out_of_report_file_and_equality(self):
+        gold = [GoldExample("a", "t", "x y")]
+        report = evaluate_corpus(gold, {"a": "x z"}, EXACT_CFG)
+        assert report.per_example == ((1, 0, 1, 0),)
+        assert "per_example" not in report.to_dict()
+        assert report == aggregate([(1, 0, 0, 0), (0, 0, 1, 0)])
 
 
 class TestEvalConfig:

@@ -120,6 +120,28 @@ class TestPredictionFiles:
         with pytest.raises(RecordError, match="predicted_text"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("bad", ["{not json", "[1, 2]"], ids=["bad-json", "non-object"])
+    def test_malformed_line_raises_record_error(self, tmp_path, bad):
+        from finrelex.records import load_predictions
+
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"id": "a", "predicted_text": ""}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match="line 2"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize(
+        "line", ['{"id": 5, "predicted_text": ""}', '{"id": "b", "predicted_text": null}'],
+        ids=["id-int", "predicted_text-null"],
+    )
+    def test_non_string_field_rejected(self, tmp_path, line):
+        # str() would load these as id "5" and text "None"
+        from finrelex.records import load_predictions
+
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"id": "a", "predicted_text": ""}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match="line 2: field '(id|predicted_text)' must be a string"):
+            load_predictions(path)
+
 
 _word = st.text(
     alphabet=st.characters(
