@@ -1,17 +1,19 @@
-"""Shared file helpers: JSON-lines reading and atomic writes.  A malformed
-line or field raises the caller's error class, naming the line; nothing is coerced."""
+"""Shared file helpers: JSON-lines reading and atomic writes.  Each record
+kind declares its keys and their exact JSON types once, as :class:`Fields`;
+a bad line or field raises the caller's error naming the line; nothing is coerced."""
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
-def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) per non-blank line; a non-object line raises ``error``."""
+def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
+    """Yield (1-based line number, decoded value) per non-blank line; bad JSON raises ``error``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -20,21 +22,41 @@ def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise error(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
             yield lineno, obj
 
 
-def require(obj: dict, key: str, lineno: int, error: type[Exception], kind: type = str):
-    """``obj[key]`` when it is present and exactly of type ``kind`` (``str``
-    or ``list``); otherwise ``error`` naming the line and the key."""
-    if key not in obj:
-        raise error(f"line {lineno}: missing field {key!r}")
-    value = obj[key]
-    if type(value) is not kind:
-        expected = "a string" if kind is str else "a list"
-        raise error(f"line {lineno}: field {key!r} must be {expected}, got {value!r}")
-    return value
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
+
+
+class Fields:
+    """The required keys of one record kind (two or more) and the exact JSON
+    type of each: ``str``, ``int`` or ``list``, where a bool or a float is not an ``int``."""
+
+    def __init__(self, **kinds: type) -> None:
+        self._keys = tuple(kinds)
+        self._kinds = tuple(kinds.values())
+        self._get = operator.itemgetter(*kinds)
+
+    def read(self, obj, lineno: int, error: type[Exception]) -> tuple:
+        """The values of the declared keys in declaration order; else ``error``
+        naming the line and the first bad key, or that ``obj`` is not a JSON object."""
+        try:
+            values = self._get(obj)
+            if tuple(map(type, values)) == self._kinds:
+                return values
+        except (KeyError, TypeError):
+            pass
+        if type(obj) is not dict:
+            raise error(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+        # a missing key reads as None, which is no declared kind
+        key, kind = next((k, t) for k, t in zip(self._keys, self._kinds) if type(obj.get(k)) is not t)
+        if key not in obj:
+            raise error(f"line {lineno}: missing field {key!r}")
+        raise error(f"line {lineno}: field {key!r} must be {_KIND_NAMES[kind]}, got {obj[key]!r}")
+
+    def dump(self, values: Iterable) -> dict:
+        """The record with ``values`` under the declared keys, in declaration order."""
+        return dict(zip(self._keys, values, strict=True))
 
 
 def jsonl_dumps(objects: Iterable[dict]) -> str:

@@ -8,7 +8,8 @@ Subcommands::
     inspect   --corpus D --id X
 
 Flags are the primary interface; ``--config FILE`` may point at a JSON object
-whose keys pre-fill flag defaults (explicit flags always win).  The log level
+whose keys pre-fill flag defaults (explicit flags always win).  Each key must
+name a subcommand flag and have that flag's JSON type.  The log level
 comes from ``--log-level`` or the ``FINRELEX_LOG_LEVEL`` environment variable
 (flag wins); logs go to standard error, data only to files.  Output files are
 written atomically (temp file + rename), so an interrupted run never leaves a
@@ -106,13 +107,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_options(args: argparse.Namespace) -> argparse.Namespace:
+_JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float), "a string": (str,)}
+
+
+def _check_config(config: dict, path: str, parser: argparse.ArgumentParser) -> None:
+    """Reject a key that names no subcommand flag, or a value its flag does not take."""
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a for sub in subparsers.choices.values() for a in sub._actions if a.dest != "help"}
+    for key, value in config.items():
+        if key not in flags:
+            raise ValueError(f"config file {path}: {key!r} is not a flag of any subcommand")
+        flag = flags[key]
+        kind = ("a boolean" if flag.nargs == 0
+                else {int: "an integer", float: "a number"}.get(flag.type, "a string"))
+        if type(value) not in _JSON_KINDS[kind]:
+            raise ValueError(f"config file {path}: {key!r} ({flag.option_strings[0]}) "
+                             f"must be {kind}, got {value!r}")
+
+
+def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     config: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
+        _check_config(config, args.config, parser)
     for key, value in vars(args).items():
         if value is not None:
             continue
@@ -138,7 +158,7 @@ def _configure_logging(level_flag: str | None) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> None:
     # --workers is only validated: extraction runs in one process.
-    if type(args.workers) is not int or args.workers < 1:
+    if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1, got {args.workers!r}")
     docs = corpus.load_documents(args.corpus)
     table = semvec.load_embeddings(args.embeddings)
@@ -156,7 +176,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     predictions = records_mod.load_predictions(args.pred)
     cfg = evalkit.EvalConfig(
         mode=args.mode,
-        fuzzy_threshold=float(args.threshold),
+        fuzzy_threshold=args.threshold,
         strip_separators=not args.keep_separators,
     )
     report = evalkit.evaluate_corpus(gold, predictions, cfg)
@@ -171,20 +191,20 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
 def cmd_prepare(args: argparse.Namespace) -> None:
     gold = corpus.load_gold(args.gold)
-    train, test = corpus.split_train_test(gold, float(args.test_fraction), int(args.seed))
+    train, test = corpus.split_train_test(gold, args.test_fraction, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus.save_gold(train, out_dir / "train.jsonl")
     corpus.save_gold(test, out_dir / "test.jsonl")
     logger.info("wrote %d train / %d test examples to %s", len(train), len(test), out_dir)
     if args.balanced:
-        balanced = corpus.balanced_subset(train, int(args.seed))
+        balanced = corpus.balanced_subset(train, args.seed)
         corpus.save_gold(balanced, out_dir / "balanced-train.jsonl")
         logger.info("wrote %d balanced training examples", len(balanced))
 
 
 def cmd_inspect(args: argparse.Namespace) -> None:
-    doc = {d.id: d for d in corpus.load_documents(args.corpus)}.get(str(args.id))
+    doc = {d.id: d for d in corpus.load_documents(args.corpus)}.get(args.id)
     if doc is None:
         raise ValueError(f"no document with id {args.id!r} in {args.corpus}")
     view = TreeView.build(doc)
@@ -235,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _configure_logging(args.log_level)
-        args = _resolve_options(args)
+        args = _resolve_options(args, parser)
         _COMMANDS[args.subcommand](args)
     except Exception as exc:  # surfaced as a diagnostic plus nonzero exit
         logging.basicConfig(stream=sys.stderr)

@@ -17,12 +17,12 @@ import logging
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 
 from . import records as records_mod
-from ._fileio import atomic_write_text, iter_jsonl, jsonl_dumps, require
+from ._fileio import Fields, atomic_write_text, iter_jsonl, jsonl_dumps
 
 logger = logging.getLogger(__name__)
 
@@ -205,54 +205,18 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
             fail(f"noun chunks [{c1.start},{c1.end}) and [{c2.start},{c2.end}) overlap")
 
 
-def _wrong_type(obj: dict, key: str, expected: str):
-    """Raise the ``TypeError`` for a field whose JSON value has the wrong type."""
-    raise TypeError(f"field {key!r} must be {expected}, got {obj[key]!r}")
+_DOCUMENT = Fields(id=str, text=str, tokens=list, entities=list, noun_chunks=list)
+_TOKEN = Fields(i=int, text=str, lemma=str, pos=str, dep=str, head=int, sent=int)
+_ENTITY = Fields(start=int, end=int, label=str)
+_CHUNK = Fields(start=int, end=int, root=int)
+_GOLD = Fields(id=str, input_text=str, target_text=str)
 
 
-def _document_from_dict(obj: dict, lineno: int) -> AnnotatedDocument:
-    # Token and span scalars are type-checked inline, with no per-field call
-    # on the valid path: ``int()``/``str()`` would coerce 1.7, true or null.
-    doc_id = require(obj, "id", lineno, CorpusFormatError)
-    text = require(obj, "text", lineno, CorpusFormatError)
-    raw_tokens = require(obj, "tokens", lineno, CorpusFormatError, list)
-    try:
-        tokens = [
-            Token(
-                index=t["i"] if type(t["i"]) is int else _wrong_type(t, "i", "an integer"),
-                text=t["text"] if type(t["text"]) is str else _wrong_type(t, "text", "a string"),
-                lemma=t["lemma"] if type(t["lemma"]) is str else _wrong_type(t, "lemma", "a string"),
-                pos=t["pos"] if type(t["pos"]) is str else _wrong_type(t, "pos", "a string"),
-                dep=t["dep"] if type(t["dep"]) is str else _wrong_type(t, "dep", "a string"),
-                head=t["head"] if type(t["head"]) is int else _wrong_type(t, "head", "an integer"),
-                sentence=t["sent"] if type(t["sent"]) is int else _wrong_type(t, "sent", "an integer"),
-            )
-            for t in raw_tokens
-        ]
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"line {lineno}: bad token record ({exc})") from exc
-    entity_rows = require(obj, "entities", lineno, CorpusFormatError, list)
-    chunk_rows = require(obj, "noun_chunks", lineno, CorpusFormatError, list)
-    try:
-        raw_entities = [
-            (
-                e["start"] if type(e["start"]) is int else _wrong_type(e, "start", "an integer"),
-                e["end"] if type(e["end"]) is int else _wrong_type(e, "end", "an integer"),
-                e["label"] if type(e["label"]) is str else _wrong_type(e, "label", "a string"),
-            )
-            for e in entity_rows
-        ]
-        chunks = [
-            NounChunk(
-                c["start"] if type(c["start"]) is int else _wrong_type(c, "start", "an integer"),
-                c["end"] if type(c["end"]) is int else _wrong_type(c, "end", "an integer"),
-                c["root"] if type(c["root"]) is int else _wrong_type(c, "root", "an integer"),
-            )
-            for c in chunk_rows
-        ]
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"line {lineno}: bad span record ({exc})") from exc
-
+def _document_from_dict(obj: object, lineno: int) -> AnnotatedDocument:
+    doc_id, text, token_rows, entity_rows, chunk_rows = _DOCUMENT.read(obj, lineno, CorpusFormatError)
+    tokens = [Token(*_TOKEN.read(t, lineno, CorpusFormatError)) for t in token_rows]
+    raw_entities = [_ENTITY.read(e, lineno, CorpusFormatError) for e in entity_rows]
+    chunks = [NounChunk(*_CHUNK.read(c, lineno, CorpusFormatError)) for c in chunk_rows]
     _validate_document(doc_id, tokens, raw_entities, chunks)
     # Entity texts are cut with the document's own cached token offsets, so
     # the offsets are found once; the document is complete before it is
@@ -278,24 +242,13 @@ def load_documents(path: str | Path) -> list[AnnotatedDocument]:
 
 
 def document_to_dict(doc: AnnotatedDocument) -> dict:
-    return {
-        "id": doc.id,
-        "text": doc.text,
-        "tokens": [
-            {
-                "i": t.index,
-                "text": t.text,
-                "lemma": t.lemma,
-                "pos": t.pos,
-                "dep": t.dep,
-                "head": t.head,
-                "sent": t.sentence,
-            }
-            for t in doc.tokens
-        ],
-        "entities": [{"start": e.start, "end": e.end, "label": e.label} for e in doc.entities],
-        "noun_chunks": [{"start": c.start, "end": c.end, "root": c.root} for c in doc.noun_chunks],
-    }
+    return _DOCUMENT.dump((
+        doc.id,
+        doc.text,
+        [_TOKEN.dump(astuple(t)) for t in doc.tokens],
+        [_ENTITY.dump((e.start, e.end, e.label)) for e in doc.entities],
+        [_CHUNK.dump(astuple(c)) for c in doc.noun_chunks],
+    ))
 
 
 def load_gold(path: str | Path) -> list[GoldExample]:
@@ -307,11 +260,7 @@ def load_gold(path: str | Path) -> list[GoldExample]:
     """
     examples: dict[str, GoldExample] = {}
     for lineno, obj in iter_jsonl(path, CorpusFormatError):
-        example = GoldExample(
-            id=require(obj, "id", lineno, CorpusFormatError),
-            input_text=require(obj, "input_text", lineno, CorpusFormatError),
-            target_text=require(obj, "target_text", lineno, CorpusFormatError),
-        )
+        example = GoldExample(*_GOLD.read(obj, lineno, CorpusFormatError))
         if example.id in examples:
             raise CorpusFormatError(f"line {lineno}: duplicate gold id {example.id!r}")
         if example.target_text.strip():
@@ -324,12 +273,7 @@ def load_gold(path: str | Path) -> list[GoldExample]:
 
 
 def save_gold(examples: list[GoldExample], path: str | Path) -> None:
-    atomic_write_text(
-        path,
-        jsonl_dumps(
-            {"id": e.id, "input_text": e.input_text, "target_text": e.target_text} for e in examples
-        ),
-    )
+    atomic_write_text(path, jsonl_dumps(_GOLD.dump((e.id, e.input_text, e.target_text)) for e in examples))
 
 
 def _info_content(example: GoldExample) -> Counter:

@@ -13,9 +13,12 @@ only formats the per-example counts kept on its report.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from .corpus import GoldExample
+
+logger = logging.getLogger(__name__)
 
 EXACT = "exact"
 FUZZY = "fuzzy"
@@ -173,10 +176,16 @@ def evaluate_corpus(
 
     Every gold id must have a prediction entry (an empty string is a valid
     prediction); missing ids raise :class:`EvaluationError` listing them all.
+    Predictions with no gold example are not scored; one warning counts them.
     """
     missing = [ex.id for ex in gold if ex.id not in predictions]
     if missing:
         raise EvaluationError(f"missing predictions for ids: {', '.join(missing)}")
+    gold_ids = {ex.id for ex in gold}
+    stray = [pred_id for pred_id in predictions if pred_id not in gold_ids]
+    if stray:
+        logger.warning("ignoring %d predictions with no gold example, e.g. ids: %s",
+                       len(stray), ", ".join(stray[:5]))
     return aggregate([score_example(ex.target_text, predictions[ex.id], cfg) for ex in gold])
 
 

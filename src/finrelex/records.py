@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._fileio import atomic_write_text, iter_jsonl, jsonl_dumps, require
+from ._fileio import Fields, atomic_write_text, iter_jsonl, jsonl_dumps
 
 VARIABLE_NAMES = ("founder", "country", "revenue", "customers/users", "investment")
 
@@ -27,6 +27,9 @@ RECORD_SEPARATOR = "|"
 
 class RecordError(ValueError):
     """Raised for invalid record fields or unparsable record strings."""
+
+
+_PREDICTION = Fields(id=str, predicted_text=str)
 
 
 def _check_field(name: str, value: str, allow_comma: bool = False) -> None:
@@ -102,18 +105,16 @@ def load_predictions(path) -> dict[str, str]:
     per line, ids unique; a malformed line raises :class:`RecordError`."""
     predictions: dict[str, str] = {}
     for lineno, obj in iter_jsonl(path, RecordError):
-        pred_id = require(obj, "id", lineno, RecordError)
+        pred_id, predicted_text = _PREDICTION.read(obj, lineno, RecordError)
         if pred_id in predictions:
             raise RecordError(f"line {lineno}: duplicate prediction id {pred_id!r}")
-        predictions[pred_id] = require(obj, "predicted_text", lineno, RecordError)
+        predictions[pred_id] = predicted_text
     return predictions
 
 
 def save_predictions(pairs: list[tuple[str, str]], path) -> None:
     """Write (id, predicted_text) pairs as a prediction file, atomically."""
-    atomic_write_text(
-        path, jsonl_dumps({"id": i, "predicted_text": t} for i, t in pairs)
-    )
+    atomic_write_text(path, jsonl_dumps(map(_PREDICTION.dump, pairs)))
 
 
 def _normalize(record: RelationRecord) -> tuple[str, str, str, str]:

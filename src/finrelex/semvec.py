@@ -126,7 +126,10 @@ def load_lexicon(path: str | Path) -> LexiconConfig:
                 raise EmbeddingFormatError(f"{path}: {key!r} must be a list of strings, got {words!r}")
             kwargs[key] = tuple(words)
     if "threshold" in obj:
-        kwargs["threshold"] = float(obj["threshold"])
+        threshold = obj["threshold"]
+        if type(threshold) not in (int, float):
+            raise EmbeddingFormatError(f"{path}: 'threshold' must be a number, got {threshold!r}")
+        kwargs["threshold"] = float(threshold)
     try:
         return LexiconConfig(**kwargs)
     except ValueError as exc:

@@ -255,6 +255,44 @@ class TestConfigAndFlags:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"balanced": "no"}, "'balanced' (--balanced) must be a boolean, got 'no'"),
+            ({"seed": "5"}, "'seed' (--seed) must be an integer, got '5'"),
+            ({"seed": True}, "'seed' (--seed) must be an integer, got True"),
+            ({"test_fraction": "0.5"}, "'test_fraction' (--test-fraction) must be a number, got '0.5'"),
+            ({"threshold": None}, "'threshold' (--threshold) must be a number, got None"),
+            ({"gold": 3}, "'gold' (--gold) must be a string, got 3"),
+            ({"seeed": 5}, "'seeed' is not a flag of any subcommand"),
+            ({"log_level": "DEBUG"}, "'log_level' is not a flag of any subcommand"),
+        ],
+        ids=["bool-str", "int-str", "int-bool", "float-str", "float-null", "str-int", "typo", "top-level"],
+    )
+    def test_config_value_must_have_flag_type(self, tmp_path, caplog, entry, message):
+        # unchecked, "no" would be truthy, int("5"), float("0.5") and str(3)
+        # would convert the value, and an unknown key would be ignored
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        out_dir = tmp_path / "split"
+        assert run("--config", config, "prepare", "--gold", FIXTURE_GOLD, "--out-dir", out_dir) == 1
+        assert f"ValueError: config file {config}: {message}" in caplog.text
+        assert not out_dir.exists()
+
+    def test_config_serves_several_subcommands(self, tmp_path):
+        # keys of another subcommand are legal; an int is a number
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": str(FIXTURE_CORPUS), "embeddings": str(TOY_EMBEDDINGS),
+            "out": str(tmp_path / "pred.jsonl"), "workers": 1,
+            "gold": str(FIXTURE_GOLD), "pred": str(tmp_path / "pred.jsonl"),
+            "report": str(tmp_path / "report.json"), "threshold": 1, "keep_separators": False,
+        }))
+        assert run("--config", config, "extract") == 0
+        assert run("--config", config, "evaluate", "--mode", "fuzzy") == 0
+        assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
+
+
 class TestErrorLog:
     def test_names_exception_type(self, tmp_path, caplog):
         assert run("extract", "--corpus", tmp_path / "nope.jsonl",

@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finrelex import corpus
@@ -98,6 +98,26 @@ class TestLoadDocuments:
         with pytest.raises(CorpusFormatError, match=f"line 2: .*'{key}'"):
             load_documents(path)
 
+    @pytest.mark.parametrize(
+        "layer,row,message",
+        [
+            ("tokens", 7, "expected a JSON object, got int"),
+            ("entities", [0, 1, "ORG"], "expected a JSON object, got list"),
+            ("noun_chunks", {"start": 0, "end": 1}, "missing field 'root'"),
+            ("tokens", dict(i=0, text="Apple", lemma="apple", pos="PROPN", dep="nsubj", head="1", sent=0),
+             "field 'head' must be an integer, got '1'"),
+        ],
+        ids=["token-int", "entity-list", "chunk-missing-key", "token-head-string"],
+    )
+    def test_bad_row_names_line_and_key(self, tmp_path, apple_doc, layer, row, message):
+        obj = corpus.document_to_dict(apple_doc)
+        obj[layer][0] = row
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+        with pytest.raises(CorpusFormatError) as info:
+            load_documents(path)
+        assert str(info.value) == f"line 2: {message}"
+
     def test_duplicate_id_names_line(self, tmp_path, apple_doc):
         line = json.dumps(corpus.document_to_dict(apple_doc))
         path = tmp_path / "docs.jsonl"
@@ -124,6 +144,49 @@ class TestLoadDocuments:
                              for d in load_documents(first)])
         assert first.read_bytes() == second.read_bytes()
         assert load_documents(second) == documents
+
+
+_BAD_VALUES = (None, True, False, 1.5, "x", [], {})
+_NON_OBJECTS = (None, True, 1.5, "x", [], 7)
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_single_field_mutation_raises_only_documented_errors(self, data, documents, tmp_path_factory):
+        # Drop a key, give a value another JSON type, or replace a token,
+        # entity or chunk row with a non-object: a CorpusFormatError naming
+        # the line.  A value of the same JSON type may only fail validation.
+        doc = data.draw(st.sampled_from(documents))
+        obj = corpus.document_to_dict(doc)
+        layer = data.draw(st.sampled_from([None] + [k for k in ("tokens", "entities", "noun_chunks") if obj[k]]))
+        record = obj
+        if layer is not None:
+            rows = obj[layer]
+            i = data.draw(st.integers(0, len(rows) - 1))
+            record = rows[i]
+            if data.draw(st.booleans()):
+                rows[i] = record = data.draw(st.sampled_from(_NON_OBJECTS))
+        retyped = True
+        if isinstance(record, dict):
+            key = data.draw(st.sampled_from(sorted(record)))
+            if data.draw(st.booleans()):
+                del record[key]
+            else:
+                value = data.draw(st.sampled_from(_BAD_VALUES))
+                retyped = type(value) is not type(record[key])
+                record[key] = value
+        valid = next(d for d in documents if d.id != doc.id)
+        path = tmp_path_factory.getbasetemp() / "mutated-docs.jsonl"
+        write_lines(path, [json.dumps(corpus.document_to_dict(valid)), json.dumps(obj)])
+        if retyped:
+            with pytest.raises(CorpusFormatError, match="^line 2: "):
+                load_documents(path)
+        else:
+            try:
+                load_documents(path)
+            except DocumentValidationError as exc:
+                assert str(exc).startswith("document ")
 
 
 def _quadratic_tree_check(tokens: list[Token]) -> str | None:

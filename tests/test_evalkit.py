@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -159,6 +160,18 @@ class TestEvaluateCorpus:
         gold = [GoldExample("a", "t", ""), GoldExample("b", "t", "")]
         with pytest.raises(EvaluationError, match="b"):
             evaluate_corpus(gold, {"a": ""}, EXACT_CFG)
+
+    def test_stray_prediction_ids_warn_once(self, caplog):
+        # predictions for a whole corpus scored against a split of its gold
+        gold = [GoldExample("a", "t", "x y")]
+        predictions = {"a": "x z", **{f"extra{k}": "" for k in range(7)}}
+        alone = evaluate_corpus(gold, {"a": "x z"}, EXACT_CFG)
+        report = evaluate_corpus(gold, predictions, EXACT_CFG)
+        assert report == alone and report.to_dict() == alone.to_dict()
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert record.getMessage() == (
+            "ignoring 7 predictions with no gold example, e.g. ids: extra0, extra1, extra2, extra3, extra4"
+        )
 
     def test_empty_prediction_string_is_valid(self):
         gold = [GoldExample("a", "t", "")]

@@ -202,6 +202,20 @@ class TestLexiconConfig:
         with pytest.raises(EmbeddingFormatError, match="'revenue_words' must be a list of strings"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("value", ['"0.7"', "true", "null", "[1]"])
+    def test_load_lexicon_rejects_non_number_threshold(self, tmp_path, value):
+        # float() would load "0.7" as 0.7 and true as 1.0, and raise a bare
+        # TypeError for null and [1]
+        path = tmp_path / "lexicon.json"
+        path.write_text(f'{{"threshold": {value}}}', encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="'threshold' must be a number"):
+            load_lexicon(path)
+
+    def test_load_lexicon_integer_threshold(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text('{"threshold": 1}', encoding="utf-8")
+        assert load_lexicon(path).threshold == 1.0
+
     def test_load_lexicon_rejects_bad_json(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text("not json", encoding="utf-8")
