@@ -192,13 +192,14 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 def cmd_prepare(args: argparse.Namespace) -> None:
     gold = corpus.load_gold(args.gold)
     train, test = corpus.split_train_test(gold, args.test_fraction, args.seed)
+    # Balance before writing, so a training side it rejects leaves no split behind.
+    balanced = corpus.balanced_subset(train, args.seed) if args.balanced else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus.save_gold(train, out_dir / "train.jsonl")
     corpus.save_gold(test, out_dir / "test.jsonl")
     logger.info("wrote %d train / %d test examples to %s", len(train), len(test), out_dir)
-    if args.balanced:
-        balanced = corpus.balanced_subset(train, args.seed)
+    if balanced is not None:
         corpus.save_gold(balanced, out_dir / "balanced-train.jsonl")
         logger.info("wrote %d balanced training examples", len(balanced))
 
@@ -231,14 +232,11 @@ def cmd_inspect(args: argparse.Namespace) -> None:
         print(f"  [{chunk.start},{chunk.end}) root {chunk.root}: {doc.span_text(chunk.start, chunk.end)}")
     print()
     print("heuristic traces:")
-    trace: list[str] = []
-    relex.relate_money_company(view, trace)
-    relex.relate_company_date(view, trace)
-    relex.relate_other_pairs(view, trace)
-    if trace:
-        for line in trace:
-            print(f"  {line}")
-    else:
+    relations = (relex.relate_money_company(view) + relex.relate_company_date(view)
+                 + relex.relate_other_pairs(view))
+    for rel in relations:
+        print(f"  {relex.describe(rel)}")
+    if not relations:
         print("  (no heuristic fired)")
 
 

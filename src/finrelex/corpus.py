@@ -17,7 +17,7 @@ import logging
 import random
 from array import array
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -192,6 +192,8 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
             fail(f"entity [{start},{end}): unknown label {label!r}")
         if not 0 <= start < end <= n:
             fail(f"entity [{start},{end}): out of bounds for {n} tokens")
+        if tokens[start].sentence != tokens[end - 1].sentence:
+            fail(f"entity [{start},{end}): crosses a sentence boundary")
     for (s1, e1, l1), (s2, e2, l2) in zip(spans, spans[1:]):
         if s2 < e1:
             fail(f"entities [{s1},{e1}) {l1} and [{s2},{e2}) {l2} overlap")
@@ -239,16 +241,6 @@ def load_documents(path: str | Path) -> list[AnnotatedDocument]:
             raise CorpusFormatError(f"line {lineno}: duplicate document id {doc.id!r}")
         docs[doc.id] = doc
     return list(docs.values())
-
-
-def document_to_dict(doc: AnnotatedDocument) -> dict:
-    return _DOCUMENT.dump((
-        doc.id,
-        doc.text,
-        [_TOKEN.dump(astuple(t)) for t in doc.tokens],
-        [_ENTITY.dump((e.start, e.end, e.label)) for e in doc.entities],
-        [_CHUNK.dump(astuple(c)) for c in doc.noun_chunks],
-    ))
 
 
 def load_gold(path: str | Path) -> list[GoldExample]:

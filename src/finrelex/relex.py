@@ -19,6 +19,9 @@ entities belong together:
   subtree, nearest pair winning ties.
 
 All heuristics are tree-local, so related entities always share a sentence.
+Each :class:`PairwiseRelation` names the heuristic that built it in ``path``
+(``"a"``/``"b"``/``"c"`` above, else ``"shared-governor"``); :func:`describe`
+renders it as the line ``finrelex inspect`` prints.
 ``extract`` integrates the pairwise relations into ordered
 :class:`~finrelex.records.RelationRecord` lists, classifying money bridges
 as revenue/investment and person mentions as founders.
@@ -53,6 +56,7 @@ KIND_LABELS = {
 }
 
 LINK_DEPS = frozenset({"appos", "conj"})
+SHARED_GOVERNOR = "shared-governor"
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,7 @@ class PairwiseRelation:
     left: EntitySpan
     right: EntitySpan
     bridge_phrase: str | None = None
+    path: str = SHARED_GOVERNOR  # the heuristic that built the relation
 
     def __post_init__(self) -> None:
         expected = KIND_LABELS[self.kind]
@@ -145,12 +150,15 @@ def _nearest_org_child(view: dt.TreeView, verb: int, t: int) -> EntitySpan | Non
     return best[2] if best else None
 
 
-def _note(trace: list[str] | None, message: str) -> None:
-    if trace is not None:
-        trace.append(message)
+def describe(rel: PairwiseRelation) -> str:
+    """One line naming the relation's kind, heuristic path and entities, and
+    for company-money its bridge phrase."""
+    how = rel.path if rel.path == SHARED_GOVERNOR else f"path ({rel.path})"
+    bridge = f" via bridge {rel.bridge_phrase!r}" if rel.kind == COMPANY_MONEY else ""
+    return f"{rel.kind} {how}: {rel.left.text} -> {rel.right.text}{bridge}"
 
 
-def relate_money_company(view: dt.TreeView, trace: list[str] | None = None) -> list[PairwiseRelation]:
+def relate_money_company(view: dt.TreeView) -> list[PairwiseRelation]:
     """Tie each money entity to at most one organization."""
     relations = []
     for money in _spans(view, "MONEY"):
@@ -182,12 +190,11 @@ def relate_money_company(view: dt.TreeView, trace: list[str] | None = None) -> l
                     org, path = candidate, "c"
                     bridge = _chunk_text(view, dt.noun_chunk_of(view, prep_head))
         if org is not None:
-            relations.append(PairwiseRelation(COMPANY_MONEY, org, money, bridge))
-            _note(trace, f"company-money path ({path}): {org.text} -> {money.text} via bridge {bridge!r}")
+            relations.append(PairwiseRelation(COMPANY_MONEY, org, money, bridge, path))
     return relations
 
 
-def relate_company_date(view: dt.TreeView, trace: list[str] | None = None) -> list[PairwiseRelation]:
+def relate_company_date(view: dt.TreeView) -> list[PairwiseRelation]:
     """Tie organizations to dates; duplicates are emitted once."""
     relations = []
     seen: set[tuple[int, int, int, int]] = set()
@@ -197,8 +204,7 @@ def relate_company_date(view: dt.TreeView, trace: list[str] | None = None) -> li
         if key in seen:
             return
         seen.add(key)
-        relations.append(PairwiseRelation(COMPANY_DATE, org, date))
-        _note(trace, f"company-date path ({path}): {org.text} -> {date.text}")
+        relations.append(PairwiseRelation(COMPANY_DATE, org, date, path=path))
 
     for org in _spans(view, "ORG"):
         c = _anchor(view, dt.entity_root(view, org))
@@ -249,7 +255,7 @@ def _related(view: dt.TreeView, left_root: int, right_root: int) -> bool:
     return dt.is_ancestor(view, left_root, right_root) or dt.is_ancestor(view, right_root, left_root)
 
 
-def relate_other_pairs(view: dt.TreeView, trace: list[str] | None = None) -> list[PairwiseRelation]:
+def relate_other_pairs(view: dt.TreeView) -> list[PairwiseRelation]:
     """Shared-governor pairing for the four remaining relation kinds.
 
     Each right-hand entity pairs with its nearest related left-hand entity
@@ -280,7 +286,6 @@ def relate_other_pairs(view: dt.TreeView, trace: list[str] | None = None) -> lis
                     best = (*key, left)
             if best is not None:
                 relations.append(PairwiseRelation(kind, best[2], right))
-                _note(trace, f"{kind} shared-governor: {best[2].text} -> {right.text}")
     return relations
 
 
@@ -313,7 +318,6 @@ def extract(
     view: dt.TreeView,
     table: semvec.EmbeddingTable,
     lex: semvec.LexiconConfig,
-    trace: list[str] | None = None,
 ) -> list[RelationRecord]:
     """Integrate all pairwise relations of a paragraph into ordered records.
 
@@ -325,9 +329,9 @@ def extract(
     by value span start.  A value that cannot form a well-formed record
     (embedded separator characters) is dropped with a warning.
     """
-    money_rels = relate_money_company(view, trace)
-    date_rels = relate_company_date(view, trace)
-    other_rels = relate_other_pairs(view, trace)
+    money_rels = relate_money_company(view)
+    date_rels = relate_company_date(view)
+    other_rels = relate_other_pairs(view)
     dates_of: dict[EntitySpan, list[EntitySpan]] = {}  # money or organization -> its related dates
     for r in (*date_rels, *other_rels):
         if r.kind in (COMPANY_DATE, MONEY_DATE):
@@ -340,13 +344,11 @@ def extract(
             record = RelationRecord(company.text, name, value_span.text, date_text)
         except RecordError as exc:
             logger.warning("dropping unserializable record from document %s: %s", view.document.id, exc)
-            _note(trace, f"dropped record ({exc})")
             return
         rows.append((dt.entity_root(view, company), value_span.start, record))
 
     for rel in money_rels:
         label = semvec.classify_money_phrase(table, lex, rel.bridge_phrase or "")
-        _note(trace, f"classify money bridge {rel.bridge_phrase!r} -> {label}")
         if label == semvec.UNKNOWN:
             continue
         money_root = dt.entity_root(view, rel.right)
@@ -358,7 +360,6 @@ def extract(
         if rel.kind == COMPANY_PERSON:
             context = _person_context(view, rel.right)
             verdict = semvec.classify_person_phrase(table, lex, rel.right.text, context)
-            _note(trace, f"classify person {rel.right.text!r} (context {context!r}) -> {verdict}")
             if verdict == semvec.FOUNDER:
                 add(rel.left, "founder", rel.right, UNKNOWN_DATE)
         elif rel.kind == COMPANY_COUNTRY:

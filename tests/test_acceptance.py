@@ -117,22 +117,23 @@ def test_criterion_03_fixture_corpus_agreement(documents, gold_by_id, toy_table,
         assert len(empties) >= 5
 
         kinds_seen = set()
-        traces: list[str] = []
+        paths_seen = set()
         for doc in documents:
             view = TreeView.build(doc)
             for rel in (
-                relex.relate_money_company(view, traces)
-                + relex.relate_company_date(view, traces)
-                + relex.relate_other_pairs(view, traces)
+                relex.relate_money_company(view)
+                + relex.relate_company_date(view)
+                + relex.relate_other_pairs(view)
             ):
                 kinds_seen.add(rel.kind)
+                paths_seen.add((rel.kind, rel.path))
         assert kinds_seen == {
             "company-money", "company-date", "company-country",
             "company-person", "money-date", "person-country",
         }
         for path in "abc":
-            assert any(f"company-money path ({path})" in line for line in traces)
-            assert any(f"company-date path ({path})" in line for line in traces)
+            assert ("company-money", path) in paths_seen
+            assert ("company-date", path) in paths_seen
 
         for doc in documents:
             expected = records.parse(gold_by_id[doc.id].target_text)

@@ -5,7 +5,9 @@ import pytest
 
 from finrelex import corpus
 from finrelex.cli import main
-from tests.conftest import FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
+from tests.conftest import DATA_DIR, FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
+
+FIXTURE_INSPECT = DATA_DIR / "fixture_inspect.txt"
 
 
 def run(*argv):
@@ -142,6 +144,19 @@ class TestPrepare:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         return path
 
+    def test_failed_balanced_run_writes_no_file(self, tmp_path):
+        # one informative example among five: at this seed the split moves it
+        # to test, so the training side has nothing to balance against
+        path = tmp_path / "gold.jsonl"
+        lines = [{"id": "0", "input_text": "p0", "target_text": "Acme, revenue, $1 million, unknown-date|"}]
+        lines += [{"id": str(i), "input_text": f"p{i}", "target_text": ""} for i in range(1, 5)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out_dir = tmp_path / "splits"
+        out_dir.mkdir()
+        assert run("prepare", "--gold", path, "--test-fraction", 0.2, "--balanced",
+                   "--seed", 1, "--out-dir", out_dir) == 1
+        assert list(out_dir.iterdir()) == []
+
     def test_split_files_written(self, tmp_path, distinct_gold_path):
         out_dir = tmp_path / "splits"
         assert run("prepare", "--gold", distinct_gold_path, "--test-fraction", 0.2,
@@ -190,6 +205,13 @@ class TestPrepare:
 
 
 class TestInspect:
+    def test_output_matches_frozen_snapshot(self, capsys, documents):
+        # tests/data/fixture_inspect.txt is every fixture document's inspect
+        # output in corpus order; any change to it must be deliberate.
+        for doc in documents:
+            assert run("inspect", "--corpus", FIXTURE_CORPUS, "--id", doc.id) == 0
+        assert capsys.readouterr().out == FIXTURE_INSPECT.read_text(encoding="utf-8")
+
     def test_prints_document_details(self, capsys):
         assert run("inspect", "--corpus", FIXTURE_CORPUS, "--id", "apple-income") == 0
         out = capsys.readouterr().out

@@ -19,16 +19,29 @@ from finrelex.corpus import (
     split_train_test,
 )
 from finrelex.records import parse, record_set_equal
+from tests.conftest import FIXTURE_CORPUS
 
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+@pytest.fixture(scope="session")
+def raw_lines():
+    """Each fixture document's JSON line as stored, keyed by id."""
+    lines = FIXTURE_CORPUS.read_text(encoding="utf-8").splitlines()
+    return {json.loads(line)["id"]: line for line in lines}
+
+
+@pytest.fixture(scope="session")
+def apple_line(raw_lines):
+    return raw_lines["apple-income"]
+
+
 class TestLoadDocuments:
-    def test_apple_fixture_counts(self, tmp_path, apple_doc):
+    def test_apple_fixture_counts(self, tmp_path, apple_line):
         path = tmp_path / "docs.jsonl"
-        write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc))])
+        write_lines(path, [apple_line])
         docs = load_documents(path)
         assert len(docs) == 1
         doc = docs[0]
@@ -41,16 +54,16 @@ class TestLoadDocuments:
         path.write_text("", encoding="utf-8")
         assert load_documents(path) == []
 
-    def test_head_out_of_range_names_document(self, tmp_path, apple_doc):
-        obj = corpus.document_to_dict(apple_doc)
+    def test_head_out_of_range_names_document(self, tmp_path, apple_line):
+        obj = json.loads(apple_line)
         obj["tokens"][3]["head"] = 99
         path = tmp_path / "docs.jsonl"
         write_lines(path, [json.dumps(obj)])
         with pytest.raises(DocumentValidationError, match="apple-income"):
             load_documents(path)
 
-    def test_cyclic_heads_rejected(self, tmp_path, apple_doc):
-        obj = corpus.document_to_dict(apple_doc)
+    def test_cyclic_heads_rejected(self, tmp_path, apple_line):
+        obj = json.loads(apple_line)
         # 2 -> 3 -> 2 cycle
         obj["tokens"][2]["head"] = 3
         obj["tokens"][3]["head"] = 2
@@ -59,18 +72,18 @@ class TestLoadDocuments:
         with pytest.raises(DocumentValidationError, match="apple-income"):
             load_documents(path)
 
-    def test_malformed_line_names_line_number(self, tmp_path, apple_doc):
+    def test_malformed_line_names_line_number(self, tmp_path, apple_line):
         path = tmp_path / "docs.jsonl"
-        write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), "{not json"])
+        write_lines(path, [apple_line, "{not json"])
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_documents(path)
         # a non-list "tokens", "entities" or "noun_chunks" field is a format
         # error naming the line and the key, not a bare TypeError
         for key in ("tokens", "entities", "noun_chunks"):
             for bad in (None, 7):
-                obj = corpus.document_to_dict(apple_doc)
+                obj = json.loads(apple_line)
                 obj[key] = bad
-                write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+                write_lines(path, [apple_line, json.dumps(obj)])
                 with pytest.raises(CorpusFormatError, match=f"^line 2: field '{key}' must be a list"):
                     load_documents(path)
 
@@ -85,15 +98,15 @@ class TestLoadDocuments:
         ],
         ids=["head-float", "index-false", "entity-start-true", "id-null", "text-null"],
     )
-    def test_wrong_scalar_type_names_line(self, tmp_path, apple_doc, where, updates):
+    def test_wrong_scalar_type_names_line(self, tmp_path, apple_line, where, updates):
         # int() and str() would accept each of these as 1, 0, 1 or "None"
-        obj = corpus.document_to_dict(apple_doc)
+        obj = json.loads(apple_line)
         target = obj
         for step in where:
             target = target[step]
         target.update(updates)
         path = tmp_path / "docs.jsonl"
-        write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+        write_lines(path, [apple_line, json.dumps(obj)])
         key = next(iter(updates))
         with pytest.raises(CorpusFormatError, match=f"line 2: .*'{key}'"):
             load_documents(path)
@@ -109,41 +122,44 @@ class TestLoadDocuments:
         ],
         ids=["token-int", "entity-list", "chunk-missing-key", "token-head-string"],
     )
-    def test_bad_row_names_line_and_key(self, tmp_path, apple_doc, layer, row, message):
-        obj = corpus.document_to_dict(apple_doc)
+    def test_bad_row_names_line_and_key(self, tmp_path, apple_line, layer, row, message):
+        obj = json.loads(apple_line)
         obj[layer][0] = row
         path = tmp_path / "docs.jsonl"
-        write_lines(path, [json.dumps(corpus.document_to_dict(apple_doc)), json.dumps(obj)])
+        write_lines(path, [apple_line, json.dumps(obj)])
         with pytest.raises(CorpusFormatError) as info:
             load_documents(path)
         assert str(info.value) == f"line 2: {message}"
 
-    def test_duplicate_id_names_line(self, tmp_path, apple_doc):
-        line = json.dumps(corpus.document_to_dict(apple_doc))
+    def test_duplicate_id_names_line(self, tmp_path, apple_line):
         path = tmp_path / "docs.jsonl"
-        write_lines(path, [line, line])
+        write_lines(path, [apple_line, apple_line])
         with pytest.raises(CorpusFormatError, match="line 2: duplicate document id 'apple-income'"):
             load_documents(path)
 
-    def test_overlapping_entities_rejected(self, tmp_path, apple_doc):
-        obj = corpus.document_to_dict(apple_doc)
+    def test_overlapping_entities_rejected(self, tmp_path, apple_line):
+        obj = json.loads(apple_line)
         obj["entities"].append({"start": 0, "end": 2, "label": "PERSON"})
         path = tmp_path / "docs.jsonl"
         write_lines(path, [json.dumps(obj)])
         with pytest.raises(DocumentValidationError, match="overlap"):
             load_documents(path)
 
+    def test_entity_across_sentences_rejected(self, tmp_path, apple_line):
+        # an entity lives in one sentence; the heuristics reach a span through
+        # any of its tokens, so one crossing a boundary would relate across it
+        obj = json.loads(apple_line)
+        obj["tokens"][0].update(dep="ROOT", head=0)  # "Apple" becomes a sentence of its own
+        for tok in obj["tokens"][1:]:
+            tok["sent"] = 1
+        obj["entities"] = [{"start": 0, "end": 2, "label": "ORG"}]
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps(obj)])
+        with pytest.raises(DocumentValidationError, match=r"entity \[0,2\): crosses a sentence boundary"):
+            load_documents(path)
+
     def test_entity_text_uses_raw_text_spacing(self, apple_doc):
         assert [e.text for e in apple_doc.entities] == ["Apple", "$9.4 million"]
-
-    def test_round_trip_is_byte_identical(self, tmp_path, documents):
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
-        write_lines(first, [json.dumps(corpus.document_to_dict(d), ensure_ascii=False) for d in documents])
-        write_lines(second, [json.dumps(corpus.document_to_dict(d), ensure_ascii=False)
-                             for d in load_documents(first)])
-        assert first.read_bytes() == second.read_bytes()
-        assert load_documents(second) == documents
 
 
 _BAD_VALUES = (None, True, False, 1.5, "x", [], {})
@@ -153,12 +169,13 @@ _NON_OBJECTS = (None, True, 1.5, "x", [], 7)
 class TestMutatedDocuments:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_single_field_mutation_raises_only_documented_errors(self, data, documents, tmp_path_factory):
+    def test_single_field_mutation_raises_only_documented_errors(self, data, documents, raw_lines,
+                                                                  tmp_path_factory):
         # Drop a key, give a value another JSON type, or replace a token,
         # entity or chunk row with a non-object: a CorpusFormatError naming
         # the line.  A value of the same JSON type may only fail validation.
         doc = data.draw(st.sampled_from(documents))
-        obj = corpus.document_to_dict(doc)
+        obj = json.loads(raw_lines[doc.id])
         layer = data.draw(st.sampled_from([None] + [k for k in ("tokens", "entities", "noun_chunks") if obj[k]]))
         record = obj
         if layer is not None:
@@ -178,7 +195,7 @@ class TestMutatedDocuments:
                 record[key] = value
         valid = next(d for d in documents if d.id != doc.id)
         path = tmp_path_factory.getbasetemp() / "mutated-docs.jsonl"
-        write_lines(path, [json.dumps(corpus.document_to_dict(valid)), json.dumps(obj)])
+        write_lines(path, [raw_lines[valid.id], json.dumps(obj)])
         if retyped:
             with pytest.raises(CorpusFormatError, match="^line 2: "):
                 load_documents(path)
