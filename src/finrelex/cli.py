@@ -3,12 +3,13 @@
 Subcommands::
 
     extract   --corpus D --embeddings E [--lexicon L] --out P [--workers N]
-    evaluate  --gold G --pred P [--mode exact|fuzzy] [--threshold 0.9] --report R
-    prepare   --gold G [--test-fraction 0.2] [--balanced] [--seed 13] --out-dir DIR
+    evaluate  --gold G --pred P [--mode exact|fuzzy] [--threshold T] --report R
+    prepare   --gold G [--test-fraction F] [--balanced] [--seed S] --out-dir DIR
     inspect   --corpus D --id X
 
-Flags are the primary interface; ``--config FILE`` may point at a JSON object
-whose keys pre-fill flag defaults (explicit flags always win).  Each key must
+``finrelex SUBCOMMAND --help`` lists each flag with its default.  Flags are
+the primary interface; ``--config FILE`` may point at a JSON object whose
+keys pre-fill flag defaults (explicit flags always win).  Each key must
 name a subcommand flag and have that flag's JSON type.  The log level
 comes from ``--log-level`` or the ``FINRELEX_LOG_LEVEL`` environment variable
 (flag wins); logs go to standard error, data only to files.  Output files are
@@ -34,20 +35,7 @@ from .deptree import TreeView
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SEED = 13
 LOG_LEVEL_ENV = "FINRELEX_LOG_LEVEL"
-
-_HARD_DEFAULTS = {
-    "workers": 1,
-    "lexicon": None,
-    "mode": evalkit.EXACT,
-    "threshold": 0.90,
-    "keep_separators": False,
-    "breakdown": None,
-    "test_fraction": 0.2,
-    "balanced": False,
-    "seed": DEFAULT_SEED,
-}
 
 _REQUIRED = {
     "extract": ("corpus", "embeddings", "out"),
@@ -64,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         "paragraphs and score predictions against gold targets.",
     )
     parser.add_argument("--config", help="JSON file supplying default values for flags")
-    parser.add_argument("--log-level", dest="log_level", help="logging level (default INFO)")
+    parser.add_argument("--log-level", dest="log_level",
+                        default=os.environ.get(LOG_LEVEL_ENV) or "INFO",
+                        help=f"logging level (default %(default)s, from ${LOG_LEVEL_ENV} when set)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_extract = sub.add_parser("extract", help="run the heuristics over a document file")
@@ -72,32 +62,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--embeddings", help="word embedding text file")
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")
-    p_extract.add_argument("--workers", type=int,
+    p_extract.add_argument("--workers", type=int, default=1,
                            help="kept for compatibility: an integer >= 1 that does not change "
-                           "the output, since extraction runs in one process (default 1)")
+                           "the output, since extraction runs in one process (default %(default)s)")
 
     p_eval = sub.add_parser("evaluate", help="score a prediction file against gold targets")
     p_eval.add_argument("--gold", help="gold example file (JSON lines)")
     p_eval.add_argument("--pred", help="prediction file (JSON lines)")
-    p_eval.add_argument("--mode", choices=(evalkit.EXACT, evalkit.FUZZY), help="matching mode")
-    p_eval.add_argument("--threshold", type=float, help="fuzzy similarity threshold (default 0.9)")
-    p_eval.add_argument(
-        "--keep-separators",
-        dest="keep_separators",
-        action="store_true",
-        default=None,
-        help="score separator characters too instead of stripping them",
-    )
+    p_eval.add_argument("--mode", choices=(evalkit.EXACT, evalkit.FUZZY),
+                        default=evalkit.EvalConfig.mode, help="matching mode (default %(default)s)")
+    p_eval.add_argument("--threshold", type=float, default=evalkit.EvalConfig.fuzzy_threshold,
+                        help="fuzzy similarity threshold (default %(default)s)")
+    p_eval.add_argument("--keep-separators", dest="keep_separators", action="store_true",
+                        help="score separator characters too instead of stripping them "
+                        "(default %(default)s)")
     p_eval.add_argument("--report", help="report JSON file to write")
     p_eval.add_argument("--breakdown", help="optional per-example breakdown file to write")
 
     p_prepare = sub.add_parser("prepare", help="deduplicated train/test split of a gold file")
     p_prepare.add_argument("--gold", help="gold example file (JSON lines)")
-    p_prepare.add_argument("--test-fraction", dest="test_fraction", type=float,
-                           help="test share of the corpus (default 0.2)")
-    p_prepare.add_argument("--balanced", action="store_true", default=None,
-                           help="also write a class-balanced training subset")
-    p_prepare.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
+    p_prepare.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2,
+                           help="test share of the corpus (default %(default)s)")
+    p_prepare.add_argument("--balanced", action="store_true",
+                           help="also write a class-balanced training subset (default %(default)s)")
+    p_prepare.add_argument("--seed", type=int, default=13, help="sampling seed (default %(default)s)")
     p_prepare.add_argument("--out-dir", dest="out_dir", help="directory for the split files")
 
     p_inspect = sub.add_parser("inspect", help="print one document's annotations and heuristic traces")
@@ -110,8 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 _JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float), "a string": (str,)}
 
 
-def _check_config(config: dict, path: str, parser: argparse.ArgumentParser) -> None:
-    """Reject a key that names no subcommand flag, or a value its flag does not take."""
+def _apply_config(path: str, parser: argparse.ArgumentParser) -> None:
+    """Make the JSON object in ``path`` the flag defaults of every subcommand.
+
+    A key that names no subcommand flag, or a value its flag does not take,
+    is a ``ValueError``; nothing is converted.
+    """
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
     [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {a.dest: a for sub in subparsers.choices.values() for a in sub._actions if a.dest != "help"}
     for key, value in config.items():
@@ -123,33 +119,12 @@ def _check_config(config: dict, path: str, parser: argparse.ArgumentParser) -> N
         if type(value) not in _JSON_KINDS[kind]:
             raise ValueError(f"config file {path}: {key!r} ({flag.option_strings[0]}) "
                              f"must be {kind}, got {value!r}")
+    for sub in subparsers.choices.values():
+        sub.set_defaults(**config)
 
 
-def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    config: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        _check_config(config, args.config, parser)
-    for key, value in vars(args).items():
-        if value is not None:
-            continue
-        if key in config:
-            setattr(args, key, config[key])
-        elif key in _HARD_DEFAULTS:
-            setattr(args, key, _HARD_DEFAULTS[key])
-    missing = [name for name in _REQUIRED[args.subcommand] if getattr(args, name, None) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ValueError(f"{args.subcommand}: missing required options: {flags}")
-    return args
-
-
-def _configure_logging(level_flag: str | None) -> None:
-    level_name = level_flag or os.environ.get(LOG_LEVEL_ENV) or "INFO"
-    level = getattr(logging, str(level_name).upper(), None)
+def _configure_logging(level_name: str) -> None:
+    level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         raise ValueError(f"unknown log level {level_name!r}")
     logging.basicConfig(stream=sys.stderr, level=level,
@@ -199,8 +174,12 @@ def cmd_prepare(args: argparse.Namespace) -> None:
     corpus.save_gold(train, out_dir / "train.jsonl")
     corpus.save_gold(test, out_dir / "test.jsonl")
     logger.info("wrote %d train / %d test examples to %s", len(train), len(test), out_dir)
-    if balanced is not None:
-        corpus.save_gold(balanced, out_dir / "balanced-train.jsonl")
+    balanced_path = out_dir / "balanced-train.jsonl"
+    if balanced is None:
+        # An earlier run's subset may hold examples this split put in test.
+        balanced_path.unlink(missing_ok=True)
+    else:
+        corpus.save_gold(balanced, balanced_path)
         logger.info("wrote %d balanced training examples", len(balanced))
 
 
@@ -253,7 +232,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _configure_logging(args.log_level)
-        args = _resolve_options(args, parser)
+        if args.config:
+            _apply_config(args.config, parser)
+            args = parser.parse_args(argv)
+        missing = [name for name in _REQUIRED[args.subcommand] if getattr(args, name) is None]
+        if missing:
+            flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+            raise ValueError(f"{args.subcommand}: missing required options: {flags}")
         _COMMANDS[args.subcommand](args)
     except Exception as exc:  # surfaced as a diagnostic plus nonzero exit
         logging.basicConfig(stream=sys.stderr)

@@ -125,7 +125,8 @@ class AnnotatedDocument:
 class GoldExample:
     """A manually labeled paragraph: input text plus serialized target records.
 
-    An empty ``target_text`` means the paragraph carries no relevant
+    A ``target_text`` without records (``""``, ``"|"``; see
+    :func:`is_informative`) means the paragraph carries no relevant
     information.
     """
 
@@ -207,6 +208,11 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
             fail(f"noun chunks [{c1.start},{c1.end}) and [{c2.start},{c2.end}) overlap")
 
 
+def is_informative(target_text: str) -> bool:
+    """Whether a gold target holds a record: some ``|`` segment is not blank."""
+    return any(segment.strip() for segment in target_text.split(records_mod.RECORD_SEPARATOR))
+
+
 _DOCUMENT = Fields(id=str, text=str, tokens=list, entities=list, noun_chunks=list)
 _TOKEN = Fields(i=int, text=str, lemma=str, pos=str, dep=str, head=int, sent=int)
 _ENTITY = Fields(start=int, end=int, label=str)
@@ -246,16 +252,16 @@ def load_documents(path: str | Path) -> list[AnnotatedDocument]:
 def load_gold(path: str | Path) -> list[GoldExample]:
     """Load gold (id, input_text, target_text) examples.
 
-    All three fields are strings and ids are unique.  Non-empty targets must
-    parse under the record grammar; an empty target is legal and marks a
-    no-information paragraph.
+    All three fields are strings and ids are unique.  Informative targets
+    must parse under the record grammar; any other target is legal and marks
+    a no-information paragraph.
     """
     examples: dict[str, GoldExample] = {}
     for lineno, obj in iter_jsonl(path, CorpusFormatError):
         example = GoldExample(*_GOLD.read(obj, lineno, CorpusFormatError))
         if example.id in examples:
             raise CorpusFormatError(f"line {lineno}: duplicate gold id {example.id!r}")
-        if example.target_text.strip():
+        if is_informative(example.target_text):
             try:
                 records_mod.parse(example.target_text)
             except records_mod.RecordError as exc:
@@ -269,7 +275,7 @@ def save_gold(examples: list[GoldExample], path: str | Path) -> None:
 
 
 def _info_content(example: GoldExample) -> Counter:
-    if not example.target_text.strip():
+    if not is_informative(example.target_text):
         return Counter()
     parsed = records_mod.parse(example.target_text)
     return Counter(records_mod._normalize(r) for r in parsed)
@@ -337,8 +343,8 @@ def balanced_subset(train: list[GoldExample], seed: int) -> list[GoldExample]:
     When fewer empty examples exist than informative ones, every empty example
     is kept and the shortfall is logged.
     """
-    informative = [i for i, ex in enumerate(train) if ex.target_text.strip()]
-    empty = [i for i, ex in enumerate(train) if not ex.target_text.strip()]
+    informative = [i for i, ex in enumerate(train) if is_informative(ex.target_text)]
+    empty = [i for i, ex in enumerate(train) if not is_informative(ex.target_text)]
     if not informative:
         raise ValueError("training set has no informative examples to balance against")
 

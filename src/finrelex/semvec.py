@@ -10,7 +10,7 @@ the winning similarity strictly exceeds the configured threshold.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +108,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def load_lexicon(path: str | Path) -> LexiconConfig:
-    """Load a JSON lexicon override; missing fields fall back to defaults."""
+    """Load a JSON lexicon override; missing fields fall back to defaults and
+    a key that names no :class:`LexiconConfig` field is an error."""
     import json
 
     with open(path, encoding="utf-8") as fh:
@@ -118,6 +119,10 @@ def load_lexicon(path: str | Path) -> LexiconConfig:
             raise EmbeddingFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise EmbeddingFormatError(f"{path}: expected a JSON object")
+    known = {f.name for f in fields(LexiconConfig)}
+    for key in obj:
+        if key not in known:
+            raise EmbeddingFormatError(f"{path}: {key!r} is not a lexicon field")
     kwargs = {}
     for key in ("revenue_words", "investment_words", "founder_words"):
         if key in obj:

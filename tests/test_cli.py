@@ -1,10 +1,11 @@
+import argparse
 import json
 import logging
 
 import pytest
 
 from finrelex import corpus
-from finrelex.cli import main
+from finrelex.cli import build_parser, main
 from tests.conftest import DATA_DIR, FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
 
 FIXTURE_INSPECT = DATA_DIR / "fixture_inspect.txt"
@@ -157,6 +158,16 @@ class TestPrepare:
                    "--seed", 1, "--out-dir", out_dir) == 1
         assert list(out_dir.iterdir()) == []
 
+    def test_run_without_balanced_removes_stale_subset(self, tmp_path, distinct_gold_path):
+        # the earlier subset would hold examples the new split puts in test
+        out_dir = tmp_path / "splits"
+        assert run("prepare", "--gold", distinct_gold_path, "--balanced", "--seed", 1,
+                   "--out-dir", out_dir) == 0
+        stale = {g.id for g in corpus.load_gold(out_dir / "balanced-train.jsonl")}
+        assert run("prepare", "--gold", distinct_gold_path, "--seed", 2, "--out-dir", out_dir) == 0
+        assert stale & {g.id for g in corpus.load_gold(out_dir / "test.jsonl")}
+        assert sorted(p.name for p in out_dir.iterdir()) == ["test.jsonl", "train.jsonl"]
+
     def test_split_files_written(self, tmp_path, distinct_gold_path):
         out_dir = tmp_path / "splits"
         assert run("prepare", "--gold", distinct_gold_path, "--test-fraction", 0.2,
@@ -250,6 +261,43 @@ class TestConfigAndFlags:
         assert run("--config", config, "extract", "--out", explicit) == 0
         assert explicit.exists()
         assert not (tmp_path / "ignored.jsonl").exists()
+
+    def test_config_balanced_writes_subset(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"balanced": True}))
+        out_dir = tmp_path / "split"
+        assert run("--config", config, "prepare", "--gold", FIXTURE_GOLD, "--out-dir", out_dir) == 0
+        assert (out_dir / "balanced-train.jsonl").exists()
+
+    def test_explicit_seed_beats_config_seed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1}))
+
+        def test_file(name, *argv):
+            assert run(*argv, "--gold", FIXTURE_GOLD, "--out-dir", tmp_path / name) == 0
+            return (tmp_path / name / "test.jsonl").read_bytes()
+
+        explicit = test_file("explicit", "--config", config, "prepare", "--seed", 2)
+        assert explicit == test_file("flag", "prepare", "--seed", 2)
+        # the config's seed 1 alone gives another split
+        assert explicit != test_file("config", "--config", config, "prepare")
+
+    @pytest.mark.parametrize("argv", [[], ["extract"], ["evaluate"], ["prepare"], ["inspect"]],
+                             ids=["top", "extract", "evaluate", "prepare", "inspect"])
+    def test_help_shows_each_default(self, capsys, argv):
+        # a stray "%" in a help string would break "%(default)s" formatting
+        parser = build_parser()
+        if argv:
+            [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = subparsers.choices[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = [a.default for a in parser._actions if a.default not in (None, argparse.SUPPRESS)]
+        assert defaults or argv == ["inspect"]
+        for default in defaults:
+            assert f"(default {default}" in text
 
     def test_missing_required_flag_fails(self, tmp_path):
         assert run("extract", "--corpus", FIXTURE_CORPUS) != 0

@@ -330,6 +330,16 @@ def distinct_gold(n):
     return [_gold(i, f"Company{i}, revenue, ${i} million, unknown-date|") for i in range(n)]
 
 
+@pytest.mark.parametrize(
+    "target,informative",
+    [("", False), ("  ", False), ("|", False), (" | ", False), ("| |", False),
+     ("Acme, revenue, $1, unknown-date|", True), ("| Acme, revenue, $1, unknown-date", True)],
+)
+def test_is_informative(target, informative):
+    assert corpus.is_informative(target) is informative
+    assert bool(parse(target)) is informative
+
+
 class TestSplitTrainTest:
     def test_ten_distinct_examples(self):
         gold = distinct_gold(10)
@@ -407,6 +417,15 @@ class TestBalancedSubset:
     def test_no_informative_examples_rejected(self):
         with pytest.raises(ValueError):
             balanced_subset([_gold(0, ""), _gold(1, "")], seed=1)
+
+    def test_separator_only_targets_count_as_empty(self):
+        # "|" and " | " parse to no record, as the split and the scorer see them
+        train = [_gold(0, "C0, revenue, $0, unknown-date|"), _gold(1, "|"), _gold(2, " | "), _gold(3, "")]
+        subset = balanced_subset(train, seed=1)
+        assert len(subset) == 2
+        assert subset[0].id == "0"
+        with pytest.raises(ValueError, match="no informative examples"):
+            balanced_subset([_gold(0, "|"), _gold(1, " | ")], seed=1)
 
     def test_every_informative_example_kept_once(self):
         informative = [_gold(i, f"C{i}, revenue, ${i}, unknown-date|") for i in range(7)]

@@ -211,6 +211,13 @@ class TestLexiconConfig:
         with pytest.raises(EmbeddingFormatError, match="'threshold' must be a number"):
             load_lexicon(path)
 
+    def test_load_lexicon_rejects_unknown_key(self, tmp_path):
+        # a misspelt key used to load silently with the default threshold
+        path = tmp_path / "lexicon.json"
+        path.write_text('{"treshold": 0.99}', encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="'treshold' is not a lexicon field"):
+            load_lexicon(path)
+
     def test_load_lexicon_integer_threshold(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text('{"threshold": 1}', encoding="utf-8")
