@@ -127,8 +127,10 @@ def _configure_logging(level_name: str) -> None:
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         raise ValueError(f"unknown log level {level_name!r}")
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, so a
+    # later call in the same process sets its level here.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 def cmd_extract(args: argparse.Namespace) -> None:
@@ -208,7 +210,7 @@ def cmd_inspect(args: argparse.Namespace) -> None:
         print(f"  [{span.start},{span.end}) {span.label}: {span.text}")
     print("noun chunks:")
     for chunk in doc.noun_chunks:
-        print(f"  [{chunk.start},{chunk.end}) root {chunk.root}: {doc.span_text(chunk.start, chunk.end)}")
+        print(f"  [{chunk.start},{chunk.end}) root {chunk.root}: {chunk.text}")
     print()
     print("heuristic traces:")
     relations = (relex.relate_money_company(view) + relex.relate_company_date(view)

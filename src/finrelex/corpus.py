@@ -7,18 +7,16 @@ per sentence, acyclicity, span bounds, non-overlap) and offers the two
 corpus-preparation steps used before training/evaluation runs: an
 information-deduplicated train/test split and a class-balanced subset.
 
-Everything loaded here is immutable; all operations are pure given their
-inputs and a seed, so documents can safely be processed in parallel.
+Everything loaded here is immutable and built once; all operations are pure
+given their inputs and a seed.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from . import records as records_mod
@@ -79,11 +77,13 @@ class EntitySpan:
 
 @dataclass(frozen=True)
 class NounChunk:
-    """A base noun phrase span with its syntactic head token."""
+    """A base noun phrase span with its syntactic head token; ``text`` is the
+    surface form."""
 
     start: int
     end: int
     root: int
+    text: str
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,6 @@ class AnnotatedDocument:
     tokens: tuple[Token, ...]
     entities: tuple[EntitySpan, ...]
     noun_chunks: tuple[NounChunk, ...]
-
-    @cached_property
-    def _char_starts(self) -> array | None:
-        """Character offset of each token's start, found by scanning the raw
-        text; a token ends ``len(token.text)`` characters later.
-
-        ``None`` when the tokens cannot be located left-to-right in the text;
-        span extraction then falls back to space-joined token texts.  A flat
-        integer array keeps the cache at 8 bytes per token.
-        """
-        starts = array("q")
-        cursor = 0
-        for tok in self.tokens:
-            pos = self.text.find(tok.text, cursor)
-            if pos < 0:
-                return None
-            starts.append(pos)
-            cursor = pos + len(tok.text)
-        return starts
-
-    def span_text(self, start: int, end: int) -> str:
-        """Surface text of the token range [start, end)."""
-        starts = self._char_starts
-        if starts is not None and start < end:
-            return self.text[starts[start] : starts[end - 1] + len(self.tokens[end - 1].text)]
-        return " ".join(t.text for t in self.tokens[start:end])
 
 
 @dataclass(frozen=True)
@@ -136,7 +110,7 @@ class GoldExample:
 
 
 def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[int, int, str]],
-                       chunks: list[NounChunk]) -> None:
+                       chunks: list[tuple[int, int, int]]) -> None:
     n = len(tokens)
 
     def fail(msg: str) -> None:
@@ -199,13 +173,13 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
         if s2 < e1:
             fail(f"entities [{s1},{e1}) {l1} and [{s2},{e2}) {l2} overlap")
 
-    ordered = sorted(chunks, key=lambda c: c.start)
-    for chunk in ordered:
-        if not (0 <= chunk.start <= chunk.root < chunk.end <= n):
-            fail(f"noun chunk [{chunk.start},{chunk.end}) root {chunk.root} out of bounds")
-    for c1, c2 in zip(ordered, ordered[1:]):
-        if c2.start < c1.end:
-            fail(f"noun chunks [{c1.start},{c1.end}) and [{c2.start},{c2.end}) overlap")
+    ordered = sorted(chunks, key=lambda c: c[0])
+    for start, end, root in ordered:
+        if not (0 <= start <= root < end <= n):
+            fail(f"noun chunk [{start},{end}) root {root} out of bounds")
+    for (s1, e1, _), (s2, e2, _) in zip(ordered, ordered[1:]):
+        if s2 < e1:
+            fail(f"noun chunks [{s1},{e1}) and [{s2},{e2}) overlap")
 
 
 def is_informative(target_text: str) -> bool:
@@ -220,21 +194,35 @@ _CHUNK = Fields(start=int, end=int, root=int)
 _GOLD = Fields(id=str, input_text=str, target_text=str)
 
 
+def _surface_texts(text: str, tokens: list[Token], ranges: list[tuple[int, int]]) -> list[str]:
+    """Surface text of each non-empty token range [start, end): ``text`` from
+    the first token's start to the last token's end, with token offsets found
+    in one left-to-right scan.  When the tokens cannot be found left to right
+    in ``text``, each range's token texts joined by spaces."""
+    starts, ends, cursor = [], [], 0
+    for tok in tokens:
+        pos = text.find(tok.text, cursor)
+        if pos < 0:
+            return [" ".join(t.text for t in tokens[start:end]) for start, end in ranges]
+        cursor = pos + len(tok.text)
+        starts.append(pos)
+        ends.append(cursor)
+    return [text[starts[start] : ends[end - 1]] for start, end in ranges]
+
+
 def _document_from_dict(obj: object, lineno: int) -> AnnotatedDocument:
+    """Read, validate and build one document row; every span's text is cut here."""
     doc_id, text, token_rows, entity_rows, chunk_rows = _DOCUMENT.read(obj, lineno, CorpusFormatError)
     tokens = [Token(*_TOKEN.read(t, lineno, CorpusFormatError)) for t in token_rows]
-    raw_entities = [_ENTITY.read(e, lineno, CorpusFormatError) for e in entity_rows]
-    chunks = [NounChunk(*_CHUNK.read(c, lineno, CorpusFormatError)) for c in chunk_rows]
-    _validate_document(doc_id, tokens, raw_entities, chunks)
-    # Entity texts are cut with the document's own cached token offsets, so
-    # the offsets are found once; the document is complete before it is
-    # returned.
-    doc = AnnotatedDocument(doc_id, text, tuple(tokens), (), tuple(chunks))
-    entities = tuple(
-        EntitySpan(start, end, label, doc.span_text(start, end)) for start, end, label in raw_entities
+    entities = [_ENTITY.read(e, lineno, CorpusFormatError) for e in entity_rows]
+    chunks = [_CHUNK.read(c, lineno, CorpusFormatError) for c in chunk_rows]
+    _validate_document(doc_id, tokens, entities, chunks)
+    texts = _surface_texts(text, tokens, [(start, end) for start, end, _ in entities + chunks])
+    return AnnotatedDocument(
+        doc_id, text, tuple(tokens),
+        tuple(EntitySpan(*entity, cut) for entity, cut in zip(entities, texts)),
+        tuple(NounChunk(*chunk, cut) for chunk, cut in zip(chunks, texts[len(entities):])),
     )
-    object.__setattr__(doc, "entities", entities)
-    return doc
 
 
 def load_documents(path: str | Path) -> list[AnnotatedDocument]:

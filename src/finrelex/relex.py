@@ -80,10 +80,8 @@ def _spans(view: dt.TreeView, label: str) -> list[EntitySpan]:
     return [e for e in view.document.entities if e.label == label]
 
 
-def _chunk_text(view: dt.TreeView, chunk: NounChunk | None) -> str | None:
-    if chunk is None:
-        return None
-    return view.document.span_text(chunk.start, chunk.end)
+def _chunk_text(chunk: NounChunk | None) -> str | None:
+    return None if chunk is None else chunk.text
 
 
 def _anchor(view: dt.TreeView, t: int) -> int:
@@ -172,14 +170,14 @@ def relate_money_company(view: dt.TreeView) -> list[PairwiseRelation]:
                 candidate = _org_span_at(view, subject)
                 if candidate is not None:
                     org, path = candidate, "a"
-                    bridge = _chunk_text(view, dt.noun_chunk_of(view, t))
+                    bridge = _chunk_text(dt.noun_chunk_of(view, t))
             else:
                 verb = dt.governing_verb(view, t)
                 if verb is not None:
                     candidate = _nearest_org_child(view, verb, t)
                     if candidate is not None:
                         org, path = candidate, "b"
-                        bridge = _chunk_text(view, dt.noun_chunk_of(view, t))
+                        bridge = _chunk_text(dt.noun_chunk_of(view, t))
         elif dt.is_prepositional_object(view, t):
             prep = view.document.tokens[t].head
             prep_head = view.document.tokens[prep].head
@@ -188,7 +186,7 @@ def relate_money_company(view: dt.TreeView) -> list[PairwiseRelation]:
                 candidate = _nearest_org_child(view, verb, t)
                 if candidate is not None:
                     org, path = candidate, "c"
-                    bridge = _chunk_text(view, dt.noun_chunk_of(view, prep_head))
+                    bridge = _chunk_text(dt.noun_chunk_of(view, prep_head))
         if org is not None:
             relations.append(PairwiseRelation(COMPANY_MONEY, org, money, bridge, path))
     return relations
@@ -299,10 +297,10 @@ def _person_context(view: dt.TreeView, person: EntitySpan) -> str:
         governor = tokens[tokens[p].head].head
     else:
         governor = tokens[p].head
-    parts = [_chunk_text(view, dt.noun_chunk_of(view, governor)) or tokens[governor].text]
+    parts = [_chunk_text(dt.noun_chunk_of(view, governor)) or tokens[governor].text]
     for child in dt.children(view, p):
         if tokens[child].dep == "appos":
-            parts.append(_chunk_text(view, dt.noun_chunk_of(view, child)) or tokens[child].text)
+            parts.append(_chunk_text(dt.noun_chunk_of(view, child)) or tokens[child].text)
     return " ".join(parts)
 
 

@@ -65,18 +65,21 @@ class LexiconConfig:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a plain-text embedding file: one ``word v1 ... vD`` entry per line.
 
-    An optional leading header line of two integers (vocabulary size and
-    dimension) is tolerated and skipped.  The dimension is fixed by the first
-    entry; duplicate words keep their first vector with a warning.
+    An optional header of two integers (vocabulary size and dimension) on
+    the first non-blank line is tolerated and skipped.  The dimension is
+    fixed by the first entry; duplicate words keep their first vector with a
+    warning.
     """
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
+    may_be_header = True
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2:
+            first, may_be_header = may_be_header, False
+            if first and len(parts) == 2:
                 try:
                     int(parts[0]), int(parts[1])
                 except ValueError:
@@ -160,18 +163,19 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _best_match(
-    table: EmbeddingTable, vec: np.ndarray, words: tuple[str, ...]
-) -> tuple[str | None, float]:
-    best_word, best_sim = None, -2.0
+def _best_match(table: EmbeddingTable, vec: np.ndarray, words: tuple[str, ...]) -> float:
+    """Highest similarity of ``vec`` to an in-vocabulary word, or -2.0 (below
+    any threshold) when every word is out of vocabulary.  The strict ``>``
+    means a NaN similarity never wins."""
+    best_sim = -2.0
     for word in words:
         wvec = table.lookup(word)
         if wvec is None:
             continue
         sim = cosine(vec, wvec)
         if sim > best_sim:
-            best_word, best_sim = word, sim
-    return best_word, best_sim
+            best_sim = sim
+    return best_sim
 
 
 def classify_money_phrase(table: EmbeddingTable, lex: LexiconConfig, phrase: str) -> str:
@@ -185,14 +189,9 @@ def classify_money_phrase(table: EmbeddingTable, lex: LexiconConfig, phrase: str
     vec = phrase_vector(table, phrase)
     if vec is None:
         return UNKNOWN
-    rev_word, rev_sim = _best_match(table, vec, lex.revenue_words)
-    inv_word, inv_sim = _best_match(table, vec, lex.investment_words)
-    if rev_word is None and inv_word is None:
-        return UNKNOWN
-    best = max(rev_sim, inv_sim)
-    if best <= lex.threshold:
-        return UNKNOWN
-    if rev_word is not None and inv_word is not None and rev_sim == inv_sim:
+    rev_sim = _best_match(table, vec, lex.revenue_words)
+    inv_sim = _best_match(table, vec, lex.investment_words)
+    if max(rev_sim, inv_sim) <= lex.threshold or rev_sim == inv_sim:
         return UNKNOWN
     return REVENUE if rev_sim > inv_sim else INVESTMENT
 
@@ -209,7 +208,6 @@ def classify_person_phrase(
     vec = phrase_vector(table, combined)
     if vec is None:
         return OTHER
-    word, sim = _best_match(table, vec, lex.founder_words)
-    if word is None or sim <= lex.threshold:
+    if _best_match(table, vec, lex.founder_words) <= lex.threshold:
         return OTHER
     return FOUNDER

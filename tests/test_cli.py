@@ -363,6 +363,23 @@ class TestConfigAndFlags:
         assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
 
 
+class TestLogLevel:
+    def test_each_call_sets_its_own_level(self, tmp_path, caplog):
+        # logging.basicConfig alone does nothing once the root logger has a
+        # handler, which would leave the first call's level in force
+        root = logging.getLogger()
+        saved = root.level
+        argv = ("extract", "--corpus", FIXTURE_CORPUS, "--embeddings", TOY_EMBEDDINGS,
+                "--out", tmp_path / "pred.jsonl")
+        try:
+            assert run("--log-level", "WARNING", *argv) == 0
+            assert "wrote 22 predictions" not in caplog.text
+            assert run("--log-level", "INFO", *argv) == 0
+            assert "wrote 22 predictions" in caplog.text
+        finally:
+            root.setLevel(saved)
+
+
 class TestErrorLog:
     def test_names_exception_type(self, tmp_path, caplog):
         assert run("extract", "--corpus", tmp_path / "nope.jsonl",

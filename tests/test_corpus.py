@@ -161,6 +161,17 @@ class TestLoadDocuments:
     def test_entity_text_uses_raw_text_spacing(self, apple_doc):
         assert [e.text for e in apple_doc.entities] == ["Apple", "$9.4 million"]
 
+    def test_unlocatable_tokens_fall_back_to_joined_texts(self, tmp_path, apple_line):
+        # "of" is not in the text after "income", so no span is cut from the
+        # text, not even one whose tokens were all found first
+        obj = json.loads(apple_line)
+        obj["text"] = "Apple had a  net income: $9.4 million"
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps(obj)])
+        [doc] = load_documents(path)
+        assert [e.text for e in doc.entities] == ["Apple", "$ 9.4 million"]
+        assert [c.text for c in doc.noun_chunks] == ["Apple", "a net income"]
+
 
 _BAD_VALUES = (None, True, False, 1.5, "x", [], {})
 _NON_OBJECTS = (None, True, 1.5, "x", [], 7)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finrelex import corpus
 from finrelex import deptree as dt
 from finrelex import records as records_mod
 from finrelex import relex
-from finrelex.corpus import ENTITY_LABELS, AnnotatedDocument, EntitySpan, NounChunk, Token, _validate_document
+from finrelex.corpus import ENTITY_LABELS, AnnotatedDocument
 from finrelex.deptree import TreeView
 from finrelex.records import RelationRecord
 from finrelex.relex import (
@@ -145,19 +146,32 @@ def _tree_heads(draw, size: int) -> list[int]:
     return heads
 
 
+def _row(doc_id: str, tokens: list[dict], entities: list[dict], chunks: list[dict], text=None) -> dict:
+    """A document file row; ``text`` defaults to the token texts joined by spaces."""
+    if text is None:
+        text = " ".join(t["text"] for t in tokens)
+    return corpus._DOCUMENT.dump((doc_id, text, tokens, entities, chunks))
+
+
+def _document(row: dict) -> AnnotatedDocument:
+    """The document the loader builds from ``row``: validated, with span texts."""
+    return corpus._document_from_dict(row, 1)
+
+
 @st.composite
 def _forests(draw) -> AnnotatedDocument:
     """A document of one to three sentences, each a random dependency tree
     with a random mix of verb and non-verb tokens."""
-    tokens: list[Token] = []
+    tokens: list[dict] = []
     for sent in range(draw(st.integers(1, 3))):
         size = draw(st.integers(1, 9))
         heads = _tree_heads(draw, size)
         off = len(tokens)
         for i, head in enumerate(heads):
             pos = draw(st.sampled_from(["VERB", "AUX", "NOUN", "PROPN", "ADP"]))
-            tokens.append(Token(off + i, "w", "w", pos, "ROOT" if head == i else "dep", off + head, sent))
-    return AnnotatedDocument("generated", " ".join(t.text for t in tokens), tuple(tokens), (), ())
+            dep = "ROOT" if head == i else "dep"
+            tokens.append(corpus._TOKEN.dump((off + i, "w", "w", pos, dep, off + head, sent)))
+    return _document(_row("generated", tokens, [], []))
 
 
 class TestRelated:
@@ -199,35 +213,44 @@ def _spans(draw, n: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _sentence(draw, off: int, sent: int) -> list[dict]:
+    """Token rows of one random tree with the heuristics' dependency labels
+    and words, numbered from ``off``."""
+    tokens = []
+    for i, head in enumerate(_tree_heads(draw, draw(st.integers(1, 8)))):
+        dep = "ROOT" if head == i else draw(st.sampled_from(_HEURISTIC_DEPS))
+        pos = draw(st.sampled_from(["VERB", "AUX", "NOUN", "PROPN", "ADP", "NUM"]))
+        text = draw(st.sampled_from(_WORDS))
+        tokens.append(corpus._TOKEN.dump((off + i, text, text.lower(), pos, dep, off + head, sent)))
+    return tokens
+
+
+def _chunks(draw, off: int, n: int) -> list[dict]:
+    """Noun chunk rows over tokens [off, off + n), each with a root inside."""
+    return [corpus._CHUNK.dump((off + start, off + end, draw(st.integers(off + start, off + end - 1))))
+            for start, end in _spans(draw, n)]
+
+
 @st.composite
-def _valid_documents(draw) -> AnnotatedDocument:
-    """A document that passes validation: one random tree per sentence with
-    the heuristics' dependency labels, labelled entity spans inside each
-    sentence, and noun chunks that may cross a sentence boundary, as
-    validation allows."""
-    tokens: list[Token] = []
-    entities: list[tuple[int, int, str]] = []
+def _valid_rows(draw) -> dict:
+    """A document row that passes validation: one random tree per sentence,
+    labelled entity spans inside each sentence, and noun chunks that may
+    cross a sentence boundary, as validation allows."""
+    tokens: list[dict] = []
+    entities: list[dict] = []
     for sent in range(draw(st.integers(1, 3))):
-        off, size = len(tokens), draw(st.integers(1, 8))
-        for i, head in enumerate(_tree_heads(draw, size)):
-            dep = "ROOT" if head == i else draw(st.sampled_from(_HEURISTIC_DEPS))
-            pos = draw(st.sampled_from(["VERB", "AUX", "NOUN", "PROPN", "ADP", "NUM"]))
-            text = draw(st.sampled_from(_WORDS))
-            tokens.append(Token(off + i, text, text.lower(), pos, dep, off + head, sent))
-        entities += [(off + start, off + end, draw(st.sampled_from(sorted(ENTITY_LABELS))))
-                     for start, end in _spans(draw, size)]
-    n = len(tokens)
-    chunks = [NounChunk(start, end, draw(st.integers(start, end - 1))) for start, end in _spans(draw, n)]
-    _validate_document("generated", tokens, entities, chunks)
-    doc = AnnotatedDocument("generated", " ".join(t.text for t in tokens), tuple(tokens), (), tuple(chunks))
-    spans = tuple(EntitySpan(start, end, label, doc.span_text(start, end)) for start, end, label in entities)
-    return dataclasses.replace(doc, entities=spans)
+        off = len(tokens)
+        tokens += _sentence(draw, off, sent)
+        entities += [corpus._ENTITY.dump((off + start, off + end, draw(st.sampled_from(sorted(ENTITY_LABELS)))))
+                     for start, end in _spans(draw, len(tokens) - off)]
+    return _row("generated", tokens, entities, _chunks(draw, 0, len(tokens)))
 
 
 class TestGeneratedDocuments:
     @settings(max_examples=120, deadline=None)
-    @given(_valid_documents())
-    def test_heuristics_hold_on_valid_documents(self, toy_table, lexicon, doc):
+    @given(_valid_rows())
+    def test_heuristics_hold_on_valid_documents(self, toy_table, lexicon, row):
+        doc = _document(row)
         view = TreeView.build(doc)
         got = extract(view, toy_table, lexicon)
         assert records_mod.parse(records_mod.serialize(got)) == got
@@ -236,6 +259,23 @@ class TestGeneratedDocuments:
             assert rel.path in _PATHS[rel.kind]
             left, right = dt.entity_root(view, rel.left), dt.entity_root(view, rel.right)
             assert tokens[left].sentence == tokens[right].sentence
+
+    @settings(max_examples=40, deadline=None)
+    @given(_valid_rows(), st.data())
+    def test_output_ignores_id_and_entity_free_sentence(self, toy_table, lexicon, row, data):
+        # the relations are compared too: far more documents have one than a record
+        def output(row):
+            view = TreeView.build(_document(row))
+            relations = relate_money_company(view) + relate_company_date(view) + relate_other_pairs(view)
+            return extract(view, toy_table, lexicon), [relex.describe(r) for r in relations]
+
+        base = output(row)
+        assert output({**row, "id": "renamed"}) == base
+        tokens = row["tokens"]
+        off = len(tokens)
+        extra = _sentence(data.draw, off, tokens[-1]["sent"] + 1)
+        chunks = row["noun_chunks"] + _chunks(data.draw, off, len(extra))
+        assert output(_row(row["id"], tokens + extra, row["entities"], chunks)) == base
 
 
 class TestExtract:
@@ -299,26 +339,18 @@ class TestExtract:
 
 
 def _build_initial_pp_doc() -> AnnotatedDocument:
-    from finrelex.corpus import EntitySpan, NounChunk, Token
-
-    tokens = (
-        Token(0, "In", "in", "ADP", "prep", 5, 0),
-        Token(1, "Q3", "q3", "PROPN", "compound", 2, 0),
-        Token(2, "2020", "2020", "NUM", "pobj", 0, 0),
-        Token(3, ",", ",", "PUNCT", "punct", 5, 0),
-        Token(4, "Jumia", "jumia", "PROPN", "nsubj", 5, 0),
-        Token(5, "reported", "report", "VERB", "ROOT", 5, 0),
-        Token(6, "revenue", "revenue", "NOUN", "dobj", 5, 0),
-    )
-    doc = AnnotatedDocument(
-        id="initial-pp",
-        text="In Q3 2020, Jumia reported revenue",
-        tokens=tokens,
-        entities=(),
-        noun_chunks=(NounChunk(1, 3, 2), NounChunk(4, 5, 4), NounChunk(6, 7, 6)),
-    )
-    entities = (
-        EntitySpan(1, 3, "DATE", doc.span_text(1, 3)),
-        EntitySpan(4, 5, "ORG", doc.span_text(4, 5)),
-    )
-    return dataclasses.replace(doc, entities=entities)
+    tokens = [
+        corpus._TOKEN.dump(values)
+        for values in (
+            (0, "In", "in", "ADP", "prep", 5, 0),
+            (1, "Q3", "q3", "PROPN", "compound", 2, 0),
+            (2, "2020", "2020", "NUM", "pobj", 0, 0),
+            (3, ",", ",", "PUNCT", "punct", 5, 0),
+            (4, "Jumia", "jumia", "PROPN", "nsubj", 5, 0),
+            (5, "reported", "report", "VERB", "ROOT", 5, 0),
+            (6, "revenue", "revenue", "NOUN", "dobj", 5, 0),
+        )
+    ]
+    entities = [corpus._ENTITY.dump(values) for values in ((1, 3, "DATE"), (4, 5, "ORG"))]
+    chunks = [corpus._CHUNK.dump(values) for values in ((1, 3, 2), (4, 5, 4), (6, 7, 6))]
+    return _document(_row("initial-pp", tokens, entities, chunks, text="In Q3 2020, Jumia reported revenue"))

@@ -54,6 +54,19 @@ class TestLoadEmbeddings:
         assert table.dimension == 3
         assert len(table.vectors) == 2
 
+    def test_header_after_blank_lines_tolerated(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n  \n2 3\nfoo 1 2 3\nbar 0 1 0\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.dimension == 3
+        assert sorted(table.vectors) == ["bar", "foo"]
+
+    def test_only_first_non_blank_line_can_be_header(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1\n2 3\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert sorted(table.vectors) == ["2", "a"]
+
     def test_duplicate_word_keeps_first(self, tmp_path, caplog):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 0\na 0 1\n", encoding="utf-8")
@@ -146,6 +159,20 @@ class TestClassifyMoneyPhrase:
         # similarity exactly 1.0 does not exceed a threshold of 1.0
         assert classify_money_phrase(table, lex, "half") == "unknown"
 
+    def test_fully_oov_group_never_wins_at_threshold_zero(self, tmp_path):
+        # an out-of-vocabulary group scores below every similarity, so the
+        # other group's best word alone decides against the threshold
+        path = tmp_path / "vectors.txt"
+        path.write_text("income 1 0\nraised 0 1\nboth 1 1\ndown -1 -1\n", encoding="utf-8")
+        table = load_embeddings(path)
+        no_investment = LexiconConfig(investment_words=("zzz",), threshold=0.0)
+        no_revenue = LexiconConfig(revenue_words=("zzz",), threshold=0.0)
+        assert classify_money_phrase(table, no_investment, "both") == "revenue"
+        assert classify_money_phrase(table, no_revenue, "both") == "investment"
+        # similarity 0.0 to the only in-vocabulary word does not exceed 0.0
+        assert classify_money_phrase(table, no_investment, "raised") == "unknown"
+        assert classify_money_phrase(table, no_revenue, "down") == "unknown"
+
     def test_scale_invariance(self, toy_table, lexicon):
         phrases = ["a net income", "raised", "$10 million", "the founder of", "zzz"]
         scaled = EmbeddingTable(
@@ -165,6 +192,10 @@ class TestClassifyPersonPhrase:
 
     def test_oov_name_without_context(self, toy_table, lexicon):
         assert classify_person_phrase(toy_table, lexicon, "Xqz Bvk", "") == "other"
+
+    def test_fully_oov_founder_lexicon_at_threshold_zero(self, toy_table):
+        lex = LexiconConfig(founder_words=("zzz",), threshold=0.0)
+        assert classify_person_phrase(toy_table, lex, "Olu Agboola", "the founder of") == "other"
 
     def test_unrelated_context(self, toy_table, lexicon):
         verdict = classify_person_phrase(toy_table, lexicon, "Xqz Bvk", "the driver of")
