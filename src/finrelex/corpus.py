@@ -285,15 +285,30 @@ def split_train_test(
     continues until the requested size is met or candidates run out; running
     out yields a smaller test set plus a warning.  Note that a no-information
     candidate is contained in every training example, so such examples stay
-    in training whenever anything else remains there.
+    in training whenever anything else remains there.  A fraction that rounds
+    to an empty test set is rejected.
+
+    A multiset can only be contained in an example that holds its rarest
+    record, so each informative candidate is compared only with the examples
+    listed under that record in a record → examples index.  The cost is the
+    total length of the scanned lists: inputs where every record of many
+    candidates is common to many examples still scan long lists.
     """
     if not gold:
         raise ValueError("gold corpus is empty")
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-
     target = round(test_fraction * len(gold))
+    if target == 0:
+        raise ValueError(
+            f"test_fraction {test_fraction} of {len(gold)} examples rounds to an empty test set"
+        )
+
     info = [_info_content(ex) for ex in gold]
+    postings: dict[tuple[str, str, str, str], list[int]] = {}
+    for i, records in enumerate(info):
+        for key in records:
+            postings.setdefault(key, []).append(i)
     order = list(range(len(gold)))
     random.Random(seed).shuffle(order)
 
@@ -301,14 +316,20 @@ def split_train_test(
     for idx in order:
         if len(picked) >= target:
             break
-        conflict = any(
-            other != idx and other not in picked and _contained(info[idx], info[other])
-            for other in range(len(gold))
-        )
+        records = info[idx]
+        if records:
+            rarest = min(records, key=lambda key: len(postings[key]))
+            conflict = any(
+                other != idx and other not in picked and _contained(records, info[other])
+                for other in postings[rarest]
+            )
+        else:
+            # an empty multiset is contained in every other unpicked example
+            conflict = len(gold) - len(picked) - 1 > 0
         if not conflict:
             picked.add(idx)
 
-    if target > 0 and not picked:
+    if not picked:
         raise SplitInfeasibleError(
             "every candidate shares its information with a remaining training example; "
             "no test set satisfies the dedup constraint"

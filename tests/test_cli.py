@@ -158,6 +158,17 @@ class TestPrepare:
                    "--seed", 1, "--out-dir", out_dir) == 1
         assert list(out_dir.iterdir()) == []
 
+    def test_fraction_rounding_to_empty_test_set_fails_without_output(self, tmp_path, caplog):
+        # the default 20% of two examples rounds to an empty test set
+        path = tmp_path / "two.jsonl"
+        lines = [{"id": str(i), "input_text": f"p{i}", "target_text": f"C{i}, revenue, $1, unknown-date|"}
+                 for i in range(2)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out_dir = tmp_path / "splits"
+        assert run("prepare", "--gold", path, "--out-dir", out_dir) == 1
+        assert not out_dir.exists()
+        assert "test_fraction 0.2 of 2 examples" in caplog.text
+
     def test_run_without_balanced_removes_stale_subset(self, tmp_path, distinct_gold_path):
         # the earlier subset would hold examples the new split puts in test
         out_dir = tmp_path / "splits"

@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finrelex import corpus
@@ -407,6 +407,111 @@ class TestSplitTrainTest:
                 t_records = parse(t.target_text)
                 for r in train:
                     assert not record_set_equal(t_records, parse(r.target_text))
+
+    def test_fraction_rounding_to_empty_test_set_rejected(self):
+        # 20% of two examples rounds to zero: an empty test set is refused, not written
+        with pytest.raises(ValueError, match=r"test_fraction 0\.2 of 2 examples"):
+            split_train_test(distinct_gold(2), 0.2, seed=1)
+
+
+def _reference_split(gold, test_fraction, seed):
+    """The all-pairs split: every candidate is compared with every example."""
+    target = round(test_fraction * len(gold))
+    info = [corpus._info_content(ex) for ex in gold]
+    order = list(range(len(gold)))
+    random.Random(seed).shuffle(order)
+    picked = set()
+    for idx in order:
+        if len(picked) >= target:
+            break
+        if not any(other != idx and other not in picked and corpus._contained(info[idx], info[other])
+                   for other in range(len(gold))):
+            picked.add(idx)
+    if not picked:
+        raise SplitInfeasibleError("no test set satisfies the dedup constraint")
+    return ([ex for i, ex in enumerate(gold) if i not in picked],
+            [ex for i, ex in enumerate(gold) if i in picked])
+
+
+# Few distinct records, each in spellings that normalise alike, so that
+# drawn multisets are often equal, contained or respelled.
+_SPELLINGS = [
+    "Acme Corp, revenue, $1 million, unknown-date",
+    "ACME CORP,  revenue, $1 MILLION, unknown-date",
+    "acme  corp,revenue,$1   million , Unknown-Date",
+    "Acme Corp, country, Kenya, Q1 2020",
+    "acme corp, country,  KENYA, q1  2020",
+    "Beta, founder, Ada Lovelace, March 3, 2021",
+    "BETA, founder, ada  lovelace, march 3,  2021",
+]
+_TARGETS = st.one_of(
+    st.sampled_from(["", "|", " | "]),
+    st.lists(st.sampled_from(_SPELLINGS), min_size=1, max_size=3).map(lambda rs: "| ".join(rs) + "|"),
+)
+_GOLD_LISTS = st.lists(_TARGETS, min_size=1, max_size=9).map(
+    lambda targets: [_gold(i, t) for i, t in enumerate(targets)])
+
+
+@settings(max_examples=150, deadline=None)
+@example([_gold(0, "|")], 0.9, 0)  # an empty candidate with no other example left
+@given(_GOLD_LISTS, st.floats(0.05, 0.95), st.integers(0, 2**16))
+def test_split_matches_all_pairs_reference(gold, fraction, seed):
+    if round(fraction * len(gold)) == 0:
+        with pytest.raises(ValueError, match="rounds to an empty test set"):
+            split_train_test(gold, fraction, seed)
+        return
+    try:
+        want = _reference_split(gold, fraction, seed)
+    except SplitInfeasibleError:
+        with pytest.raises(SplitInfeasibleError):
+            split_train_test(gold, fraction, seed)
+        return
+    assert split_train_test(gold, fraction, seed) == want
+
+
+def _generated_gold(rng, n):
+    """Half empty targets; 30% of the informative ones repeat an earlier
+    example's records, some respelled, mostly plus one more record."""
+    companies = [f"Company{k}" for k in range(max(8, n // 10))]
+
+    def record():
+        return f"{rng.choice(companies)}, revenue, ${rng.randint(1, 999)} million, Q{rng.randint(1, 4)} 2020"
+
+    gold, informative = [], []
+    for k in range(n):
+        if rng.random() < 0.5:
+            records = []
+        elif informative and rng.random() < 0.3:
+            records = [r.replace("Company", "COMPANY") if rng.random() < 0.3 else r
+                       for r in rng.choice(informative)]
+            if rng.random() < 0.8:
+                records.insert(rng.randrange(len(records) + 1), record())
+        else:
+            records = [record() for _ in range(rng.randint(1, 3))]
+        if records:
+            informative.append(records)
+        gold.append(_gold(k, "| ".join(records) + "|" if records else ""))
+    return gold
+
+
+def test_split_work_grows_linearly(monkeypatch):
+    calls = []
+
+    def counting(inner, outer):
+        calls.append(1)
+        return contained(inner, outer)
+
+    contained = corpus._contained
+    monkeypatch.setattr(corpus, "_contained", counting)
+    counts = {}
+    for n in (300, 1200):
+        gold = _generated_gold(random.Random(5), n)
+        calls.clear()
+        split_train_test(gold, 0.2, seed=5)
+        counts[n] = len(calls)
+    # four times the examples may cost about four times the containment
+    # tests; comparing every candidate with every example costs sixteen times
+    assert 0 < counts[1200] <= 6 * counts[300]
 
 
 class TestBalancedSubset:
