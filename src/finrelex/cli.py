@@ -137,9 +137,10 @@ def cmd_extract(args: argparse.Namespace) -> None:
     # --workers is only validated: extraction runs in one process.
     if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1, got {args.workers!r}")
-    docs = corpus.load_documents(args.corpus)
+    # The table and lexicon first: a malformed one fails before the corpus is decoded.
     table = semvec.load_embeddings(args.embeddings)
     lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()
+    docs = corpus.load_documents(args.corpus)
     results = [
         (doc.id, records_mod.serialize(relex.extract(TreeView.build(doc), table, lex)))
         for doc in docs

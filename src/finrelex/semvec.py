@@ -10,7 +10,9 @@ the winning similarity strictly exceeds the configured threshold.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,11 @@ DEFAULT_REVENUE_WORDS = ("revenue", "income", "earnings", "proceeds", "returns",
 DEFAULT_INVESTMENT_WORDS = ("raised", "investment", "received", "equity")
 DEFAULT_FOUNDER_WORDS = ("founder", "co-founder", "cofounder", "founded", "started", "created")
 
+# Lines parsed per NumPy conversion in ``load_embeddings``: large enough to
+# amortise the call, small enough that the split strings of one chunk stay
+# a few hundred kilobytes.
+CHUNK_LINES = 1024
+
 
 class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding or lexicon files."""
@@ -34,13 +41,42 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Case-folded word -> dense vector map of a fixed dimension."""
+    """Case-folded word -> dense vector map of a fixed dimension.
+
+    ``load_embeddings`` fills ``vectors`` with a read-only mapping whose
+    values are row views of one float64 matrix; any mapping of words to
+    vectors works as well.
+    """
 
     dimension: int
-    vectors: dict[str, np.ndarray]
+    vectors: Mapping[str, np.ndarray]
 
     def lookup(self, word: str) -> np.ndarray | None:
         return self.vectors.get(word.casefold())
+
+
+class _MatrixRows(Mapping[str, np.ndarray]):
+    """Read-only ``word -> row view`` over one matrix and its ``word -> row`` index."""
+
+    __slots__ = ("_matrix", "_index")
+
+    def __init__(self, matrix: np.ndarray, index: dict[str, int]) -> None:
+        self._matrix, self._index = matrix, index
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        return self._matrix[self._index[word]]
+
+    def get(self, word: str, default: np.ndarray | None = None) -> np.ndarray | None:
+        # ``lookup`` calls this for every phrase and lexicon word; a miss
+        # here costs no ``KeyError`` as ``Mapping.get`` would.
+        row = self._index.get(word)
+        return default if row is None else self._matrix[row]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True)
@@ -67,47 +103,96 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     An optional header of two integers (vocabulary size and dimension) on
     the first non-blank line is tolerated and skipped.  The dimension is
-    fixed by the first entry; duplicate words keep their first vector with a
-    warning.
+    fixed by the first entry; duplicate words (after case folding) keep
+    their first vector with a warning.  Every malformed line (no vector, an
+    unparsable or non-finite component, another width) is an
+    :class:`EmbeddingFormatError` naming the line.
+
+    The file is read ``CHUNK_LINES`` lines at a time, and each chunk is
+    parsed with one NumPy conversion; a chunk that conversion does not
+    accept whole goes through the per-line rules instead, which alone
+    report errors and duplicates.  The table is held as one float64 matrix
+    of about ``8 * V * D`` bytes.
     """
-    vectors: dict[str, np.ndarray] = {}
+    index: dict[str, int] = {}
+    blocks: list[np.ndarray] = []
     dimension: int | None = None
     may_be_header = True
+    lineno = 1
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            first, may_be_header = may_be_header, False
-            if first and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    continue
-            word, values = parts[0].casefold(), parts[1:]
-            if not values:
-                raise EmbeddingFormatError(f"line {lineno}: entry {word!r} has no vector components")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingFormatError(f"line {lineno}: unparsable vector component ({exc})") from exc
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError(f"line {lineno}: non-finite vector component")
-            if dimension is None:
-                dimension = len(vec)
-            elif len(vec) != dimension:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: expected {dimension} components, found {len(vec)}"
-                )
-            if word in vectors:
-                logger.warning("duplicate embedding for %r at line %d; keeping first", word, lineno)
-                continue
-            vectors[word] = vec
+        while lines := list(islice(fh, CHUNK_LINES)):
+            block = None if may_be_header else _parse_chunk(lines, index, dimension)
+            if block is None:
+                block, may_be_header = _parse_lines(lines, lineno, index, dimension, may_be_header)
+            if len(block):
+                blocks.append(block)
+                dimension = block.shape[1]
+            lineno += len(lines)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
-    return EmbeddingTable(dimension=dimension, vectors=vectors)
+    return EmbeddingTable(dimension=dimension, vectors=_MatrixRows(np.concatenate(blocks), index))
+
+
+def _parse_chunk(lines: list[str], index: dict[str, int], dimension: int | None) -> np.ndarray | None:
+    """The matrix of ``lines`` when every non-blank one is a new word with a
+    finite vector of the table's width (the first width seen, if none is
+    fixed yet), its words then added to ``index``; otherwise ``None`` and
+    ``index`` is untouched."""
+    entries = [parts for parts in map(str.split, lines) if parts]
+    try:
+        block = np.array([parts[1:] for parts in entries], dtype=np.float64)
+    except ValueError:
+        return None
+    if block.ndim != 2 or not block.shape[1] or dimension not in (None, block.shape[1]):
+        return None
+    words = [parts[0].casefold() for parts in entries]
+    if not np.isfinite(block).all() or len(set(words)) != len(words) or not index.keys().isdisjoint(words):
+        return None
+    index.update(zip(words, range(len(index), len(index) + len(words))))
+    return block
+
+
+def _parse_lines(
+    lines: list[str], lineno: int, index: dict[str, int], dimension: int | None, may_be_header: bool
+) -> tuple[np.ndarray, bool]:
+    """Apply the per-line rules to ``lines``, the first of which is line
+    ``lineno``: raise at the first malformed line, warn on each duplicate,
+    and add each new word to ``index``.  Returns the new words' vectors, one
+    row each, and whether a header may still follow."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split()
+        if not parts:
+            continue
+        first, may_be_header = may_be_header, False
+        if first and len(parts) == 2:
+            try:
+                int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                continue
+        word, values = parts[0].casefold(), parts[1:]
+        if not values:
+            raise EmbeddingFormatError(f"line {lineno}: entry {word!r} has no vector components")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"line {lineno}: unparsable vector component ({exc})") from exc
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingFormatError(f"line {lineno}: non-finite vector component")
+        if dimension is None:
+            dimension = len(vec)
+        elif len(vec) != dimension:
+            raise EmbeddingFormatError(
+                f"line {lineno}: expected {dimension} components, found {len(vec)}"
+            )
+        if word in index:
+            logger.warning("duplicate embedding for %r at line %d; keeping first", word, lineno)
+            continue
+        index[word] = len(index)
+        rows.append(vec)
+    return np.array(rows, dtype=np.float64), may_be_header
 
 
 def load_lexicon(path: str | Path) -> LexiconConfig:

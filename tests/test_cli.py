@@ -53,6 +53,25 @@ class TestExtract:
         assert status != 0
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_file, message", [
+        ("vectors", "line 2: expected 1 components, found 2"),
+        ("lexicon", "'treshold' is not a lexicon field"),
+    ])
+    def test_bad_table_or_lexicon_fails_before_corpus(self, tmp_path, caplog, bad_file, message):
+        # both files are read before the corpus, so a malformed corpus is never reached
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("not json\n", encoding="utf-8")
+        vectors, lexicon = tmp_path / "vectors.txt", tmp_path / "lexicon.json"
+        vectors.write_text("a 1\nb 1 2\n" if bad_file == "vectors" else "a 1\n", encoding="utf-8")
+        lexicon.write_text('{"treshold": 0.9}', encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        flags = ["--lexicon", lexicon] if bad_file == "lexicon" else []
+        assert run("extract", "--corpus", corpus_path, "--embeddings", vectors, *flags, "--out", out) == 1
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage().startswith("EmbeddingFormatError: ")
+        assert message in record.getMessage()
+        assert not out.exists()
+
     def test_lexicon_override_changes_classification(self, tmp_path):
         # a near-impossible threshold suppresses every money classification
         lexicon_path = tmp_path / "lexicon.json"

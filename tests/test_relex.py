@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,20 @@ def _valid_rows(draw) -> dict:
     return _row("generated", tokens, entities, _chunks(draw, 0, len(tokens)))
 
 
+def _repeated(row: dict, times: int) -> dict:
+    """One document row holding ``row``'s sentences ``times`` over."""
+    n, sentences = len(row["tokens"]), row["tokens"][-1]["sent"] + 1
+    tokens, entities, chunks = [], [], []
+    for k in range(times):
+        off = k * n
+        tokens += [dict(t, i=t["i"] + off, head=t["head"] + off, sent=t["sent"] + k * sentences)
+                   for t in row["tokens"]]
+        entities += [dict(e, start=e["start"] + off, end=e["end"] + off) for e in row["entities"]]
+        chunks += [dict(c, start=c["start"] + off, end=c["end"] + off, root=c["root"] + off)
+                   for c in row["noun_chunks"]]
+    return _row(row["id"], tokens, entities, chunks)
+
+
 class TestGeneratedDocuments:
     @settings(max_examples=120, deadline=None)
     @given(_valid_rows())
@@ -276,6 +291,26 @@ class TestGeneratedDocuments:
         extra = _sentence(data.draw, off, tokens[-1]["sent"] + 1)
         chunks = row["noun_chunks"] + _chunks(data.draw, off, len(extra))
         assert output(_row(row["id"], tokens + extra, row["entities"], chunks)) == base
+
+    @settings(max_examples=40, deadline=None)
+    @given(_valid_rows())
+    def test_extract_work_grows_linearly(self, toy_table, lexicon, row):
+        related = relex._related
+        calls = []
+
+        def counting(view, left_root, right_root):
+            calls.append(1)
+            return related(view, left_root, right_root)
+
+        counts = {}
+        with mock.patch.object(relex, "_related", counting):
+            for times in (1, 4):
+                calls.clear()
+                extract(TreeView.build(_document(_repeated(row, times))), toy_table, lexicon)
+                counts[times] = len(calls)
+        # four times the sentences may cost at most about four times the
+        # tests; pairing across the whole document would cost sixteen times
+        assert counts[4] <= 4.5 * counts[1]
 
 
 class TestExtract:

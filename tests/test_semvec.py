@@ -1,7 +1,11 @@
 import logging
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finrelex import semvec
 from finrelex.semvec import (
@@ -80,6 +84,140 @@ class TestLoadEmbeddings:
         path.write_text("Income 1 0\n", encoding="utf-8")
         table = load_embeddings(path)
         assert table.lookup("INCOME") is not None
+
+
+def _reference_load(path):
+    """The per-line loader: one float list and one array per entry."""
+    vectors = {}
+    dimension = None
+    may_be_header = True
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            first, may_be_header = may_be_header, False
+            if first and len(parts) == 2:
+                try:
+                    int(parts[0]), int(parts[1])
+                except ValueError:
+                    pass
+                else:
+                    continue
+            word, values = parts[0].casefold(), parts[1:]
+            if not values:
+                raise EmbeddingFormatError(f"line {lineno}: entry {word!r} has no vector components")
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"line {lineno}: unparsable vector component ({exc})") from exc
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingFormatError(f"line {lineno}: non-finite vector component")
+            if dimension is None:
+                dimension = len(vec)
+            elif len(vec) != dimension:
+                raise EmbeddingFormatError(
+                    f"line {lineno}: expected {dimension} components, found {len(vec)}"
+                )
+            if word in vectors:
+                semvec.logger.warning("duplicate embedding for %r at line %d; keeping first", word, lineno)
+                continue
+            vectors[word] = vec
+    if dimension is None:
+        raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+# Case variants that fold alike ("ß" and "SS" both fold to "ss"), and a
+# numeric word that can pass for a header field.
+_WORDS = ["a", "A", "b", "ss", "SS", "ß", "Straße", "STRASSE", "7"]
+_GOOD = ["0", "1", "-2.5", ".5", "5.", "+3", "-0", "1e-320", "1_0", "١٢"]
+_UNPARSABLE = ["1__0", "0x10", "abc"]
+_NON_FINITE = ["nan", "-inf", "1e400"]
+_HEADERS = ["4 {d}", "3 {d}", "2 x", "1_0 {d}", "١ {d}", "4", "4 {d} 1"]
+
+
+@st.composite
+def _embedding_files(draw):
+    """Lines of an embedding file of width ``d``: mostly good entries, with
+    headers, blank lines, duplicates, ragged and word-only rows, and
+    unparsable and non-finite components mixed in."""
+    d = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["", "  "])))
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(_HEADERS)).format(d=d))
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "width", "bad"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " \t "])))
+            continue
+        width = draw(st.sampled_from([0, d - 1, d + 1])) if kind == "width" else d
+        values = draw(st.lists(st.sampled_from(_GOOD), min_size=width, max_size=width))
+        if kind == "bad" and values:
+            values[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_UNPARSABLE + _NON_FINITE))
+        word = draw(st.sampled_from(_WORDS)) if draw(st.booleans()) else f"w{i}"
+        lines.append(" ".join([word, *values]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelname, record.getMessage()))
+
+
+@contextmanager
+def _warnings_of_semvec():
+    handler = _Messages()
+    level = semvec.logger.level
+    semvec.logger.addHandler(handler)
+    semvec.logger.setLevel(logging.WARNING)
+    try:
+        yield handler.messages
+    finally:
+        semvec.logger.removeHandler(handler)
+        semvec.logger.setLevel(level)
+
+
+def _outcome(load, path):
+    with _warnings_of_semvec() as messages:
+        try:
+            table = load(path)
+        except EmbeddingFormatError as exc:
+            return ("error", str(exc)), messages
+    return (table.dimension, [(w, v.tobytes()) for w, v in table.vectors.items()]), messages
+
+
+@settings(max_examples=100, deadline=None)
+@given(_embedding_files(), st.integers(1, 3))
+# a word-only row right after the header, before any width is fixed
+@example("4 2\na\nb 1 2\n", 1)
+# a repeat inside one chunk; a non-finite and an unparsable row past the first chunk
+@example("a 1\nx 1\nb 1\nB 2\n", 2)
+@example("a 1\nb 1\nc nan\n", 1)
+@example("a 1\nb 1\nc 1\nd x\n", 2)
+def test_loader_matches_per_line_reference(tmp_path_factory, text, chunk_lines):
+    path = tmp_path_factory.getbasetemp() / "differential-vectors.txt"
+    path.write_text(text, encoding="utf-8")
+    want = _outcome(_reference_load, path)
+    with mock.patch.object(semvec, "CHUNK_LINES", chunk_lines):
+        assert _outcome(load_embeddings, path) == want
+
+
+def test_table_rows_share_one_matrix(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+    table = load_embeddings(path)
+    assert len(table.vectors) == 2 and "a" in table.vectors and "c" not in table.vectors
+    assert table.lookup("B").base is table.lookup("a").base is not None
+    assert table.vectors.get("c") is None
+    with pytest.raises(TypeError):
+        table.vectors["c"] = np.zeros(2)
 
 
 class TestPhraseVector:
