@@ -5,63 +5,9 @@ spans, noun chunks), applies tree-walking heuristics plus an embedding-based
 phrase classifier to produce ``company, variable, value, date`` records, and
 scores predicted outputs against gold targets with positional exact/fuzzy
 word matching.
+
+The namespace holds only the submodules: callers import ``finrelex.corpus``
+and so on, so that each command loads only the layers it runs.
 """
 
-from .corpus import (
-    AnnotatedDocument,
-    EntitySpan,
-    GoldExample,
-    NounChunk,
-    Token,
-    balanced_subset,
-    load_documents,
-    load_gold,
-    split_train_test,
-)
-from .deptree import TreeView
-from .evalkit import EvalConfig, EvalReport, aggregate, evaluate_corpus, score_example, word_match
-from .records import RelationRecord, parse, record_set_equal, serialize
-from .relex import PairwiseRelation, extract
-from .semvec import (
-    EmbeddingTable,
-    LexiconConfig,
-    classify_money_phrase,
-    classify_person_phrase,
-    cosine,
-    load_embeddings,
-    phrase_vector,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnotatedDocument",
-    "EmbeddingTable",
-    "EntitySpan",
-    "EvalConfig",
-    "EvalReport",
-    "GoldExample",
-    "LexiconConfig",
-    "NounChunk",
-    "PairwiseRelation",
-    "RelationRecord",
-    "Token",
-    "TreeView",
-    "aggregate",
-    "balanced_subset",
-    "classify_money_phrase",
-    "classify_person_phrase",
-    "cosine",
-    "evaluate_corpus",
-    "extract",
-    "load_documents",
-    "load_embeddings",
-    "load_gold",
-    "parse",
-    "phrase_vector",
-    "record_set_equal",
-    "score_example",
-    "serialize",
-    "split_train_test",
-    "word_match",
-]

@@ -12,10 +12,23 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
+def decode_utf8(data: bytes, lineno: int, error: type[Exception]) -> str:
+    """``data``, which starts at line ``lineno``, as UTF-8; else ``error`` naming the bad line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = lineno + data.count(b"\n", 0, exc.start)
+        raise error(f"line {bad}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
-    """Yield (1-based line number, decoded value) per non-blank line; bad JSON raises ``error``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """Yield (1-based line number, decoded value) per non-blank line; the first
+    line in file order that is not UTF-8 or not JSON raises ``error``."""
+    with open(path, "rb") as fh:
+        lineno = 0
+        for line in fh:  # not enumerate, whose cached tuple would keep the raw bytes alive
+            lineno += 1
+            line = decode_utf8(line, lineno, error)
             if not line.strip():
                 continue
             try:

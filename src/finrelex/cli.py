@@ -28,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import corpus, evalkit, relex, semvec
+from . import corpus, evalkit
 from . import records as records_mod
 from ._fileio import atomic_write_text, jsonl_dumps
 from .deptree import TreeView
@@ -134,6 +134,7 @@ def _configure_logging(level_name: str) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> None:
+    from . import relex, semvec  # NumPy: only extract and inspect import it
     # --workers is only validated: extraction runs in one process.
     if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1, got {args.workers!r}")
@@ -187,6 +188,7 @@ def cmd_prepare(args: argparse.Namespace) -> None:
 
 
 def cmd_inspect(args: argparse.Namespace) -> None:
+    from . import relex
     doc = {d.id: d for d in corpus.load_documents(args.corpus)}.get(args.id)
     if doc is None:
         raise ValueError(f"no document with id {args.id!r} in {args.corpus}")

@@ -121,7 +121,3 @@ def _normalize(record: RelationRecord) -> tuple[str, str, str, str]:
     fields = (record.company, record.variable_name, record.variable_value, record.variable_date)
     return tuple(" ".join(f.casefold().split()) for f in fields)  # type: ignore[return-value]
 
-
-def record_set_equal(a: list[RelationRecord], b: list[RelationRecord]) -> bool:
-    """Multiset equality of two record lists, case- and whitespace-insensitive."""
-    return sorted(_normalize(r) for r in a) == sorted(_normalize(r) for r in b)

@@ -9,6 +9,7 @@ the winning similarity strictly exceeds the configured threshold.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
@@ -16,6 +17,8 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
+
+from ._fileio import decode_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +111,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     unparsable or non-finite component, another width) is an
     :class:`EmbeddingFormatError` naming the line.
 
-    The file is read ``CHUNK_LINES`` lines at a time, and each chunk is
+    The file is read ``CHUNK_LINES`` lines at a time; each chunk is decoded
+    once (bytes that are not UTF-8 are an error naming their line) and
     parsed with one NumPy conversion; a chunk that conversion does not
     accept whole goes through the per-line rules instead, which alone
     report errors and duplicates.  The table is held as one float64 matrix
@@ -119,15 +123,16 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     dimension: int | None = None
     may_be_header = True
     lineno = 1
-    with open(path, encoding="utf-8") as fh:
-        while lines := list(islice(fh, CHUNK_LINES)):
+    with open(path, "rb") as fh:
+        while raw := list(islice(fh, CHUNK_LINES)):
+            lines = decode_utf8(b"".join(raw), lineno, EmbeddingFormatError).split("\n")
             block = None if may_be_header else _parse_chunk(lines, index, dimension)
             if block is None:
                 block, may_be_header = _parse_lines(lines, lineno, index, dimension, may_be_header)
             if len(block):
                 blocks.append(block)
                 dimension = block.shape[1]
-            lineno += len(lines)
+            lineno += len(raw)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
     return EmbeddingTable(dimension=dimension, vectors=_MatrixRows(np.concatenate(blocks), index))
@@ -198,13 +203,12 @@ def _parse_lines(
 def load_lexicon(path: str | Path) -> LexiconConfig:
     """Load a JSON lexicon override; missing fields fall back to defaults and
     a key that names no :class:`LexiconConfig` field is an error."""
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise EmbeddingFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise EmbeddingFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise EmbeddingFormatError(f"{path}: expected a JSON object")
     known = {f.name for f in fields(LexiconConfig)}

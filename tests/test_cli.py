@@ -1,10 +1,13 @@
 import argparse
 import json
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from finrelex import corpus
+from finrelex import corpus, records, semvec
 from finrelex.cli import build_parser, main
 from tests.conftest import DATA_DIR, FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
 
@@ -424,3 +427,75 @@ class TestErrorLog:
                    "--embeddings", TOY_EMBEDDINGS, "--out", tmp_path / "pred.jsonl") == 1
         [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
         assert record.exc_info[0] is FileNotFoundError
+
+
+_FIRST_LINE = {path: path.read_bytes().split(b"\n", 1)[0] for path in (FIXTURE_CORPUS, FIXTURE_GOLD)}
+
+
+@pytest.mark.parametrize(
+    "load, error, good, bad, message",
+    [
+        (corpus.load_documents, corpus.CorpusFormatError, _FIRST_LINE[FIXTURE_CORPUS],
+         b'{"id": "caf\xff"}', "line 2: not valid UTF-8"),
+        (corpus.load_gold, corpus.CorpusFormatError, _FIRST_LINE[FIXTURE_GOLD],
+         b'{"id": "caf\xff"}', "line 2: not valid UTF-8"),
+        (records.load_predictions, records.RecordError, b'{"id": "a", "predicted_text": ""}',
+         b'{"id": "caf\xff", "predicted_text": ""}', "line 2: not valid UTF-8"),
+        (semvec.load_embeddings, semvec.EmbeddingFormatError, b"a 1 0", b"caf\xff 1 0",
+         "line 2: not valid UTF-8"),
+        # the bad line sits inside the second chunk, not at its start
+        (semvec.load_embeddings, semvec.EmbeddingFormatError,
+         b"\n".join(b"w%d 1 0" % i for i in range(semvec.CHUNK_LINES + 2)), b"caf\xff 1 0",
+         f"line {semvec.CHUNK_LINES + 3}: not valid UTF-8"),
+        (semvec.load_lexicon, semvec.EmbeddingFormatError, b'{"revenue_words":',
+         b'["caf\xff"]}', ": not valid UTF-8"),
+    ],
+    ids=["corpus", "gold", "predictions", "embeddings", "embeddings-second-chunk", "lexicon"],
+)
+def test_non_utf8_input_raises_loader_error(tmp_path, load, error, good, bad, message):
+    # a bare UnicodeDecodeError used to leak, naming only a byte offset
+    path = tmp_path / "input"
+    path.write_bytes(good + b"\n" + bad + b"\n" + good + b"\n")
+    with pytest.raises(error, match=f"{message} \\(invalid start byte\\)$"):
+        load(path)
+
+
+def test_non_utf8_reported_after_earlier_bad_json(tmp_path):
+    # lines are decoded one by one, so the first bad line in file order wins
+    path = tmp_path / "gold.jsonl"
+    path.write_bytes(b"{not json\n" + b'{"id": "caf\xff"}\n')
+    with pytest.raises(corpus.CorpusFormatError, match="^line 1: invalid JSON record"):
+        corpus.load_gold(path)
+
+
+def test_non_utf8_gold_logged_with_line(tmp_path, caplog):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_bytes(_FIRST_LINE[FIXTURE_GOLD] + b"\n" + b'{"id": "caf\xff"}\n')
+    assert run("prepare", "--gold", gold, "--out-dir", tmp_path / "split") == 1
+    assert "CorpusFormatError: line 2: not valid UTF-8 (invalid start byte)" in caplog.text
+
+
+_WITHOUT_NUMPY = """
+import sys
+src, gold, pred, out = sys.argv[1:]
+sys.path.insert(0, src)
+from finrelex.cli import main
+assert main(["evaluate", "--gold", gold, "--pred", pred, "--mode", "fuzzy",
+             "--report", out + "/report.json"]) == 0
+assert main(["prepare", "--gold", gold, "--balanced", "--out-dir", out + "/split"]) == 0
+assert "numpy" not in sys.modules, "evaluate or prepare imported numpy"
+"""
+
+
+def test_evaluate_and_prepare_do_not_import_numpy(tmp_path, gold_examples):
+    # a fresh interpreter: this test process has NumPy loaded already
+    pred = tmp_path / "pred.jsonl"
+    records.save_predictions([(g.id, g.target_text) for g in gold_examples], pred)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(src), str(FIXTURE_GOLD), str(pred), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").is_file()
+    assert (tmp_path / "split" / "balanced-train.jsonl").is_file()

@@ -6,7 +6,6 @@ from finrelex.records import (
     RecordError,
     RelationRecord,
     parse,
-    record_set_equal,
     serialize,
 )
 
@@ -73,26 +72,6 @@ class TestRecordConstruction:
     def test_accepts_customers_users_name(self):
         record = RelationRecord("Acme", "customers/users", "5 million")
         assert parse(serialize([record])) == [record]
-
-
-class TestRecordSetEqual:
-    def test_permutation_is_equal(self):
-        assert record_set_equal(JUMIA_RECORDS, JUMIA_RECORDS[::-1])
-
-    def test_case_and_whitespace_insensitive(self):
-        a = [RelationRecord("Jumia", "revenue", "€41  million", "Q4 2020")]
-        b = [RelationRecord("JUMIA", "revenue", "€41 million", "q4 2020")]
-        assert record_set_equal(a, b)
-
-    def test_differing_value_not_equal(self):
-        a = [RelationRecord("Jumia", "revenue", "€41 million")]
-        b = [RelationRecord("Jumia", "revenue", "€42 million")]
-        assert not record_set_equal(a, b)
-
-    def test_multiset_multiplicity_matters(self):
-        one = [JUMIA_RECORDS[0]]
-        two = [JUMIA_RECORDS[0], JUMIA_RECORDS[0]]
-        assert not record_set_equal(one, two)
 
 
 class TestPredictionFiles:
