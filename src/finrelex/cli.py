@@ -101,11 +101,15 @@ _JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, flo
 def _apply_config(path: str, parser: argparse.ArgumentParser) -> None:
     """Make the JSON object in ``path`` the flag defaults of every subcommand.
 
-    A key that names no subcommand flag, or a value its flag does not take,
-    is a ``ValueError``; nothing is converted.
+    A file that is not UTF-8 JSON, a key that names no subcommand flag, or a
+    value its flag does not take, is a ``ValueError``; nothing is converted.
     """
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        config = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path}: not valid UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -130,36 +130,36 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
         if tok.sentence < 0:
             fail(f"token {tok.index}: negative sentence id")
 
+    roots: Counter[int] = Counter()
     prev_sent = -1
     for tok in tokens:
         if tok.sentence not in (prev_sent, prev_sent + 1):
             fail(f"token {tok.index}: non-contiguous sentence id {tok.sentence}")
         prev_sent = tok.sentence
+        if tok.head == tok.index:
+            roots[prev_sent] += 1
 
-    sentences: dict[int, list[Token]] = {}
-    for tok in tokens:
-        sentences.setdefault(tok.sentence, []).append(tok)
-    # One memoised head walk: 0 = unseen, 1 = on the current walk, 2 = reaches
-    # the root.  Heads stay inside a sentence, so a walk that meets a token
-    # of its own (state 1) has entered a cycle; the error names the first
-    # token, in document order, whose head chain does.
+    # One memoised head walk in token (so sentence) order, checking a sentence's
+    # root count at its first token: 0 = unseen, 1 = on the current walk, 2 =
+    # reaches the root.  A walk that meets a token of its own has a cycle; the
+    # error names the first token, in document order, whose head chain does.
     state = [0] * n
-    for sent_id, sent_tokens in sentences.items():
-        roots = [t for t in sent_tokens if t.head == t.index]
-        if len(roots) != 1:
-            fail(f"sentence {sent_id}: expected exactly one root, found {len(roots)}")
-        state[roots[0].index] = 2
-        for tok in sent_tokens:
-            walk = []
-            t = tok.index
-            while state[t] == 0:
-                state[t] = 1
-                walk.append(t)
-                t = tokens[t].head
-            if state[t] == 1:
-                fail(f"token {tok.index}: cyclic head chain")
-            for t in walk:
-                state[t] = 2
+    prev_sent = -1
+    for tok in tokens:
+        if tok.sentence != prev_sent:
+            prev_sent = tok.sentence
+            if roots[prev_sent] != 1:
+                fail(f"sentence {prev_sent}: expected exactly one root, found {roots[prev_sent]}")
+        walk = []
+        t = tok.index
+        while not state[t] and tokens[t].head != t:
+            state[t] = 1
+            walk.append(t)
+            t = tokens[t].head
+        if state[t] == 1:
+            fail(f"token {tok.index}: cyclic head chain")
+        for t in walk:
+            state[t] = 2
 
     spans = sorted(entities)
     for start, end, label in spans:

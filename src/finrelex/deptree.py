@@ -1,15 +1,13 @@
-"""Navigation and predicate primitives over a document's dependency trees.
+"""Navigation and span lookups over a document's dependency trees.
 
-The relation heuristics are phrased in terms of children, ancestor chains,
-subtrees, governing verbs, and the entity/chunk layers; this
-module turns a validated :class:`~finrelex.corpus.AnnotatedDocument` into a
-:class:`TreeView` that answers those queries.  ``TreeView.build`` indexes the
-document in one O(n) pass: the children of each token, the entity and the
-noun chunk covering each token, and each entity's root token, so
-:func:`entity_at`, :func:`noun_chunk_of` and :func:`entity_root` are O(1)
-lookups.  Ancestry (:func:`is_ancestor`, :func:`governing_verb`) walks the
-head chain, O(depth).  A view is immutable after construction and safe to
-share across threads.
+``TreeView.build`` indexes a validated
+:class:`~finrelex.corpus.AnnotatedDocument` in one O(n) pass: the children
+of each token, the entity and the noun chunk covering each token, and each
+entity's root token, so :func:`entity_at`, :func:`noun_chunk_of` and
+:func:`entity_root` are O(1) lookups.  Ancestry (:func:`is_ancestor`,
+:func:`governing_verb`) walks the head chain, O(depth).  A view is immutable
+and safe to share across threads.  The heuristics in :mod:`~finrelex.relex`
+read dependency labels straight from the document's tokens.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ from dataclasses import dataclass
 
 from .corpus import AnnotatedDocument, EntitySpan, NounChunk
 
-SUBJECT_DEPS = frozenset({"nsubj", "nsubjpass"})
-DIRECT_OBJECT_DEPS = frozenset({"dobj", "obj"})
 VERB_POS = frozenset({"VERB", "AUX"})
 
 
@@ -62,11 +58,6 @@ class TreeView:
             chunk_index[chunk.start : chunk.end] = [chunk] * (chunk.end - chunk.start)
         children_index = tuple(tuple(kids) for kids in index)
         return cls(document, children_index, tuple(entity_index), tuple(chunk_index), roots)
-
-
-def children(view: TreeView, t: int) -> list[int]:
-    """Direct dependents of token ``t``, in ascending document order."""
-    return list(view.children_index[t])
 
 
 def ancestors(view: TreeView, t: int) -> list[int]:
@@ -134,22 +125,3 @@ def entity_root(view: TreeView, span: EntitySpan) -> int:
     """
     return view.entity_roots[span.start]
 
-
-def dep_is(view: TreeView, t: int, label: str) -> bool:
-    return view.document.tokens[t].dep == label
-
-
-def is_subject(view: TreeView, t: int) -> bool:
-    return view.document.tokens[t].dep in SUBJECT_DEPS
-
-
-def is_direct_object(view: TreeView, t: int) -> bool:
-    return view.document.tokens[t].dep in DIRECT_OBJECT_DEPS
-
-
-def is_attr(view: TreeView, t: int) -> bool:
-    return dep_is(view, t, "attr")
-
-
-def is_prepositional_object(view: TreeView, t: int) -> bool:
-    return dep_is(view, t, "pobj")

@@ -90,18 +90,18 @@ def edit_distance(a: str, b: str) -> int:
 def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
     """Whether two words count as the same under the configured mode.
 
-    Exact mode compares case-folded, trimmed strings.  Fuzzy mode accepts the
-    pair when ``1 - editdistance/max(len)`` meets the threshold (inclusive).
-    Two empty strings always match.
+    Both modes compare case-folded, trimmed strings, and equal words (two
+    empty strings too) match without an edit distance.  Fuzzy mode accepts
+    an unequal pair when ``1 - editdistance/max(len)`` meets the threshold
+    (inclusive).
     """
     a, b = a.strip().casefold(), b.strip().casefold()
-    if not a and not b:
+    if a == b:
         return True
     if cfg.mode == EXACT:
-        return a == b
+        return False
     longest = max(len(a), len(b))
-    similarity = 1.0 - edit_distance(a, b) / longest
-    return similarity >= cfg.fuzzy_threshold
+    return 1.0 - edit_distance(a, b) / longest >= cfg.fuzzy_threshold
 
 
 def _tokenize(s: str, cfg: EvalConfig) -> list[str]:
@@ -116,20 +116,9 @@ def score_example(target: str, predicted: str, cfg: EvalConfig) -> tuple[int, in
     predicted_words = _tokenize(predicted, cfg)
     if not target_words and not predicted_words:
         return (0, 1, 0, 0)
-    tp = fp = fn = 0
-    for i in range(max(len(target_words), len(predicted_words))):
-        has_target = i < len(target_words)
-        has_predicted = i < len(predicted_words)
-        if has_target and has_predicted:
-            if word_match(target_words[i], predicted_words[i], cfg):
-                tp += 1
-            else:
-                fp += 1
-        elif has_target:
-            fn += 1
-        else:
-            fp += 1
-    return (tp, 0, fp, fn)
+    lt, lp = len(target_words), len(predicted_words)
+    tp = sum(word_match(t, p, cfg) for t, p in zip(target_words, predicted_words))
+    return (tp, 0, min(lt, lp) - tp + max(lp - lt, 0), max(lt - lp, 0))
 
 
 def f1_score(precision: float, recall: float) -> float:

@@ -56,6 +56,8 @@ KIND_LABELS = {
 }
 
 LINK_DEPS = frozenset({"appos", "conj"})
+SUBJECT_DEPS = frozenset({"nsubj", "nsubjpass"})
+DIRECT_OBJECT_DEPS = frozenset({"dobj", "obj"})
 SHARED_GOVERNOR = "shared-governor"
 
 
@@ -97,7 +99,7 @@ def _org_span_at(view: dt.TreeView, t: int) -> EntitySpan | None:
     span = dt.entity_at(view, t)
     if span is not None and span.label == "ORG":
         return span
-    for child in dt.children(view, t):
+    for child in view.children_index[t]:
         if view.document.tokens[child].dep in LINK_DEPS:
             linked = dt.entity_at(view, child)
             if linked is not None and linked.label == "ORG":
@@ -124,13 +126,14 @@ def _is_prep_token(view: dt.TreeView, t: int) -> bool:
 def _find_left_subject(view: dt.TreeView, t: int) -> int | None:
     """First subject token preceding ``t`` among its left ancestors and
     their children, nearest ancestor first."""
+    tokens = view.document.tokens
     for a in dt.ancestors(view, t):
         if a >= t:
             continue
-        if dt.is_subject(view, a):
+        if tokens[a].dep in SUBJECT_DEPS:
             return a
-        for child in dt.children(view, a):
-            if child < t and dt.is_subject(view, child):
+        for child in view.children_index[a]:
+            if child < t and tokens[child].dep in SUBJECT_DEPS:
                 return child
     return None
 
@@ -138,7 +141,7 @@ def _find_left_subject(view: dt.TreeView, t: int) -> int | None:
 def _nearest_org_child(view: dt.TreeView, verb: int, t: int) -> EntitySpan | None:
     """Organization span among the verb's children nearest to token ``t``."""
     best: tuple[int, int, EntitySpan] | None = None
-    for child in dt.children(view, verb):
+    for child in view.children_index[verb]:
         span = _org_span_at(view, child)
         if span is None:
             continue
@@ -164,7 +167,8 @@ def relate_money_company(view: dt.TreeView) -> list[PairwiseRelation]:
         org: EntitySpan | None = None
         bridge: str | None = None
         path = None
-        if dt.is_attr(view, t) or dt.is_direct_object(view, t):
+        dep = view.document.tokens[t].dep
+        if dep == "attr" or dep in DIRECT_OBJECT_DEPS:
             subject = _find_left_subject(view, t)
             if subject is not None:
                 candidate = _org_span_at(view, subject)
@@ -178,7 +182,7 @@ def relate_money_company(view: dt.TreeView) -> list[PairwiseRelation]:
                     if candidate is not None:
                         org, path = candidate, "b"
                         bridge = _chunk_text(dt.noun_chunk_of(view, t))
-        elif dt.is_prepositional_object(view, t):
+        elif dep == "pobj":
             prep = view.document.tokens[t].head
             prep_head = view.document.tokens[prep].head
             verb = dt.governing_verb(view, prep_head)
@@ -209,22 +213,22 @@ def relate_company_date(view: dt.TreeView) -> list[PairwiseRelation]:
         head = view.document.tokens[c].head
 
         prepositions = {p for p in dt.subtree(view, c) if _is_prep_token(view, p)}
-        prepositions.update(p for p in dt.children(view, head) if _is_prep_token(view, p))
+        prepositions.update(p for p in view.children_index[head] if _is_prep_token(view, p))
         for prep in sorted(prepositions):
-            for child in dt.children(view, prep):
+            for child in view.children_index[prep]:
                 date = _date_span_at(view, child)
                 if date is not None:
                     emit(org, date, "a")
 
-        if dt.is_direct_object(view, c):
+        if view.document.tokens[c].dep in DIRECT_OBJECT_DEPS:
             verb = dt.governing_verb(view, c)
             if verb is not None:
-                for child in dt.children(view, verb):
+                for child in view.children_index[verb]:
                     date = _date_span_at(view, child)
                     if date is not None:
                         emit(org, date, "b")
 
-        if dt.is_prepositional_object(view, c):
+        if view.document.tokens[c].dep == "pobj":
             prep = view.document.tokens[c].head
             prep_head = view.document.tokens[prep].head
             if view.document.tokens[prep_head].pos == "PROPN":
@@ -293,12 +297,12 @@ def _person_context(view: dt.TreeView, person: EntitySpan) -> str:
     of any appositions hanging off the mention."""
     tokens = view.document.tokens
     p = dt.entity_root(view, person)
-    if dt.is_prepositional_object(view, p):
+    if tokens[p].dep == "pobj":
         governor = tokens[tokens[p].head].head
     else:
         governor = tokens[p].head
     parts = [_chunk_text(dt.noun_chunk_of(view, governor)) or tokens[governor].text]
-    for child in dt.children(view, p):
+    for child in view.children_index[p]:
         if tokens[child].dep == "appos":
             parts.append(_chunk_text(dt.noun_chunk_of(view, child)) or tokens[child].text)
     return " ".join(parts)

@@ -382,6 +382,23 @@ class TestConfigAndFlags:
         assert f"ValueError: config file {config}: {message}" in caplog.text
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b'{"seed": 1', "invalid JSON (Expecting ',' delimiter)"),
+            (b'{"seed": "\xff"}', "not valid UTF-8 (invalid start byte)"),
+        ],
+        ids=["truncated-json", "non-utf8"],
+    )
+    def test_unreadable_config_names_file(self, tmp_path, caplog, content, message):
+        # a bare JSONDecodeError or UnicodeDecodeError used to leak
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out_dir = tmp_path / "split"
+        assert run("--config", config, "prepare", "--gold", FIXTURE_GOLD, "--out-dir", out_dir) == 1
+        assert f"ValueError: config file {config}: {message}" in caplog.text
+        assert not out_dir.exists()
+
     def test_config_serves_several_subcommands(self, tmp_path):
         # keys of another subcommand are legal; an int is a number
         config = tmp_path / "config.json"
@@ -411,6 +428,14 @@ class TestLogLevel:
             assert "wrote 22 predictions" in caplog.text
         finally:
             root.setLevel(saved)
+
+    def test_level_from_environment(self, monkeypatch, caplog):
+        monkeypatch.setenv("FINRELEX_LOG_LEVEL", "WARNING")
+        assert build_parser().parse_args(["inspect"]).log_level == "WARNING"
+        assert build_parser().parse_args(["--log-level", "DEBUG", "inspect"]).log_level == "DEBUG"
+        monkeypatch.setenv("FINRELEX_LOG_LEVEL", "NOISY")
+        assert run("inspect", "--corpus", FIXTURE_CORPUS, "--id", "apple-income") == 1
+        assert "ValueError: unknown log level 'NOISY'" in caplog.text
 
 
 class TestErrorLog:

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,13 +240,13 @@ def _quadratic_tree_check(tokens: list[Token]) -> str | None:
 
 
 @st.composite
-def _head_graphs(draw) -> list[Token]:
+def _head_graphs(draw, max_size: int = 8) -> list[Token]:
     """Sentences whose heads stay inside the sentence: random trees, trees
     with one head redirected, and arbitrary head maps (zero or many roots,
     cycles)."""
     tokens: list[Token] = []
     for sent in range(draw(st.integers(1, 4))):
-        size = draw(st.integers(1, 8))
+        size = draw(st.integers(1, max_size))
         kind = draw(st.sampled_from(["tree", "mutated", "any"]))
         if kind == "any":
             heads = [draw(st.integers(0, size - 1)) for _ in range(size)]
@@ -264,6 +265,110 @@ def _head_graphs(draw) -> list[Token]:
     return tokens
 
 
+def _reference_validate(doc_id: str, tokens: list[Token], entities: list[tuple[int, int, str]],
+                        chunks: list[tuple[int, int, int]]) -> None:
+    """The validator with four token passes (per-token checks, contiguity,
+    grouping by sentence, then a walk from each pre-marked root): the
+    reference for the first error that the single walk reports."""
+    n = len(tokens)
+
+    def fail(msg: str) -> None:
+        raise DocumentValidationError(f"document {doc_id!r}: {msg}")
+
+    for pos_expected, tok in enumerate(tokens):
+        if tok.index != pos_expected:
+            fail(f"token index {tok.index} out of order (expected {pos_expected})")
+        if tok.pos not in corpus.POS_TAGS:
+            fail(f"token {tok.index}: unknown POS tag {tok.pos!r}")
+        if not 0 <= tok.head < n:
+            fail(f"token {tok.index}: head {tok.head} out of range for {n} tokens")
+        if (tok.dep == corpus.ROOT_DEP) != (tok.head == tok.index):
+            fail(f"token {tok.index}: dep {tok.dep!r} inconsistent with head {tok.head}")
+        if tokens[tok.head].sentence != tok.sentence:
+            fail(f"token {tok.index}: head crosses sentence boundary")
+        if tok.sentence < 0:
+            fail(f"token {tok.index}: negative sentence id")
+
+    prev_sent = -1
+    for tok in tokens:
+        if tok.sentence not in (prev_sent, prev_sent + 1):
+            fail(f"token {tok.index}: non-contiguous sentence id {tok.sentence}")
+        prev_sent = tok.sentence
+
+    sentences: dict[int, list[Token]] = {}
+    for tok in tokens:
+        sentences.setdefault(tok.sentence, []).append(tok)
+    state = [0] * n
+    for sent_id, sent_tokens in sentences.items():
+        roots = [t for t in sent_tokens if t.head == t.index]
+        if len(roots) != 1:
+            fail(f"sentence {sent_id}: expected exactly one root, found {len(roots)}")
+        state[roots[0].index] = 2
+        for tok in sent_tokens:
+            walk = []
+            t = tok.index
+            while state[t] == 0:
+                state[t] = 1
+                walk.append(t)
+                t = tokens[t].head
+            if state[t] == 1:
+                fail(f"token {tok.index}: cyclic head chain")
+            for t in walk:
+                state[t] = 2
+
+    spans = sorted(entities)
+    for start, end, label in spans:
+        if label not in corpus.ENTITY_LABELS:
+            fail(f"entity [{start},{end}): unknown label {label!r}")
+        if not 0 <= start < end <= n:
+            fail(f"entity [{start},{end}): out of bounds for {n} tokens")
+        if tokens[start].sentence != tokens[end - 1].sentence:
+            fail(f"entity [{start},{end}): crosses a sentence boundary")
+    for (s1, e1, l1), (s2, e2, l2) in zip(spans, spans[1:]):
+        if s2 < e1:
+            fail(f"entities [{s1},{e1}) {l1} and [{s2},{e2}) {l2} overlap")
+
+    ordered = sorted(chunks, key=lambda c: c[0])
+    for start, end, root in ordered:
+        if not (0 <= start <= root < end <= n):
+            fail(f"noun chunk [{start},{end}) root {root} out of bounds")
+    for (s1, e1, _), (s2, e2, _) in zip(ordered, ordered[1:]):
+        if s2 < e1:
+            fail(f"noun chunks [{s1},{e1}) and [{s2},{e2}) overlap")
+
+
+_TOKEN_DEFECTS = ("index", "pos", "head", "root-flag", "negative-sentence", "skipped-sentence")
+
+
+@st.composite
+def _defective_documents(draw) -> list[Token]:
+    """Head graphs of 1-4 sentences of 1-7 tokens (see ``_head_graphs``)
+    with up to four token defects: an index off by one, an unknown POS, a
+    head out of range or anywhere in the document, a flipped ROOT flag, a
+    negative sentence id, or sentence ids that skip one from a token's
+    sentence on."""
+    tokens = draw(_head_graphs(max_size=7))
+    n = len(tokens)
+    for t, defect in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(_TOKEN_DEFECTS)),
+                                   max_size=4)):
+        tok = tokens[t]
+        if defect == "index":
+            tokens[t] = replace(tok, index=tok.index + draw(st.sampled_from([-1, 1])))
+        elif defect == "pos":
+            tokens[t] = replace(tok, pos="XX")
+        elif defect == "head":
+            tokens[t] = replace(tok, head=draw(st.integers(-1, n)))
+        elif defect == "root-flag":
+            tokens[t] = replace(tok, dep="dep" if tok.dep == "ROOT" else "ROOT")
+        elif defect == "negative-sentence":
+            tokens[t] = replace(tok, sentence=-1)
+        else:
+            while t and tokens[t - 1].sentence == tok.sentence:
+                t -= 1
+            tokens[t:] = [replace(u, sentence=u.sentence + 1) for u in tokens[t:]]
+    return tokens
+
+
 class TestTreeValidation:
     @given(_head_graphs())
     def test_linear_check_matches_quadratic_reference(self, tokens):
@@ -274,6 +379,26 @@ class TestTreeValidation:
             with pytest.raises(DocumentValidationError) as info:
                 corpus._validate_document("gen", tokens, [], [])
             assert str(info.value) == f"document 'gen': {expected}"
+
+    # two roots in sentence 0, then a skipped sentence id: contiguity is checked first
+    @example([Token(0, "w", "w", "NOUN", "ROOT", 0, 0), Token(1, "w", "w", "NOUN", "ROOT", 1, 0),
+              Token(2, "w", "w", "NOUN", "ROOT", 2, 2)])
+    # a cycle in sentence 0 and no root in sentence 1: the cycle comes first
+    @example([Token(0, "w", "w", "NOUN", "ROOT", 0, 0), Token(1, "w", "w", "NOUN", "dep", 2, 0),
+              Token(2, "w", "w", "NOUN", "dep", 1, 0), Token(3, "w", "w", "NOUN", "dep", 4, 1),
+              Token(4, "w", "w", "NOUN", "dep", 3, 1)])
+    @settings(max_examples=100, deadline=None)
+    @given(_defective_documents())
+    def test_first_error_matches_four_pass_reference(self, tokens):
+        # several defects in one document: the same one is reported first
+        try:
+            _reference_validate("gen", tokens, [], [])
+        except DocumentValidationError as exc:
+            with pytest.raises(DocumentValidationError) as info:
+                corpus._validate_document("gen", tokens, [], [])
+            assert str(info.value) == str(exc)
+        else:
+            corpus._validate_document("gen", tokens, [], [])
 
 
 class TestLoadGold:

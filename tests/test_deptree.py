@@ -1,22 +1,21 @@
-import pytest
-
 from finrelex import deptree as dt
 from finrelex.deptree import TreeView
 
 
 class TestChildren:
     def test_apple_verb_children(self, apple_view):
-        assert dt.children(apple_view, 1) == [0, 4]
+        assert apple_view.children_index[1] == (0, 4)
 
     def test_leaf_has_no_children(self, apple_view):
-        assert dt.children(apple_view, 0) == []
+        assert apple_view.children_index[0] == ()
 
     def test_children_invert_heads(self, documents):
+        # every dependent, in ascending document order
         for doc in documents:
             view = TreeView.build(doc)
             for tok in doc.tokens:
-                if tok.head != tok.index:
-                    assert tok.index in dt.children(view, tok.head)
+                expected = tuple(d.index for d in doc.tokens if d.head == tok.index != d.index)
+                assert view.children_index[tok.index] == expected
 
 
 class TestAncestors:
@@ -118,25 +117,3 @@ class TestEntityAccess:
                 outside = [i for i in inside if doc.tokens[i].head not in inside]
                 assert dt.entity_root(view, span) == (outside[0] if outside else span.end - 1)
 
-
-class TestPredicates:
-    def test_subject(self, apple_view):
-        assert dt.is_subject(apple_view, 0)
-
-    def test_prepositional_object(self, apple_view):
-        assert dt.is_prepositional_object(apple_view, 8)
-
-    def test_determiner_fails_all_sugar(self, apple_view):
-        t = 2  # "a"
-        assert not dt.is_subject(apple_view, t)
-        assert not dt.is_direct_object(apple_view, t)
-        assert not dt.is_attr(apple_view, t)
-        assert not dt.is_prepositional_object(apple_view, t)
-
-    def test_dep_is_matches_label(self, apple_view):
-        assert dt.dep_is(apple_view, 5, "prep")
-        assert not dt.dep_is(apple_view, 5, "pobj")
-
-    @pytest.mark.parametrize("dep,token", [("dobj", 4), ("prep", 5)])
-    def test_specific_labels(self, apple_view, dep, token):
-        assert dt.dep_is(apple_view, token, dep)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from finrelex import evalkit
 from finrelex.corpus import GoldExample
 from finrelex.evalkit import (
     EvalConfig,
@@ -98,6 +99,23 @@ class TestScoreExample:
         cfg = EvalConfig(mode="exact", strip_separators=False)
         counts = score_example("Jumia, revenue", "Jumia revenue", cfg)
         assert counts == (1, 0, 1, 0)
+
+    def test_equal_words_never_reach_edit_distance(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return edit_distance(a, b)
+
+        monkeypatch.setattr(evalkit, "edit_distance", counting)
+        assert score_example(JUMIA_TARGET, JUMIA_TARGET.upper(), FUZZY_CFG) == (12, 0, 0, 0)
+        assert calls == []
+        words = ["alpha", "beta", "gamma", "delta"]
+        for k in range(len(words) + 1):
+            calls.clear()
+            predicted = [w + "x" for w in words[:k]] + [w.upper() for w in words[k:]] + ["extra"]
+            score_example(" ".join(words), " ".join(predicted), FUZZY_CFG)
+            assert len(calls) == k
 
     def test_appending_matching_pair_never_decreases_tp(self):
         rng = random.Random(23)
