@@ -7,6 +7,9 @@ position is a false negative and a predicted word beyond the target is a
 false positive.  A fully empty target/prediction pair contributes exactly
 one true negative.  Words compare either exactly (after case-folding) or
 fuzzily via normalized character edit distance at a configurable threshold.
+Fuzzy mode decides each unequal pair with an edit distance bounded at the
+largest distance the threshold admits, which gives the verdict of the full
+distance at a fraction of the cost.
 :func:`evaluate_corpus` scores each example once; :func:`score_breakdown`
 only formats the per-example counts kept on its report.
 """
@@ -37,6 +40,11 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.mode not in (EXACT, FUZZY):
             raise ValueError(f"mode must be {EXACT!r} or {FUZZY!r}, got {self.mode!r}")
+        threshold = self.fuzzy_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ValueError(f"fuzzy_threshold must be a number, got {threshold!r}")
+        if not isinstance(self.strip_separators, bool):
+            raise ValueError(f"strip_separators must be a bool, got {self.strip_separators!r}")
         if not 0.0 < self.fuzzy_threshold <= 1.0:
             raise ValueError(f"fuzzy_threshold must be in (0, 1], got {self.fuzzy_threshold}")
 
@@ -69,22 +77,63 @@ class EvalReport:
         }
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Unit-cost character-level Levenshtein distance (two-row iteration)."""
+def edit_distance(a: str, b: str, limit: int | None = None) -> int:
+    """Unit-cost character-level Levenshtein distance, optionally bounded.
+
+    With ``limit`` the result is ``min(distance, limit + 1)``: exact up to
+    the bound, ``limit + 1`` for anything above it.  A length difference
+    above the bound decides at once; otherwise only the diagonal band
+    ``|i - j| <= limit`` is filled, one row at a time, and the fill stops
+    as soon as a row's band minimum exceeds the bound (Ukkonen 1985), so a
+    bounded call costs O(limit * min(len(a), len(b))).  Without ``limit``
+    the band covers the whole table and the plain distance comes back.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
+    if len(a) > len(b):
+        a, b = b, a
+    if limit is None:
+        limit = len(b)
+    over = limit + 1
+    if len(b) - len(a) > limit:
+        return over
+    # one row of the table, overwritten in place inside the band; a cell to
+    # the right of the band still holds its row-0 value, which exceeds limit
+    row = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+        lo = max(1, i - limit)
+        hi = min(len(b), i + limit)
+        diag = row[lo - 1]
+        if lo == 1:
+            row[0] = left = i
+        else:
+            left = over
+        for j in range(lo, hi + 1):
+            up = row[j]
+            left = diag if b[j - 1] == ca else min(diag, up, left) + 1
+            row[j] = left
+            diag = up
+        if min(row[lo:hi + 1]) > limit:
+            return over
+    return min(row[-1], over)
+
+
+def _max_distance(longest: int, threshold: float) -> int:
+    """Largest ``d`` in ``0..longest`` with ``1.0 - d / longest >= threshold``.
+
+    The expression is the fuzzy acceptance test itself and is monotone in
+    ``d``, so ``distance <= d`` decides exactly as it does, boundary
+    included.  The estimate ``int((1 - threshold) * longest)`` can be off by
+    one either way in floating point and is corrected in both directions.
+    """
+    d = min(int((1.0 - threshold) * longest), longest)
+    while d < longest and 1.0 - (d + 1) / longest >= threshold:
+        d += 1
+    while 1.0 - d / longest < threshold:
+        d -= 1
+    return d
 
 
 def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
@@ -93,15 +142,16 @@ def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
     Both modes compare case-folded, trimmed strings, and equal words (two
     empty strings too) match without an edit distance.  Fuzzy mode accepts
     an unequal pair when ``1 - editdistance/max(len)`` meets the threshold
-    (inclusive).
+    (inclusive), decided by a distance bounded at the largest admissible
+    value.
     """
     a, b = a.strip().casefold(), b.strip().casefold()
     if a == b:
         return True
     if cfg.mode == EXACT:
         return False
-    longest = max(len(a), len(b))
-    return 1.0 - edit_distance(a, b) / longest >= cfg.fuzzy_threshold
+    k = _max_distance(max(len(a), len(b)), cfg.fuzzy_threshold)
+    return edit_distance(a, b, k) <= k
 
 
 def _tokenize(s: str, cfg: EvalConfig) -> list[str]:

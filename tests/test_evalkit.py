@@ -1,7 +1,11 @@
 import logging
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finrelex import evalkit
 from finrelex.corpus import GoldExample
@@ -16,6 +20,7 @@ from finrelex.evalkit import (
     score_example,
     word_match,
 )
+from tests.test_acceptance import oracle_word_match
 
 EXACT_CFG = EvalConfig(mode="exact")
 FUZZY_CFG = EvalConfig(mode="fuzzy", fuzzy_threshold=0.90)
@@ -50,6 +55,51 @@ class TestWordMatch:
             a, b = rng.choice(words), rng.choice(words)
             assert word_match(a, b, strict) == word_match(a, b, EXACT_CFG)
 
+    # thresholds that sit exactly on 1 - d/L for small d and L, plus both ends
+    BOUNDARY_THRESHOLDS = sorted(
+        {1 - d / L for L in range(1, 11) for d in range(L)}
+        | {0.9, 0.8, 0.75, 2 / 3, 0.5, 1.0, 1e-9}
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.text("abcA", max_size=10),
+        st.text("abcA", max_size=10),
+        st.sampled_from(BOUNDARY_THRESHOLDS),
+    )
+    def test_fuzzy_equals_oracle_on_boundary_thresholds(self, a, b, threshold):
+        cfg = EvalConfig(mode="fuzzy", fuzzy_threshold=threshold)
+        assert word_match(a, b, cfg) == oracle_word_match(a, b, "fuzzy", threshold)
+
+    @pytest.mark.parametrize("longest,d", [(4, 3), (7, 4), (10, 7), (11, 6)])
+    def test_one_ulp_above_a_boundary_rejects(self, longest, d):
+        # (1 - t) * longest rounds up to d here although 1 - d/longest < t
+        a, b = "a" * longest, "a" * (longest - d) + "b" * d
+        on = 1 - d / longest
+        above = math.nextafter(on, 2.0)
+        assert word_match(a, b, EvalConfig(mode="fuzzy", fuzzy_threshold=on))
+        assert not word_match(a, b, EvalConfig(mode="fuzzy", fuzzy_threshold=above))
+        assert not oracle_word_match(a, b, "fuzzy", above)
+
+    @pytest.mark.parametrize(
+        "a,b,threshold,expected",
+        [
+            # casefold makes "straße" 7 characters long, and "ﬁ" 2
+            ("straße", "STRASSE", 1.0, True),
+            ("straße", "strase", 0.85, True),
+            ("straße", "strase", 6 / 7, True),
+            ("straße", "strasen", 0.85, False),
+            ("ﬁnance", "finane", 0.85, True),
+            ("ﬁnance", "FINANCE", 1.0, True),
+            ("ﬁ", "fl", 0.5, True),
+            ("ﬁ", "fl", 0.51, False),
+        ],
+    )
+    def test_bound_comes_from_case_folded_lengths(self, a, b, threshold, expected):
+        cfg = EvalConfig(mode="fuzzy", fuzzy_threshold=threshold)
+        assert word_match(a, b, cfg) is expected
+        assert oracle_word_match(a, b, "fuzzy", threshold) is expected
+
 
 class TestEditDistance:
     @pytest.mark.parametrize(
@@ -65,6 +115,30 @@ class TestEditDistance:
             a = "".join(rng.choices("abcd", k=rng.randint(0, 6)))
             b = "".join(rng.choices("abcd", k=rng.randint(0, 6)))
             assert edit_distance(a, b) == edit_distance(b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("abcd", max_size=8), st.text("abc", max_size=8))
+    def test_bounded_is_unbounded_capped_at_limit_plus_one(self, a, b):
+        full = edit_distance(a, b)
+        for limit in range(max(len(a), len(b)) + 2):
+            bounded = edit_distance(a, b, limit)
+            assert bounded == min(full, limit + 1)
+            assert edit_distance(b, a, limit) == bounded
+
+    def test_negative_limit_raises(self):
+        with pytest.raises(ValueError, match="limit"):
+            edit_distance("a", "b", -1)
+
+    @pytest.mark.parametrize(
+        "b,expected",
+        [("a" * 19999 + "b", 1), ("a" * 19997, 3), ("b" * 20000, 3)],
+        ids=["one-substitution", "length-gap", "all-different"],
+    )
+    def test_bounded_cost_is_linear(self, b, expected):
+        # the full table would be 4e8 cells; the band of width 5 is 1e5
+        start = time.perf_counter()
+        assert edit_distance("a" * 20000, b, limit=2) == expected
+        assert time.perf_counter() - start < 1.0
 
 
 class TestScoreExample:
@@ -103,9 +177,9 @@ class TestScoreExample:
     def test_equal_words_never_reach_edit_distance(self, monkeypatch):
         calls = []
 
-        def counting(a, b):
+        def counting(a, b, limit=None):
             calls.append((a, b))
-            return edit_distance(a, b)
+            return edit_distance(a, b, limit)
 
         monkeypatch.setattr(evalkit, "edit_distance", counting)
         assert score_example(JUMIA_TARGET, JUMIA_TARGET.upper(), FUZZY_CFG) == (12, 0, 0, 0)
@@ -228,3 +302,20 @@ class TestEvalConfig:
     def test_rejects_zero_threshold(self):
         with pytest.raises(ValueError):
             EvalConfig(mode="fuzzy", fuzzy_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"fuzzy_threshold": True}, "fuzzy_threshold"),
+            ({"fuzzy_threshold": "0.9"}, "fuzzy_threshold"),
+            ({"fuzzy_threshold": None}, "fuzzy_threshold"),
+            ({"strip_separators": "no"}, "strip_separators"),
+            ({"strip_separators": 0}, "strip_separators"),
+        ],
+    )
+    def test_rejects_wrong_types(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            EvalConfig(mode="fuzzy", **kwargs)
+
+    def test_accepts_int_threshold(self):
+        assert EvalConfig(mode="fuzzy", fuzzy_threshold=1).fuzzy_threshold == 1
