@@ -1,4 +1,4 @@
-"""Shared file helpers: JSON-lines reading and atomic writes.  Each record
+"""Shared file helpers: JSON-lines and JSON-object reading, and atomic writes.  Each record
 kind declares its keys and their exact JSON types once, as :class:`Fields`;
 a bad line or field raises the caller's error naming the line; nothing is coerced."""
 
@@ -36,6 +36,20 @@ def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
             except json.JSONDecodeError as exc:
                 raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
             yield lineno, obj
+
+
+def read_json_object(path: str | Path, error: type[Exception], name: str) -> dict:
+    """The JSON object that the UTF-8 file ``path`` holds; else ``error``
+    with a message that starts with ``name``."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{name}: not valid UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{name}: invalid JSON ({exc.msg})") from exc
+    if type(obj) is not dict:
+        raise error(f"{name}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}

@@ -7,6 +7,9 @@ Subcommands::
     prepare   --gold G [--test-fraction F] [--balanced] [--seed S] --out-dir DIR
     inspect   --corpus D --id X
 
+Each subcommand's handler (``cmd_*``) and required flags are declared once,
+on its subparser in :func:`build_parser` (``set_defaults(run=...,
+required_flags=...)``); ``main`` reports every missing required flag at once.
 ``finrelex SUBCOMMAND --help`` lists each flag with its default.  Flags are
 the primary interface; ``--config FILE`` may point at a JSON object whose
 keys pre-fill flag defaults (explicit flags always win).  Each key must
@@ -30,19 +33,12 @@ from pathlib import Path
 
 from . import corpus, evalkit
 from . import records as records_mod
-from ._fileio import atomic_write_text, jsonl_dumps
+from ._fileio import atomic_write_text, jsonl_dumps, read_json_object
 from .deptree import TreeView
 
 logger = logging.getLogger(__name__)
 
 LOG_LEVEL_ENV = "FINRELEX_LOG_LEVEL"
-
-_REQUIRED = {
-    "extract": ("corpus", "embeddings", "out"),
-    "evaluate": ("gold", "pred", "report"),
-    "prepare": ("gold", "out_dir"),
-    "inspect": ("corpus", "id"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--workers", type=int, default=1,
                            help="kept for compatibility: an integer >= 1 that does not change "
                            "the output, since extraction runs in one process (default %(default)s)")
+    p_extract.set_defaults(run=cmd_extract, required_flags=("corpus", "embeddings", "out"))
 
     p_eval = sub.add_parser("evaluate", help="score a prediction file against gold targets")
     p_eval.add_argument("--gold", help="gold example file (JSON lines)")
@@ -78,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     p_eval.add_argument("--report", help="report JSON file to write")
     p_eval.add_argument("--breakdown", help="optional per-example breakdown file to write")
+    p_eval.set_defaults(run=cmd_evaluate, required_flags=("gold", "pred", "report"))
 
     p_prepare = sub.add_parser("prepare", help="deduplicated train/test split of a gold file")
     p_prepare.add_argument("--gold", help="gold example file (JSON lines)")
@@ -87,10 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write a class-balanced training subset (default %(default)s)")
     p_prepare.add_argument("--seed", type=int, default=13, help="sampling seed (default %(default)s)")
     p_prepare.add_argument("--out-dir", dest="out_dir", help="directory for the split files")
+    p_prepare.set_defaults(run=cmd_prepare, required_flags=("gold", "out_dir"))
 
     p_inspect = sub.add_parser("inspect", help="print one document's annotations and heuristic traces")
     p_inspect.add_argument("--corpus", help="annotated document file (JSON lines)")
     p_inspect.add_argument("--id", help="document id to inspect")
+    p_inspect.set_defaults(run=cmd_inspect, required_flags=("corpus", "id"))
 
     return parser
 
@@ -101,17 +101,12 @@ _JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, flo
 def _apply_config(path: str, parser: argparse.ArgumentParser) -> None:
     """Make the JSON object in ``path`` the flag defaults of every subcommand.
 
-    A file that is not UTF-8 JSON, a key that names no subcommand flag, or a
-    value its flag does not take, is a ``ValueError``; nothing is converted.
+    A file that is not a UTF-8 JSON object, a key that names no subcommand
+    flag, or a value its flag does not take, is a ``ValueError``; nothing is
+    converted.  Only flag destinations are keys, so a config cannot set a
+    subcommand's ``run`` or ``required_flags``.
     """
-    try:
-        config = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"config file {path}: not valid UTF-8 ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
+    config = read_json_object(path, ValueError, f"config file {path}")
     [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {a.dest: a for sub in subparsers.choices.values() for a in sub._actions if a.dest != "help"}
     for key, value in config.items():
@@ -228,14 +223,6 @@ def cmd_inspect(args: argparse.Namespace) -> None:
         print("  (no heuristic fired)")
 
 
-_COMMANDS = {
-    "extract": cmd_extract,
-    "evaluate": cmd_evaluate,
-    "prepare": cmd_prepare,
-    "inspect": cmd_inspect,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -244,11 +231,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             _apply_config(args.config, parser)
             args = parser.parse_args(argv)
-        missing = [name for name in _REQUIRED[args.subcommand] if getattr(args, name) is None]
+        missing = [name for name in args.required_flags if getattr(args, name) is None]
         if missing:
             flags = ", ".join("--" + name.replace("_", "-") for name in missing)
             raise ValueError(f"{args.subcommand}: missing required options: {flags}")
-        _COMMANDS[args.subcommand](args)
+        args.run(args)
     except Exception as exc:  # surfaced as a diagnostic plus nonzero exit
         logging.basicConfig(stream=sys.stderr)
         logger.error("%s: %s", type(exc).__name__, exc,

@@ -17,7 +17,7 @@ only formats the per-example counts kept on its report.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .corpus import GoldExample
 
@@ -64,17 +64,9 @@ class EvalReport:
     per_example: tuple[tuple[int, int, int, int], ...] = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "tn": self.tn,
-            "fp": self.fp,
-            "fn": self.fn,
-            "accuracy": round(self.accuracy, 4),
-            "precision": round(self.precision, 4),
-            "recall": round(self.recall, 4),
-            "specificity": round(self.specificity, 4),
-            "f1": round(self.f1, 4),
-        }
+        """The report file's fields (those that compare), rates rounded to 4 places."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {k: round(v, 4) if isinstance(v, float) else v for k, v in values.items()}
 
 
 def edit_distance(a: str, b: str, limit: int | None = None) -> int:

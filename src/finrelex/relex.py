@@ -94,27 +94,23 @@ def _anchor(view: dt.TreeView, t: int) -> int:
     return t
 
 
+def _span_at(view: dt.TreeView, t: int, label: str) -> EntitySpan | None:
+    """The entity span at token ``t`` if it has ``label``."""
+    span = dt.entity_at(view, t)
+    return span if span is not None and span.label == label else None
+
+
 def _org_span_at(view: dt.TreeView, t: int) -> EntitySpan | None:
-    """Organization span at ``t``, following appos/conj edges one hop."""
-    span = dt.entity_at(view, t)
-    if span is not None and span.label == "ORG":
-        return span
-    for child in view.children_index[t]:
-        if view.document.tokens[child].dep in LINK_DEPS:
-            linked = dt.entity_at(view, child)
-            if linked is not None and linked.label == "ORG":
-                return linked
-    if view.document.tokens[t].dep in LINK_DEPS:
-        linked = dt.entity_at(view, view.document.tokens[t].head)
-        if linked is not None and linked.label == "ORG":
-            return linked
-    return None
-
-
-def _date_span_at(view: dt.TreeView, t: int) -> EntitySpan | None:
-    span = dt.entity_at(view, t)
-    if span is not None and span.label == "DATE":
-        return span
+    """Organization span at ``t``, else at the first of its appos/conj
+    children, else at its head when ``t`` hangs off one by such an edge."""
+    tokens = view.document.tokens
+    hops = [child for child in view.children_index[t] if tokens[child].dep in LINK_DEPS]
+    if tokens[t].dep in LINK_DEPS:
+        hops.append(tokens[t].head)
+    for u in (t, *hops):
+        span = _span_at(view, u, "ORG")
+        if span is not None:
+            return span
     return None
 
 
@@ -139,16 +135,11 @@ def _find_left_subject(view: dt.TreeView, t: int) -> int | None:
 
 
 def _nearest_org_child(view: dt.TreeView, verb: int, t: int) -> EntitySpan | None:
-    """Organization span among the verb's children nearest to token ``t``."""
-    best: tuple[int, int, EntitySpan] | None = None
-    for child in view.children_index[verb]:
-        span = _org_span_at(view, child)
-        if span is None:
-            continue
-        key = (abs(child - t), child)
-        if best is None or key < best[:2]:
-            best = (*key, span)
-    return best[2] if best else None
+    """Organization span among the verb's children nearest to token ``t``
+    (leftmost child on ties)."""
+    found = [(child, span) for child in view.children_index[verb]
+             if (span := _org_span_at(view, child)) is not None]
+    return min(found, key=lambda c: (abs(c[0] - t), c[0]), default=(None, None))[1]
 
 
 def describe(rel: PairwiseRelation) -> str:
@@ -216,7 +207,7 @@ def relate_company_date(view: dt.TreeView) -> list[PairwiseRelation]:
         prepositions.update(p for p in view.children_index[head] if _is_prep_token(view, p))
         for prep in sorted(prepositions):
             for child in view.children_index[prep]:
-                date = _date_span_at(view, child)
+                date = _span_at(view, child, "DATE")
                 if date is not None:
                     emit(org, date, "a")
 
@@ -224,7 +215,7 @@ def relate_company_date(view: dt.TreeView) -> list[PairwiseRelation]:
             verb = dt.governing_verb(view, c)
             if verb is not None:
                 for child in view.children_index[verb]:
-                    date = _date_span_at(view, child)
+                    date = _span_at(view, child, "DATE")
                     if date is not None:
                         emit(org, date, "b")
 
@@ -233,13 +224,13 @@ def relate_company_date(view: dt.TreeView) -> list[PairwiseRelation]:
             prep_head = view.document.tokens[prep].head
             if view.document.tokens[prep_head].pos == "PROPN":
                 for desc in dt.subtree(view, prep_head):
-                    date = _date_span_at(view, desc)
+                    date = _span_at(view, desc, "DATE")
                     if date is not None:
                         emit(org, date, "c")
             verb = dt.governing_verb(view, prep)
             if verb is not None:
                 for desc in dt.subtree(view, verb):
-                    date = _date_span_at(view, desc)
+                    date = _span_at(view, desc, "DATE")
                     if date is not None:
                         emit(org, date, "c")
     return relations
@@ -279,15 +270,12 @@ def relate_other_pairs(view: dt.TreeView) -> list[PairwiseRelation]:
             continue
         for right in _spans(view, right_label):
             right_root = dt.entity_root(view, right)
-            best: tuple[int, int, EntitySpan] | None = None
-            for left_root, anchored, left in lefts_by_sentence.get(tokens[right_root].sentence, ()):
-                if not _related(view, anchored, right_root):
-                    continue
-                key = (abs(left_root - right_root), left_root)
-                if best is None or key < best[:2]:
-                    best = (*key, left)
-            if best is not None:
-                relations.append(PairwiseRelation(kind, best[2], right))
+            related = [(left_root, left)
+                       for left_root, anchored, left in lefts_by_sentence.get(tokens[right_root].sentence, ())
+                       if _related(view, anchored, right_root)]
+            if related:
+                left = min(related, key=lambda r: (abs(r[0] - right_root), r[0]))[1]
+                relations.append(PairwiseRelation(kind, left, right))
     return relations
 
 

@@ -9,7 +9,6 @@ the winning similarity strictly exceeds the configured threshold.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fileio import decode_utf8
+from ._fileio import decode_utf8, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -203,14 +202,7 @@ def _parse_lines(
 def load_lexicon(path: str | Path) -> LexiconConfig:
     """Load a JSON lexicon override; missing fields fall back to defaults and
     a key that names no :class:`LexiconConfig` field is an error."""
-    try:
-        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise EmbeddingFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise EmbeddingFormatError(f"{path}: expected a JSON object")
+    obj = read_json_object(path, EmbeddingFormatError, str(path))
     known = {f.name for f in fields(LexiconConfig)}
     for key in obj:
         if key not in known:

@@ -75,6 +75,16 @@ class TestExtract:
         assert message in record.getMessage()
         assert not out.exists()
 
+    def test_lexicon_must_hold_object(self, tmp_path, caplog):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text("[]", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert run("extract", "--corpus", FIXTURE_CORPUS, "--embeddings", TOY_EMBEDDINGS,
+                   "--lexicon", lexicon, "--out", out) == 1
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage() == f"EmbeddingFormatError: {lexicon}: expected a JSON object, got list"
+        assert not out.exists()
+
     def test_lexicon_override_changes_classification(self, tmp_path):
         # a near-impossible threshold suppresses every money classification
         lexicon_path = tmp_path / "lexicon.json"
@@ -332,8 +342,16 @@ class TestConfigAndFlags:
         for default in defaults:
             assert f"(default {default}" in text
 
-    def test_missing_required_flag_fails(self, tmp_path):
-        assert run("extract", "--corpus", FIXTURE_CORPUS) != 0
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("extract", "--corpus, --embeddings, --out"),
+        ("evaluate", "--gold, --pred, --report"),
+        ("prepare", "--gold, --out-dir"),
+        ("inspect", "--corpus, --id"),
+    ], ids=["extract", "evaluate", "prepare", "inspect"])
+    def test_missing_required_flag_fails(self, caplog, subcommand, flags):
+        assert run(subcommand) == 1
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage() == f"ValueError: {subcommand}: missing required options: {flags}"
 
     def test_invalid_log_level_fails(self, tmp_path):
         out = tmp_path / "pred.jsonl"
@@ -369,8 +387,11 @@ class TestConfigAndFlags:
             ({"gold": 3}, "'gold' (--gold) must be a string, got 3"),
             ({"seeed": 5}, "'seeed' is not a flag of any subcommand"),
             ({"log_level": "DEBUG"}, "'log_level' is not a flag of any subcommand"),
+            ({"run": "cmd_prepare"}, "'run' is not a flag of any subcommand"),
+            ({"required_flags": []}, "'required_flags' is not a flag of any subcommand"),
         ],
-        ids=["bool-str", "int-str", "int-bool", "float-str", "float-null", "str-int", "typo", "top-level"],
+        ids=["bool-str", "int-str", "int-bool", "float-str", "float-null", "str-int", "typo", "top-level",
+             "handler", "required-flags"],
     )
     def test_config_value_must_have_flag_type(self, tmp_path, caplog, entry, message):
         # unchecked, "no" would be truthy, int("5"), float("0.5") and str(3)
@@ -387,8 +408,10 @@ class TestConfigAndFlags:
         [
             (b'{"seed": 1', "invalid JSON (Expecting ',' delimiter)"),
             (b'{"seed": "\xff"}', "not valid UTF-8 (invalid start byte)"),
+            (b"[1]", "expected a JSON object, got list"),
+            (b"3", "expected a JSON object, got int"),
         ],
-        ids=["truncated-json", "non-utf8"],
+        ids=["truncated-json", "non-utf8", "list", "int"],
     )
     def test_unreadable_config_names_file(self, tmp_path, caplog, content, message):
         # a bare JSONDecodeError or UnicodeDecodeError used to leak
@@ -396,7 +419,8 @@ class TestConfigAndFlags:
         config.write_bytes(content)
         out_dir = tmp_path / "split"
         assert run("--config", config, "prepare", "--gold", FIXTURE_GOLD, "--out-dir", out_dir) == 1
-        assert f"ValueError: config file {config}: {message}" in caplog.text
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage() == f"ValueError: config file {config}: {message}"
         assert not out_dir.exists()
 
     def test_config_serves_several_subcommands(self, tmp_path):

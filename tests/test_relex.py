@@ -2,17 +2,18 @@ import dataclasses
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finrelex import corpus
 from finrelex import deptree as dt
 from finrelex import records as records_mod
 from finrelex import relex
-from finrelex.corpus import ENTITY_LABELS, AnnotatedDocument
+from finrelex.corpus import AnnotatedDocument
 from finrelex.deptree import TreeView
 from finrelex.records import RelationRecord
 from finrelex.relex import (
+    KIND_LABELS,
     PairwiseRelation,
     extract,
     relate_company_date,
@@ -43,6 +44,25 @@ class TestRelateMoneyCompany:
         relations = relate_money_company(view_of(doc_by_id, "stripe-paystack"))
         assert [(r.left.text, r.right.text) for r in relations] == [("Paystack", "$5 million")]
         assert [r.path for r in relations] == ["b"]
+
+    def test_verb_children_path_picks_nearest_org(self):
+        # no subject, so strategy (b) scans the verb's children: the nearer
+        # organization wins, and the left one on a distance tie
+        nearer = _sentence_row(
+            "nearer",
+            [("Acme", "PROPN", "dep", 2), ("Beta", "PROPN", "dep", 2), ("raised", "VERB", "ROOT", 2),
+             ("$5", "NUM", "dobj", 2)],
+            [(0, 1, "ORG"), (1, 2, "ORG"), (3, 4, "MONEY")],
+        )
+        tie = _sentence_row(
+            "tie",
+            [("raised", "VERB", "ROOT", 0), ("Acme", "PROPN", "dep", 0), ("$5", "NUM", "dobj", 0),
+             ("Beta", "PROPN", "dep", 0)],
+            [(1, 2, "ORG"), (2, 3, "MONEY"), (3, 4, "ORG")],
+        )
+        for row, org in ((nearer, "Beta"), (tie, "Acme")):
+            relations = relate_money_company(TreeView.build(_document(row)))
+            assert [(r.left.text, r.right.text, r.path) for r in relations] == [(org, "$5", "b")]
 
     def test_money_without_org_yields_nothing(self, doc_by_id):
         assert relate_money_company(view_of(doc_by_id, "startup-unnamed")) == []
@@ -235,15 +255,20 @@ def _chunks(draw, off: int, n: int) -> list[dict]:
 @st.composite
 def _valid_rows(draw) -> dict:
     """A document row that passes validation: one random tree per sentence,
-    labelled entity spans inside each sentence, and noun chunks that may
+    entity spans inside each sentence labelled in pairs, each pair the two
+    labels of one relation kind in either order, and noun chunks that may
     cross a sentence boundary, as validation allows."""
     tokens: list[dict] = []
     entities: list[dict] = []
     for sent in range(draw(st.integers(1, 3))):
         off = len(tokens)
         tokens += _sentence(draw, off, sent)
-        entities += [corpus._ENTITY.dump((off + start, off + end, draw(st.sampled_from(sorted(ENTITY_LABELS)))))
-                     for start, end in _spans(draw, len(tokens) - off)]
+        spans = _spans(draw, len(tokens) - off)
+        labels: list[str] = []
+        while len(labels) < len(spans):
+            labels += draw(st.permutations(KIND_LABELS[draw(st.sampled_from(sorted(KIND_LABELS)))]))
+        entities += [corpus._ENTITY.dump((off + start, off + end, label))
+                     for (start, end), label in zip(spans, labels)]
     return _row("generated", tokens, entities, _chunks(draw, 0, len(tokens)))
 
 
@@ -259,6 +284,80 @@ def _repeated(row: dict, times: int) -> dict:
         chunks += [dict(c, start=c["start"] + off, end=c["end"] + off, root=c["root"] + off)
                    for c in row["noun_chunks"]]
     return _row(row["id"], tokens, entities, chunks)
+
+
+def _all_pairs_other_relations(view: TreeView) -> list[PairwiseRelation]:
+    """``relate_other_pairs`` without sentence buckets: the reference for it.
+
+    Each right-hand entity is tested against every left-hand entity of the
+    document with ``_subtree_related``, from an organization's appos/conj
+    head, and the related left nearest by (root distance, left root) wins.
+    """
+    tokens = view.document.tokens
+    relations = []
+    for kind in (relex.COMPANY_COUNTRY, relex.COMPANY_PERSON, relex.MONEY_DATE, relex.PERSON_COUNTRY):
+        left_label, right_label = KIND_LABELS[kind]
+        for right in [e for e in view.document.entities if e.label == right_label]:
+            right_root = dt.entity_root(view, right)
+            best = None
+            for left in [e for e in view.document.entities if e.label == left_label]:
+                left_root = dt.entity_root(view, left)
+                anchored = left_root
+                if left_label == "ORG" and tokens[left_root].dep in relex.LINK_DEPS:
+                    anchored = tokens[left_root].head
+                key = (abs(left_root - right_root), left_root)
+                if _subtree_related(view, anchored, right_root) and (best is None or key < best[0]):
+                    best = (key, left)
+            if best is not None:
+                relations.append(PairwiseRelation(kind, best[1], right))
+    return relations
+
+
+def _sentence_row(doc_id: str, words: list[tuple], entities: list[tuple]) -> dict:
+    """A one-sentence document row from (text, pos, dep, head) and (start, end, label) tuples."""
+    tokens = [corpus._TOKEN.dump((i, text, text.lower(), pos, dep, head, 0))
+              for i, (text, pos, dep, head) in enumerate(words)]
+    return _row(doc_id, tokens, [corpus._ENTITY.dump(e) for e in entities], [])
+
+
+# Two organizations under one verb with a person: the nearer one wins, not the leftmost.
+_NEARER_ROW = _sentence_row(
+    "nearer",
+    [("Acme", "PROPN", "nsubj", 1), ("founded", "VERB", "ROOT", 1), ("Beta", "PROPN", "dobj", 1),
+     ("Ade", "PROPN", "npadvmod", 1)],
+    [(0, 1, "ORG"), (2, 3, "ORG"), (3, 4, "PERSON")],
+)
+# Two organizations two tokens either side of a person, all under one verb:
+# the leftmost wins the tie.
+_TIE_ROW = _sentence_row(
+    "tie",
+    [("Acme", "PROPN", "nsubj", 1), ("founded", "VERB", "ROOT", 1), ("Ade", "PROPN", "dobj", 1),
+     ("with", "ADP", "prep", 1), ("Beta", "PROPN", "pobj", 3)],
+    [(0, 1, "ORG"), (2, 3, "PERSON"), (4, 5, "ORG")],
+)
+# No verb, and the country is not in the organization's subtree: only the
+# organization's conj head relates them.
+_ANCHOR_ROW = _sentence_row(
+    "anchor",
+    [("Acme", "PROPN", "ROOT", 0), ("Beta", "PROPN", "conj", 0), ("Nigeria", "PROPN", "nmod", 0)],
+    [(1, 2, "ORG"), (2, 3, "GPE")],
+)
+
+
+class TestAllPairsReference:
+    def test_fixture_documents(self, documents):
+        for doc in documents:
+            view = TreeView.build(doc)
+            assert relate_other_pairs(view) == _all_pairs_other_relations(view)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_valid_rows())
+    @example(_NEARER_ROW)
+    @example(_TIE_ROW)
+    @example(_ANCHOR_ROW)
+    def test_generated_documents(self, row):
+        view = TreeView.build(_document(row))
+        assert relate_other_pairs(view) == _all_pairs_other_relations(view)
 
 
 class TestGeneratedDocuments:

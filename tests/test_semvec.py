@@ -392,6 +392,13 @@ class TestLexiconConfig:
         path.write_text('{"threshold": 1}', encoding="utf-8")
         assert load_lexicon(path).threshold == 1.0
 
+    def test_load_lexicon_rejects_non_object(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"{path}: expected a JSON object, got list"
+
     def test_load_lexicon_rejects_bad_json(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text("not json", encoding="utf-8")
