@@ -8,7 +8,10 @@ corpus-preparation steps used before training/evaluation runs: an
 information-deduplicated train/test split and a class-balanced subset.
 
 Everything loaded here is immutable and built once; all operations are pure
-given their inputs and a seed.
+given their inputs and a seed.  A token is a ``NamedTuple`` of strings and
+integers, and each token's text, lemma, POS tag and dependency label, like
+each entity label, is passed through :func:`sys.intern` as its row is read,
+so a loaded corpus holds each distinct string once.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
+from typing import NamedTuple
 
 from . import records as records_mod
 from ._fileio import Fields, atomic_write_text, iter_jsonl, jsonl_dumps
@@ -48,8 +53,7 @@ class SplitInfeasibleError(RuntimeError):
     """Raised when the dedup constraint leaves no admissible test example."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token with its dependency attachment.
 
     ``head`` is the index of the governing token; a sentence root points at
@@ -213,8 +217,14 @@ def _surface_texts(text: str, tokens: list[Token], ranges: list[tuple[int, int]]
 def _document_from_dict(obj: object, lineno: int) -> AnnotatedDocument:
     """Read, validate and build one document row; every span's text is cut here."""
     doc_id, text, token_rows, entity_rows, chunk_rows = _DOCUMENT.read(obj, lineno, CorpusFormatError)
-    tokens = [Token(*_TOKEN.read(t, lineno, CorpusFormatError)) for t in token_rows]
-    entities = [_ENTITY.read(e, lineno, CorpusFormatError) for e in entity_rows]
+    tokens = []
+    for row in token_rows:
+        index, word, lemma, pos, dep, head, sentence = _TOKEN.read(row, lineno, CorpusFormatError)
+        tokens.append(Token(index, intern(word), intern(lemma), intern(pos), intern(dep), head, sentence))
+    entities = []
+    for row in entity_rows:
+        start, end, label = _ENTITY.read(row, lineno, CorpusFormatError)
+        entities.append((start, end, intern(label)))
     chunks = [_CHUNK.read(c, lineno, CorpusFormatError) for c in chunk_rows]
     _validate_document(doc_id, tokens, entities, chunks)
     texts = _surface_texts(text, tokens, [(start, end) for start, end, _ in entities + chunks])

@@ -1,7 +1,6 @@
 import json
 import logging
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -172,6 +171,33 @@ class TestLoadDocuments:
         [doc] = load_documents(path)
         assert [e.text for e in doc.entities] == ["Apple", "$ 9.4 million"]
         assert [c.text for c in doc.noun_chunks] == ["Apple", "a net income"]
+
+
+class TestLoadedTokens:
+    def test_token_fields(self):
+        assert Token._fields == ("index", "text", "lemma", "pos", "dep", "head", "sentence")
+
+    def test_token_is_immutable(self, apple_doc):
+        with pytest.raises(AttributeError):
+            apple_doc.tokens[0].head = 0
+
+    def test_tokens_equal_their_rows(self, documents, raw_lines):
+        for doc in documents:
+            rows = json.loads(raw_lines[doc.id])["tokens"]
+            assert [tok._asdict() for tok in doc.tokens] == [
+                dict(index=r["i"], text=r["text"], lemma=r["lemma"], pos=r["pos"], dep=r["dep"],
+                     head=r["head"], sentence=r["sent"])
+                for r in rows
+            ]
+
+    @pytest.mark.parametrize("field", ["pos", "dep", "text", "lemma"])
+    def test_corpus_shares_each_token_string(self, documents, field):
+        values = [getattr(tok, field) for doc in documents for tok in doc.tokens]
+        assert len({id(v) for v in values}) == len(set(values))
+
+    def test_corpus_shares_each_entity_label(self, documents):
+        labels = [e.label for doc in documents for e in doc.entities]
+        assert len({id(v) for v in labels}) == len(set(labels))
 
 
 _BAD_VALUES = (None, True, False, 1.5, "x", [], {})
@@ -353,19 +379,19 @@ def _defective_documents(draw) -> list[Token]:
                                    max_size=4)):
         tok = tokens[t]
         if defect == "index":
-            tokens[t] = replace(tok, index=tok.index + draw(st.sampled_from([-1, 1])))
+            tokens[t] = tok._replace(index=tok.index + draw(st.sampled_from([-1, 1])))
         elif defect == "pos":
-            tokens[t] = replace(tok, pos="XX")
+            tokens[t] = tok._replace(pos="XX")
         elif defect == "head":
-            tokens[t] = replace(tok, head=draw(st.integers(-1, n)))
+            tokens[t] = tok._replace(head=draw(st.integers(-1, n)))
         elif defect == "root-flag":
-            tokens[t] = replace(tok, dep="dep" if tok.dep == "ROOT" else "ROOT")
+            tokens[t] = tok._replace(dep="dep" if tok.dep == "ROOT" else "ROOT")
         elif defect == "negative-sentence":
-            tokens[t] = replace(tok, sentence=-1)
+            tokens[t] = tok._replace(sentence=-1)
         else:
             while t and tokens[t - 1].sentence == tok.sentence:
                 t -= 1
-            tokens[t:] = [replace(u, sentence=u.sentence + 1) for u in tokens[t:]]
+            tokens[t:] = [u._replace(sentence=u.sentence + 1) for u in tokens[t:]]
     return tokens
 
 
