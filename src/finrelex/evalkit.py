@@ -69,25 +69,22 @@ class EvalReport:
         return {k: round(v, 4) if isinstance(v, float) else v for k, v in values.items()}
 
 
-def edit_distance(a: str, b: str, limit: int | None = None) -> int:
-    """Unit-cost character-level Levenshtein distance, optionally bounded.
+def edit_distance(a: str, b: str, limit: int) -> int:
+    """Unit-cost character-level Levenshtein distance, always bounded.
 
-    With ``limit`` the result is ``min(distance, limit + 1)``: exact up to
-    the bound, ``limit + 1`` for anything above it.  A length difference
-    above the bound decides at once; otherwise only the diagonal band
+    The result is ``min(distance, limit + 1)``: exact up to the bound,
+    ``limit + 1`` for anything above it.  A length difference above the
+    bound decides at once; otherwise only the diagonal band
     ``|i - j| <= limit`` is filled, one row at a time, and the fill stops
     as soon as a row's band minimum exceeds the bound (Ukkonen 1985), so a
-    bounded call costs O(limit * min(len(a), len(b))).  Without ``limit``
-    the band covers the whole table and the plain distance comes back.
+    call costs O(limit * min(len(a), len(b))).
     """
-    if limit is not None and limit < 0:
+    if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     if a == b:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    if limit is None:
-        limit = len(b)
     over = limit + 1
     if len(b) - len(a) > limit:
         return over

@@ -12,7 +12,9 @@ entities belong together:
 * company-date: prepositions around the company token are checked for date
   children (a); a direct-object company checks its verb's children (b); a
   prepositional-object company checks the descendants of a proper-noun
-  preposition head and of the preposition's ancestral verb (c).
+  preposition head and of the preposition's ancestral verb (c); each
+  org-date pair is emitted once, under the first path that reaches it
+  (a, then b, then c).
 * the remaining pairs (company-country, company-person, money-date,
   person-country) use a shared-governor rule: two entity roots relate when
   they share their nearest governing verb or one lies in the other's
@@ -134,9 +136,11 @@ def _find_left_subject(view: dt.TreeView, t: int) -> int | None:
     return None
 
 
-def _nearest_org_child(view: dt.TreeView, verb: int, t: int) -> EntitySpan | None:
+def _nearest_org_child(view: dt.TreeView, verb: int | None, t: int) -> EntitySpan | None:
     """Organization span among the verb's children nearest to token ``t``
-    (leftmost child on ties)."""
+    (leftmost child on ties); ``None`` when there is no verb."""
+    if verb is None:
+        return None
     found = [(child, span) for child in view.children_index[verb]
              if (span := _org_span_at(view, child)) is not None]
     return min(found, key=lambda c: (abs(c[0] - t), c[0]), default=(None, None))[1]
@@ -152,87 +156,57 @@ def describe(rel: PairwiseRelation) -> str:
 
 def relate_money_company(view: dt.TreeView) -> list[PairwiseRelation]:
     """Tie each money entity to at most one organization."""
+    tokens = view.document.tokens
     relations = []
     for money in _spans(view, "MONEY"):
         t = dt.entity_root(view, money)
         org: EntitySpan | None = None
-        bridge: str | None = None
-        path = None
-        dep = view.document.tokens[t].dep
+        bridge = t  # the token whose noun chunk is the bridge phrase
+        dep = tokens[t].dep
         if dep == "attr" or dep in DIRECT_OBJECT_DEPS:
             subject = _find_left_subject(view, t)
             if subject is not None:
-                candidate = _org_span_at(view, subject)
-                if candidate is not None:
-                    org, path = candidate, "a"
-                    bridge = _chunk_text(dt.noun_chunk_of(view, t))
+                org, path = _org_span_at(view, subject), "a"
             else:
-                verb = dt.governing_verb(view, t)
-                if verb is not None:
-                    candidate = _nearest_org_child(view, verb, t)
-                    if candidate is not None:
-                        org, path = candidate, "b"
-                        bridge = _chunk_text(dt.noun_chunk_of(view, t))
+                org, path = _nearest_org_child(view, dt.governing_verb(view, t), t), "b"
         elif dep == "pobj":
-            prep = view.document.tokens[t].head
-            prep_head = view.document.tokens[prep].head
-            verb = dt.governing_verb(view, prep_head)
-            if verb is not None:
-                candidate = _nearest_org_child(view, verb, t)
-                if candidate is not None:
-                    org, path = candidate, "c"
-                    bridge = _chunk_text(dt.noun_chunk_of(view, prep_head))
+            bridge = tokens[tokens[t].head].head  # the preposition's head
+            org, path = _nearest_org_child(view, dt.governing_verb(view, bridge), t), "c"
         if org is not None:
-            relations.append(PairwiseRelation(COMPANY_MONEY, org, money, bridge, path))
+            phrase = _chunk_text(dt.noun_chunk_of(view, bridge))
+            relations.append(PairwiseRelation(COMPANY_MONEY, org, money, phrase, path))
     return relations
 
 
 def relate_company_date(view: dt.TreeView) -> list[PairwiseRelation]:
-    """Tie organizations to dates; duplicates are emitted once."""
+    """Tie organizations to dates: each org-date pair is emitted once, under
+    the first path that reaches it (a, then b, then c)."""
+    tokens = view.document.tokens
     relations = []
-    seen: set[tuple[int, int, int, int]] = set()
-
-    def emit(org: EntitySpan, date: EntitySpan, path: str) -> None:
-        key = (org.start, org.end, date.start, date.end)
-        if key in seen:
-            return
-        seen.add(key)
-        relations.append(PairwiseRelation(COMPANY_DATE, org, date, path=path))
-
     for org in _spans(view, "ORG"):
         c = _anchor(view, dt.entity_root(view, org))
-        head = view.document.tokens[c].head
-
         prepositions = {p for p in dt.subtree(view, c) if _is_prep_token(view, p)}
-        prepositions.update(p for p in view.children_index[head] if _is_prep_token(view, p))
-        for prep in sorted(prepositions):
-            for child in view.children_index[prep]:
-                date = _span_at(view, child, "DATE")
-                if date is not None:
-                    emit(org, date, "a")
-
-        if view.document.tokens[c].dep in DIRECT_OBJECT_DEPS:
+        prepositions.update(p for p in view.children_index[tokens[c].head] if _is_prep_token(view, p))
+        reached = [(view.children_index[prep], "a") for prep in sorted(prepositions)]
+        if tokens[c].dep in DIRECT_OBJECT_DEPS:
             verb = dt.governing_verb(view, c)
             if verb is not None:
-                for child in view.children_index[verb]:
-                    date = _span_at(view, child, "DATE")
-                    if date is not None:
-                        emit(org, date, "b")
-
-        if view.document.tokens[c].dep == "pobj":
-            prep = view.document.tokens[c].head
-            prep_head = view.document.tokens[prep].head
-            if view.document.tokens[prep_head].pos == "PROPN":
-                for desc in dt.subtree(view, prep_head):
-                    date = _span_at(view, desc, "DATE")
-                    if date is not None:
-                        emit(org, date, "c")
+                reached.append((view.children_index[verb], "b"))
+        if tokens[c].dep == "pobj":
+            prep = tokens[c].head
+            prep_head = tokens[prep].head
+            if tokens[prep_head].pos == "PROPN":
+                reached.append((dt.subtree(view, prep_head), "c"))
             verb = dt.governing_verb(view, prep)
             if verb is not None:
-                for desc in dt.subtree(view, verb):
-                    date = _span_at(view, desc, "DATE")
-                    if date is not None:
-                        emit(org, date, "c")
+                reached.append((dt.subtree(view, verb), "c"))
+        dates: set[int] = set()  # start tokens of the dates already tied to org
+        for candidates, path in reached:
+            for t in candidates:
+                date = _span_at(view, t, "DATE")
+                if date is not None and date.start not in dates:
+                    dates.add(date.start)
+                    relations.append(PairwiseRelation(COMPANY_DATE, org, date, path=path))
     return relations
 
 

@@ -9,6 +9,7 @@ the winning similarity strictly exceeds the configured threshold.
 
 from __future__ import annotations
 
+import codecs
 import logging
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
@@ -108,7 +109,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     fixed by the first entry; duplicate words (after case folding) keep
     their first vector with a warning.  Every malformed line (no vector, an
     unparsable or non-finite component, another width) is an
-    :class:`EmbeddingFormatError` naming the line.
+    :class:`EmbeddingFormatError` naming the line, as is a UTF-8 byte-order
+    mark at the start of the file.
 
     The file is read ``CHUNK_LINES`` lines at a time; each chunk is decoded
     once (bytes that are not UTF-8 are an error naming their line) and
@@ -124,6 +126,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     lineno = 1
     with open(path, "rb") as fh:
         while raw := list(islice(fh, CHUNK_LINES)):
+            if lineno == 1 and raw[0].startswith(codecs.BOM_UTF8):
+                raise EmbeddingFormatError("line 1: unexpected UTF-8 byte-order mark")
             lines = decode_utf8(b"".join(raw), lineno, EmbeddingFormatError).split("\n")
             block = None if may_be_header else _parse_chunk(lines, index, dimension)
             if block is None:

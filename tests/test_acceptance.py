@@ -2,7 +2,7 @@
 
 Reference implementations here are deliberately independent of the library
 code they check: the scorer oracle walks zipped token lists, and the edit
-distance oracle is a memoized recursion rather than the iterative two-row
+distance oracle is a memoized recursion rather than the banded one-row
 table used by the package.
 """
 

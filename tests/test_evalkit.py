@@ -20,7 +20,7 @@ from finrelex.evalkit import (
     score_example,
     word_match,
 )
-from tests.test_acceptance import oracle_word_match
+from tests.test_acceptance import oracle_edit_distance, oracle_word_match
 
 EXACT_CFG = EvalConfig(mode="exact")
 FUZZY_CFG = EvalConfig(mode="fuzzy", fuzzy_threshold=0.90)
@@ -107,19 +107,21 @@ class TestEditDistance:
         [("", "", 0), ("abc", "abc", 0), ("abc", "", 3), ("kitten", "sitting", 3), ("cow", "bowl", 2)],
     )
     def test_known_distances(self, a, b, expected):
-        assert edit_distance(a, b) == expected
+        # a limit as long as the longer word leaves the distance uncapped
+        assert edit_distance(a, b, max(len(a), len(b))) == expected
 
     def test_symmetry(self):
         rng = random.Random(11)
         for _ in range(300):
             a = "".join(rng.choices("abcd", k=rng.randint(0, 6)))
             b = "".join(rng.choices("abcd", k=rng.randint(0, 6)))
-            assert edit_distance(a, b) == edit_distance(b, a)
+            limit = rng.randint(0, 6)
+            assert edit_distance(a, b, limit) == edit_distance(b, a, limit)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text("abcd", max_size=8), st.text("abc", max_size=8))
-    def test_bounded_is_unbounded_capped_at_limit_plus_one(self, a, b):
-        full = edit_distance(a, b)
+    def test_bounded_is_oracle_capped_at_limit_plus_one(self, a, b):
+        full = oracle_edit_distance(a, b)
         for limit in range(max(len(a), len(b)) + 2):
             bounded = edit_distance(a, b, limit)
             assert bounded == min(full, limit + 1)
@@ -177,7 +179,7 @@ class TestScoreExample:
     def test_equal_words_never_reach_edit_distance(self, monkeypatch):
         calls = []
 
-        def counting(a, b, limit=None):
+        def counting(a, b, limit):
             calls.append((a, b))
             return edit_distance(a, b, limit)
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -24,6 +25,11 @@ from finrelex.relex import (
 
 def view_of(doc_by_id, doc_id):
     return TreeView.build(doc_by_id[doc_id])
+
+
+def _relations(view: TreeView) -> list[PairwiseRelation]:
+    """The relations of all three passes, in pass order."""
+    return relate_money_company(view) + relate_company_date(view) + relate_other_pairs(view)
 
 
 class TestRelateMoneyCompany:
@@ -313,11 +319,104 @@ def _all_pairs_other_relations(view: TreeView) -> list[PairwiseRelation]:
     return relations
 
 
+def _reference_money_company(view: TreeView) -> list[PairwiseRelation]:
+    """``relate_money_company`` with each path's own guards and append:
+    the reference for it."""
+    relations = []
+    for money in relex._spans(view, "MONEY"):
+        t = dt.entity_root(view, money)
+        org = None
+        bridge = None
+        path = None
+        dep = view.document.tokens[t].dep
+        if dep == "attr" or dep in relex.DIRECT_OBJECT_DEPS:
+            subject = relex._find_left_subject(view, t)
+            if subject is not None:
+                candidate = relex._org_span_at(view, subject)
+                if candidate is not None:
+                    org, path = candidate, "a"
+                    bridge = relex._chunk_text(dt.noun_chunk_of(view, t))
+            else:
+                verb = dt.governing_verb(view, t)
+                if verb is not None:
+                    candidate = relex._nearest_org_child(view, verb, t)
+                    if candidate is not None:
+                        org, path = candidate, "b"
+                        bridge = relex._chunk_text(dt.noun_chunk_of(view, t))
+        elif dep == "pobj":
+            prep = view.document.tokens[t].head
+            prep_head = view.document.tokens[prep].head
+            verb = dt.governing_verb(view, prep_head)
+            if verb is not None:
+                candidate = relex._nearest_org_child(view, verb, t)
+                if candidate is not None:
+                    org, path = candidate, "c"
+                    bridge = relex._chunk_text(dt.noun_chunk_of(view, prep_head))
+        if org is not None:
+            relations.append(PairwiseRelation(relex.COMPANY_MONEY, org, money, bridge, path))
+    return relations
+
+
+def _reference_company_date(view: TreeView) -> list[PairwiseRelation]:
+    """``relate_company_date`` with one DATE loop per path, each emitting
+    through a shared seen-set: the reference for it."""
+    relations = []
+    seen = set()
+
+    def emit(org, date, path):
+        key = (org.start, org.end, date.start, date.end)
+        if key in seen:
+            return
+        seen.add(key)
+        relations.append(PairwiseRelation(relex.COMPANY_DATE, org, date, path=path))
+
+    for org in relex._spans(view, "ORG"):
+        c = relex._anchor(view, dt.entity_root(view, org))
+        head = view.document.tokens[c].head
+
+        prepositions = {p for p in dt.subtree(view, c) if relex._is_prep_token(view, p)}
+        prepositions.update(p for p in view.children_index[head] if relex._is_prep_token(view, p))
+        for prep in sorted(prepositions):
+            for child in view.children_index[prep]:
+                date = relex._span_at(view, child, "DATE")
+                if date is not None:
+                    emit(org, date, "a")
+
+        if view.document.tokens[c].dep in relex.DIRECT_OBJECT_DEPS:
+            verb = dt.governing_verb(view, c)
+            if verb is not None:
+                for child in view.children_index[verb]:
+                    date = relex._span_at(view, child, "DATE")
+                    if date is not None:
+                        emit(org, date, "b")
+
+        if view.document.tokens[c].dep == "pobj":
+            prep = view.document.tokens[c].head
+            prep_head = view.document.tokens[prep].head
+            if view.document.tokens[prep_head].pos == "PROPN":
+                for desc in dt.subtree(view, prep_head):
+                    date = relex._span_at(view, desc, "DATE")
+                    if date is not None:
+                        emit(org, date, "c")
+            verb = dt.governing_verb(view, prep)
+            if verb is not None:
+                for desc in dt.subtree(view, verb):
+                    date = relex._span_at(view, desc, "DATE")
+                    if date is not None:
+                        emit(org, date, "c")
+    return relations
+
+
+def _word_rows(words: list[tuple], off: int, sent: int) -> list[dict]:
+    """Token rows of sentence ``sent`` from (text, pos, dep, head) tuples,
+    numbered and headed from ``off``."""
+    return [corpus._TOKEN.dump((off + i, text, text.lower(), pos, dep, off + head, sent))
+            for i, (text, pos, dep, head) in enumerate(words)]
+
+
 def _sentence_row(doc_id: str, words: list[tuple], entities: list[tuple]) -> dict:
     """A one-sentence document row from (text, pos, dep, head) and (start, end, label) tuples."""
-    tokens = [corpus._TOKEN.dump((i, text, text.lower(), pos, dep, head, 0))
-              for i, (text, pos, dep, head) in enumerate(words)]
-    return _row(doc_id, tokens, [corpus._ENTITY.dump(e) for e in entities], [])
+    return _row(doc_id, _word_rows(words, 0, 0), [corpus._ENTITY.dump(e) for e in entities], [])
 
 
 # Two organizations under one verb with a person: the nearer one wins, not the leftmost.
@@ -342,6 +441,116 @@ _ANCHOR_ROW = _sentence_row(
     [("Acme", "PROPN", "ROOT", 0), ("Beta", "PROPN", "conj", 0), ("Nigeria", "PROPN", "nmod", 0)],
     [(1, 2, "ORG"), (2, 3, "GPE")],
 )
+
+
+# One sentence per (kind, path), as (text, pos, dep, head) words and
+# (start, end, label) entities; on its own each builds one relation, of its
+# own kind and path.  Random draws rarely build the path-based ones.
+_PATH_SHAPES = {
+    # "Acme raised $5": the subject left of a direct-object money
+    ("company-money", "a"): (
+        [("Acme", "PROPN", "nsubj", 1), ("raised", "VERB", "ROOT", 1), ("$5", "NUM", "dobj", 1)],
+        [(0, 1, "ORG"), (2, 3, "MONEY")]),
+    # "raised Acme $5": no subject, so the verb's organization child
+    ("company-money", "b"): (
+        [("raised", "VERB", "ROOT", 0), ("Acme", "PROPN", "dep", 0), ("$5", "NUM", "dobj", 0)],
+        [(1, 2, "ORG"), (2, 3, "MONEY")]),
+    # "Acme made income of $5": a prepositional-object money
+    ("company-money", "c"): (
+        [("Acme", "PROPN", "nsubj", 1), ("made", "VERB", "ROOT", 1), ("income", "NOUN", "dobj", 1),
+         ("of", "ADP", "prep", 2), ("$5", "NUM", "pobj", 3)],
+        [(0, 1, "ORG"), (4, 5, "MONEY")]),
+    # "Acme grew in 2020": a preposition under the organization's head
+    ("company-date", "a"): (
+        [("Acme", "PROPN", "nsubj", 1), ("grew", "VERB", "ROOT", 1), ("in", "ADP", "prep", 1),
+         ("2020", "NUM", "pobj", 2)],
+        [(0, 1, "ORG"), (3, 4, "DATE")]),
+    # "bought Acme 2020": a direct-object organization and a date child of its verb
+    ("company-date", "b"): (
+        [("bought", "VERB", "ROOT", 0), ("Acme", "PROPN", "dobj", 0), ("2020", "NUM", "npadvmod", 0)],
+        [(1, 2, "ORG"), (2, 3, "DATE")]),
+    # "stake in Acme rose 2020": a prepositional-object organization and a
+    # date under the preposition's verb
+    ("company-date", "c"): (
+        [("stake", "NOUN", "nsubj", 3), ("in", "ADP", "prep", 0), ("Acme", "PROPN", "pobj", 1),
+         ("rose", "VERB", "ROOT", 3), ("2020", "NUM", "npadvmod", 3)],
+        [(2, 3, "ORG"), (4, 5, "DATE")]),
+    # the shared-governor kinds: two entities under one verb
+    ("company-country", "shared-governor"): (
+        [("Acme", "PROPN", "nsubj", 1), ("entered", "VERB", "ROOT", 1), ("Nigeria", "PROPN", "dobj", 1)],
+        [(0, 1, "ORG"), (2, 3, "GPE")]),
+    ("company-person", "shared-governor"): (
+        [("Ade", "PROPN", "nsubj", 1), ("founded", "VERB", "ROOT", 1), ("Acme", "PROPN", "dobj", 1)],
+        [(0, 1, "PERSON"), (2, 3, "ORG")]),
+    ("money-date", "shared-governor"): (
+        [("$5", "NUM", "nsubj", 1), ("came", "VERB", "ROOT", 1), ("2020", "NUM", "npadvmod", 1)],
+        [(0, 1, "MONEY"), (2, 3, "DATE")]),
+    ("person-country", "shared-governor"): (
+        [("Ade", "PROPN", "nsubj", 1), ("left", "VERB", "ROOT", 1), ("Nigeria", "PROPN", "dobj", 1)],
+        [(0, 1, "PERSON"), (2, 3, "GPE")]),
+}
+
+
+def _grafted(row: dict, shape: tuple[str, str], chunks: list[dict]) -> dict:
+    """``row`` with the path shape ``shape`` appended as its last sentence,
+    plus ``chunks``, noun chunk rows over the shape's tokens."""
+    words, spans = _PATH_SHAPES[shape]
+    off, sent = len(row["tokens"]), row["tokens"][-1]["sent"] + 1
+    entities = [corpus._ENTITY.dump((off + start, off + end, label)) for start, end, label in spans]
+    return _row(row["id"], row["tokens"] + _word_rows(words, off, sent), row["entities"] + entities,
+                row["noun_chunks"] + chunks)
+
+
+@st.composite
+def _shaped_rows(draw) -> dict:
+    """A ``_valid_rows`` document with one path shape grafted on, under
+    random noun chunks."""
+    row = draw(_valid_rows())
+    shape = draw(st.sampled_from(sorted(_PATH_SHAPES)))
+    return _grafted(row, shape, _chunks(draw, len(row["tokens"]), len(_PATH_SHAPES[shape][0])))
+
+
+class TestPathReferences:
+    """The path-based passes against their path-by-path references:
+    kind, spans, bridge, path and order."""
+
+    def test_fixture_documents(self, documents):
+        for doc in documents:
+            view = TreeView.build(doc)
+            assert relate_money_company(view) == _reference_money_company(view)
+            assert relate_company_date(view) == _reference_company_date(view)
+
+    @pytest.mark.parametrize("kind,path", sorted(_PATH_SHAPES))
+    def test_each_shape_fires_its_path(self, kind, path):
+        view = TreeView.build(_document(_sentence_row("shape", *_PATH_SHAPES[kind, path])))
+        assert [(r.kind, r.path) for r in _relations(view)] == [(kind, path)]
+        assert relate_money_company(view) == _reference_money_company(view)
+        assert relate_company_date(view) == _reference_company_date(view)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_valid_rows(), _shaped_rows()))
+    def test_generated_documents(self, row):
+        view = TreeView.build(_document(row))
+        assert relate_money_company(view) == _reference_money_company(view)
+        assert relate_company_date(view) == _reference_company_date(view)
+
+
+class TestPathCoverage:
+    def test_every_kind_and_path_fires(self):
+        # a fixed set of documents: derandomized draws, the same on every
+        # run, each with every shape grafted on in turn
+        fired = Counter()
+
+        @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+        @given(_valid_rows())
+        def collect(row):
+            for shape in _PATH_SHAPES:
+                view = TreeView.build(_document(_grafted(row, shape, [])))
+                fired.update((r.kind, r.path) for r in _relations(view))
+
+        collect()
+        every_pair = {(kind, path) for kind, paths in _PATHS.items() for path in paths}
+        assert set(fired) == every_pair == set(_PATH_SHAPES)
 
 
 class TestAllPairsReference:
@@ -369,7 +578,7 @@ class TestGeneratedDocuments:
         got = extract(view, toy_table, lexicon)
         assert records_mod.parse(records_mod.serialize(got)) == got
         tokens = doc.tokens
-        for rel in relate_money_company(view) + relate_company_date(view) + relate_other_pairs(view):
+        for rel in _relations(view):
             assert rel.path in _PATHS[rel.kind]
             left, right = dt.entity_root(view, rel.left), dt.entity_root(view, rel.right)
             assert tokens[left].sentence == tokens[right].sentence
@@ -380,8 +589,7 @@ class TestGeneratedDocuments:
         # the relations are compared too: far more documents have one than a record
         def output(row):
             view = TreeView.build(_document(row))
-            relations = relate_money_company(view) + relate_company_date(view) + relate_other_pairs(view)
-            return extract(view, toy_table, lexicon), [relex.describe(r) for r in relations]
+            return extract(view, toy_table, lexicon), [relex.describe(r) for r in _relations(view)]
 
         base = output(row)
         assert output({**row, "id": "renamed"}) == base
@@ -463,10 +671,7 @@ class TestExtract:
     def test_same_sentence_invariant(self, documents):
         for doc in documents:
             view = TreeView.build(doc)
-            all_relations = (
-                relate_money_company(view) + relate_company_date(view) + relate_other_pairs(view)
-            )
-            for rel in all_relations:
+            for rel in _relations(view):
                 left_sent = doc.tokens[rel.left.start].sentence
                 right_sent = doc.tokens[rel.right.start].sentence
                 assert left_sent == right_sent

@@ -1,3 +1,4 @@
+import codecs
 import logging
 from contextlib import contextmanager
 from unittest import mock
@@ -49,6 +50,15 @@ class TestLoadEmbeddings:
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 zero\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="line 1"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("text", ["revenue 1 0\nincome 0 1\n", "2 2\nrevenue 1 0\nincome 0 1\n"],
+                             ids=["entries", "header"])
+    def test_byte_order_mark_names_line_one(self, tmp_path, text):
+        # read as a word, the mark would hide "revenue" or make the header an entry
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        with pytest.raises(EmbeddingFormatError, match="^line 1: unexpected UTF-8 byte-order mark$"):
             load_embeddings(path)
 
     def test_header_line_tolerated(self, tmp_path):
