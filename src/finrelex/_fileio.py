@@ -11,6 +11,9 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
+# json.dumps builds a new encoder for each call that passes any argument
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 def decode_utf8(data: bytes, lineno: int, error: type[Exception]) -> str:
     """``data``, which starts at line ``lineno``, as UTF-8; else ``error`` naming the bad line."""
@@ -23,7 +26,8 @@ def decode_utf8(data: bytes, lineno: int, error: type[Exception]) -> str:
 
 def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
     """Yield (1-based line number, decoded value) per non-blank line; the first
-    line in file order that is not UTF-8 or not JSON raises ``error``."""
+    line in file order that is not UTF-8, not JSON, or has a string with a
+    lone UTF-16 surrogate raises ``error``."""
     with open(path, "rb") as fh:
         lineno = 0
         for line in fh:  # not enumerate, whose cached tuple would keep the raw bytes alive
@@ -35,7 +39,23 @@ def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
+            # a strict UTF-8 line can carry a surrogate only as a \ud800-\udfff
+            # escape; the one-character test is a memchr that clears most lines
+            if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                _reject_lone_surrogates(obj, lineno, error)
             yield lineno, obj
+
+
+def _reject_lone_surrogates(obj: object, lineno: int, error: type[Exception]) -> None:
+    """``error`` naming line ``lineno`` when a string in ``obj`` holds an
+    unpaired surrogate, which no UTF-8 output could write; an escaped pair
+    decodes to one character and passes."""
+    try:
+        _ENCODER.encode(obj).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = ord(exc.object[exc.start])
+        raise error(f"line {lineno}: lone UTF-16 surrogate \\u{surrogate:04x} in a string "
+                    "(not valid Unicode)") from exc
 
 
 def read_json_object(path: str | Path, error: type[Exception], name: str) -> dict:
@@ -87,7 +107,9 @@ class Fields:
 
 
 def jsonl_dumps(objects: Iterable[dict]) -> str:
-    return "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
+    """One ``json.dumps(obj, ensure_ascii=False)`` line per object."""
+    encode = _ENCODER.encode
+    return "".join(encode(obj) + "\n" for obj in objects)
 
 
 def atomic_write_text(path: str | Path, content: str) -> None:

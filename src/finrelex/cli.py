@@ -18,8 +18,10 @@ comes from ``--log-level`` or the ``FINRELEX_LOG_LEVEL`` environment variable
 (flag wins); logs go to standard error, data only to files.  Output files are
 written atomically (temp file + rename), so an interrupted run never leaves a
 truncated file, and runs with identical inputs and seed produce byte-identical
-outputs.  Extraction runs in one process; ``--workers`` is validated (an
-integer >= 1) and kept for compatibility, and does not change the output.
+outputs.  An output path that resolves to an input or to another output is
+refused before anything is read.  Extraction runs in one process;
+``--workers`` is validated (an integer >= 1) and kept for compatibility, and
+does not change the output.
 """
 
 from __future__ import annotations
@@ -132,7 +134,32 @@ def _configure_logging(level_name: str) -> None:
     logging.getLogger().setLevel(level)
 
 
+def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
+                   outputs: dict[str, str | Path | None]) -> None:
+    """Raise ``ValueError`` naming both flags when an output path resolves to
+    the same file as an input or as another output.
+
+    ``inputs`` are the destinations of the flags the command reads, ``--config``
+    added; ``outputs`` maps a flag's name to the path written, ``None`` for
+    none.  Commands call this before they read anything, so a clash leaves
+    every file as it was.
+    """
+    seen: dict[Path, str] = {}
+    for dest in ("config", *inputs):
+        path = getattr(args, dest)
+        if path is not None:
+            seen.setdefault(Path(path).resolve(), "--" + dest.replace("_", "-"))
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ValueError(f"{flag} and {seen[resolved]} name the same file: {path}")
+        seen[resolved] = flag
+
+
 def cmd_extract(args: argparse.Namespace) -> None:
+    _check_outputs(args, ("corpus", "embeddings", "lexicon"), {"--out": args.out})
     from . import relex, semvec  # NumPy: only extract and inspect import it
     # --workers is only validated: extraction runs in one process.
     if args.workers < 1:
@@ -150,6 +177,7 @@ def cmd_extract(args: argparse.Namespace) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> None:
+    _check_outputs(args, ("gold", "pred"), {"--report": args.report, "--breakdown": args.breakdown})
     gold = corpus.load_gold(args.gold)
     predictions = records_mod.load_predictions(args.pred)
     cfg = evalkit.EvalConfig(
@@ -168,16 +196,20 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def cmd_prepare(args: argparse.Namespace) -> None:
+    out_dir = Path(args.out_dir)
+    train_path, test_path, balanced_path = (
+        out_dir / name for name in ("train.jsonl", "test.jsonl", "balanced-train.jsonl"))
+    # balanced-train.jsonl is removed when not written, so it is an output either way
+    _check_outputs(args, ("gold",),
+                   {f"--out-dir ({p.name})": p for p in (train_path, test_path, balanced_path)})
     gold = corpus.load_gold(args.gold)
     train, test = corpus.split_train_test(gold, args.test_fraction, args.seed)
     # Balance before writing, so a training side it rejects leaves no split behind.
     balanced = corpus.balanced_subset(train, args.seed) if args.balanced else None
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus.save_gold(train, out_dir / "train.jsonl")
-    corpus.save_gold(test, out_dir / "test.jsonl")
+    corpus.save_gold(train, train_path)
+    corpus.save_gold(test, test_path)
     logger.info("wrote %d train / %d test examples to %s", len(train), len(test), out_dir)
-    balanced_path = out_dir / "balanced-train.jsonl"
     if balanced is None:
         # An earlier run's subset may hold examples this split put in test.
         balanced_path.unlink(missing_ok=True)

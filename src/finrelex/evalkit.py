@@ -7,15 +7,18 @@ position is a false negative and a predicted word beyond the target is a
 false positive.  A fully empty target/prediction pair contributes exactly
 one true negative.  Words compare either exactly (after case-folding) or
 fuzzily via normalized character edit distance at a configurable threshold.
-Fuzzy mode decides each unequal pair with an edit distance bounded at the
-largest distance the threshold admits, which gives the verdict of the full
-distance at a fraction of the cost.
+Each scored string is case-folded once, whole, before it is split, and a
+pair of equal folded words is a match without further work; only unequal
+pairs reach :func:`word_match`.  Fuzzy mode decides each of those with an
+edit distance bounded at the largest distance the threshold admits, which
+gives the verdict of the full distance at a fraction of the cost.
 :func:`evaluate_corpus` scores each example once; :func:`score_breakdown`
 only formats the per-example counts kept on its report.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, fields
 
@@ -109,6 +112,7 @@ def edit_distance(a: str, b: str, limit: int) -> int:
     return min(row[-1], over)
 
 
+@functools.cache
 def _max_distance(longest: int, threshold: float) -> int:
     """Largest ``d`` in ``0..longest`` with ``1.0 - d / longest >= threshold``.
 
@@ -144,9 +148,12 @@ def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
 
 
 def _tokenize(s: str, cfg: EvalConfig) -> list[str]:
+    """The case-folded words of ``s``.  ``casefold`` never maps a character to
+    or from whitespace, never produces ``|`` or ``,`` and is idempotent, so
+    these are the words of ``s`` folded one by one."""
     if cfg.strip_separators:
         s = s.replace("|", " ").replace(",", " ")
-    return s.split()
+    return s.casefold().split()
 
 
 def score_example(target: str, predicted: str, cfg: EvalConfig) -> tuple[int, int, int, int]:
@@ -156,7 +163,7 @@ def score_example(target: str, predicted: str, cfg: EvalConfig) -> tuple[int, in
     if not target_words and not predicted_words:
         return (0, 1, 0, 0)
     lt, lp = len(target_words), len(predicted_words)
-    tp = sum(word_match(t, p, cfg) for t, p in zip(target_words, predicted_words))
+    tp = sum(t == p or word_match(t, p, cfg) for t, p in zip(target_words, predicted_words))
     return (tp, 0, min(lt, lp) - tp + max(lp - lt, 0), max(lt - lp, 0))
 
 

@@ -14,6 +14,7 @@ can never serialize into something that parses differently.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._fileio import Fields, atomic_write_text, iter_jsonl, jsonl_dumps
@@ -79,15 +80,10 @@ def serialize(records: list[RelationRecord]) -> str:
     return f"{RECORD_SEPARATOR} ".join(rendered) + RECORD_SEPARATOR
 
 
-def parse(s: str) -> list[RelationRecord]:
-    """Parse a serialized target string back into records.
-
-    Splits on ``|``, trims each segment, and splits a segment on its first
-    three commas so dates containing commas survive.  The empty string parses
-    to an empty list.  Raises :class:`RecordError` for segments with fewer
-    than three commas or with a variable name outside the known inventory.
-    """
-    records: list[RelationRecord] = []
+def _split_records(s: str) -> Iterator[list[str]]:
+    """The four stripped fields of each non-blank ``|`` segment of ``s``, the
+    segment split on its first three commas; a segment with fewer than three
+    commas raises :class:`RecordError`."""
     for segment in s.split(RECORD_SEPARATOR):
         segment = segment.strip()
         if not segment:
@@ -95,9 +91,34 @@ def parse(s: str) -> list[RelationRecord]:
         parts = segment.split(",", 3)
         if len(parts) < 4:
             raise RecordError(f"record {segment!r} has fewer than four comma-separated fields")
-        company, name, value, date = (p.strip() for p in parts)
-        records.append(RelationRecord(company, name, value, date))
-    return records
+        yield [p.strip() for p in parts]
+
+
+def parse(s: str) -> list[RelationRecord]:
+    """Parse a serialized target string back into records.
+
+    Splits on ``|``, trims each segment, and splits a segment on its first
+    three commas so dates containing commas survive.  The empty string parses
+    to an empty list.  Raises :class:`RecordError` for segments with fewer
+    than three commas, for an empty field, or for a variable name outside the
+    known inventory.  :func:`validate` accepts and rejects the same strings
+    without building the records.
+    """
+    return [RelationRecord(*fields) for fields in _split_records(s)]
+
+
+def validate(s: str) -> None:
+    """Raise what :func:`parse` raises for ``s``, without building records.
+
+    After the split the fields are stripped and hold no ``|``, and the first
+    three hold no ``,``, so of a record's checks only an empty field and an
+    unknown variable name can fail.  Those two are tested directly; only a
+    failing record is built, so that the error is the one :func:`parse`
+    raises.
+    """
+    for fields in _split_records(s):
+        if not all(fields) or fields[1] not in VARIABLE_NAMES:
+            RelationRecord(*fields)  # raises parse's RecordError
 
 
 def load_predictions(path) -> dict[str, str]:

@@ -524,6 +524,94 @@ def test_non_utf8_gold_logged_with_line(tmp_path, caplog):
     assert "CorpusFormatError: line 2: not valid UTF-8 (invalid start byte)" in caplog.text
 
 
+def _with_id(line: bytes, new_id: str) -> bytes:
+    # json.dumps escapes a surrogate as \\udXXX, as a writer of UTF-16 JSON would
+    return json.dumps(dict(json.loads(line), id=new_id)).encode("ascii")
+
+
+_SURROGATE_LOADERS = [
+    (corpus.load_documents, corpus.CorpusFormatError, _FIRST_LINE[FIXTURE_CORPUS]),
+    (corpus.load_gold, corpus.CorpusFormatError, _FIRST_LINE[FIXTURE_GOLD]),
+    (records.load_predictions, records.RecordError, b'{"id": "a", "predicted_text": ""}'),
+]
+_SURROGATE_IDS = ["corpus", "gold", "predictions"]
+
+
+@pytest.mark.parametrize("load, error, good", _SURROGATE_LOADERS, ids=_SURROGATE_IDS)
+@pytest.mark.parametrize("bad_id, escape", [("doc\ud800x", "\\ud800"), ("g\udc80", "\\udc80")],
+                         ids=["high", "low"])
+def test_lone_surrogate_escape_raises_loader_error(tmp_path, load, error, good, bad_id, escape):
+    # it used to load and then fail the write with a bare UnicodeEncodeError
+    path = tmp_path / "input"
+    bad = _with_id(good, bad_id)
+    path.write_bytes(good + b"\n" + bad.replace(b"\\ud", b"\\uD") + b"\n")
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == f"line 2: lone UTF-16 surrogate {escape} in a string (not valid Unicode)"
+
+
+@pytest.mark.parametrize("load, error, good", _SURROGATE_LOADERS, ids=_SURROGATE_IDS)
+def test_escaped_surrogate_pair_loads(tmp_path, load, error, good):
+    path = tmp_path / "input"
+    path.write_bytes(_with_id(good, "doc\ud83d\ude00") + b"\n")
+    loaded = load(path)
+    assert (list(loaded) if isinstance(loaded, dict) else [x.id for x in loaded]) == ["doc\U0001f600"]
+
+
+def test_lone_surrogate_fails_extract_before_any_output(tmp_path, caplog):
+    corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "pred.jsonl"
+    corpus_path.write_bytes(_with_id(_FIRST_LINE[FIXTURE_CORPUS], "doc\ud800x") + b"\n")
+    assert run("extract", "--corpus", corpus_path, "--embeddings", TOY_EMBEDDINGS, "--out", out) == 1
+    assert "CorpusFormatError: line 1: lone UTF-16 surrogate \\ud800" in caplog.text
+    assert not out.exists()
+
+
+class TestOutputNamesInput:
+    """An output path that resolves to an input or to another output is
+    refused before anything is read, so the input keeps its bytes."""
+
+    @staticmethod
+    def error(caplog) -> str:
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        return record.getMessage()
+
+    def test_extract_out_names_corpus(self, tmp_path, caplog, monkeypatch):
+        corpus_path = tmp_path / "c.jsonl"
+        corpus_path.write_bytes(FIXTURE_CORPUS.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        out = f"../{tmp_path.name}/c.jsonl"
+        assert run("extract", "--corpus", "c.jsonl", "--embeddings", TOY_EMBEDDINGS, "--out", out) == 1
+        assert self.error(caplog) == f"ValueError: --out and --corpus name the same file: {out}"
+        assert corpus_path.read_bytes() == FIXTURE_CORPUS.read_bytes()
+
+    @pytest.mark.parametrize("report_is_gold", [True, False], ids=["report-gold", "breakdown-report"])
+    def test_evaluate_output_names_input_or_output(self, tmp_path, caplog, predictions_path, report_is_gold):
+        gold = tmp_path / "g.jsonl"
+        gold.write_bytes(FIXTURE_GOLD.read_bytes())
+        report = gold if report_is_gold else tmp_path / "report.json"
+        flags = [] if report_is_gold else ["--breakdown", tmp_path / "." / "report.json"]
+        assert run("evaluate", "--gold", gold, "--pred", predictions_path, "--report", report, *flags) == 1
+        if report_is_gold:
+            assert self.error(caplog) == f"ValueError: --report and --gold name the same file: {gold}"
+        else:
+            assert self.error(caplog) == (f"ValueError: --breakdown and --report name the same file: "
+                                          f"{tmp_path / '.' / 'report.json'}")
+            assert not report.exists()
+        assert gold.read_bytes() == FIXTURE_GOLD.read_bytes()
+
+    @pytest.mark.parametrize("name", ["train.jsonl", "balanced-train.jsonl"])
+    def test_prepare_out_dir_file_names_gold(self, tmp_path, caplog, name):
+        # balanced-train.jsonl is removed by a run without --balanced
+        out_dir = tmp_path / "sp"
+        out_dir.mkdir()
+        gold = out_dir / name
+        gold.write_bytes(FIXTURE_GOLD.read_bytes())
+        assert run("prepare", "--gold", gold, "--out-dir", out_dir) == 1
+        assert self.error(caplog) == f"ValueError: --out-dir ({name}) and --gold name the same file: {gold}"
+        assert sorted(p.name for p in out_dir.iterdir()) == [name]
+        assert gold.read_bytes() == FIXTURE_GOLD.read_bytes()
+
+
 _WITHOUT_NUMPY = """
 import sys
 src, gold, pred, out = sys.argv[1:]

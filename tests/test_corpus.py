@@ -18,7 +18,7 @@ from finrelex.corpus import (
     load_gold,
     split_train_test,
 )
-from finrelex.records import parse
+from finrelex.records import RelationRecord, parse
 from tests.conftest import FIXTURE_CORPUS
 
 
@@ -477,6 +477,38 @@ class TestLoadGold:
         write_lines(path, [json.dumps({"id": "1", "input_text": "t", "target_text": "a, b"})])
         with pytest.raises(CorpusFormatError, match="target_text"):
             load_gold(path)
+
+    @pytest.mark.parametrize("target, message", [
+        ("a, b", "record 'a, b' has fewer than four comma-separated fields"),
+        ("Acme, revenu, $1, d|", "variable_name must be one of ('founder', 'country', 'revenue', "
+         "'customers/users', 'investment'), got 'revenu'"),
+        (" , revenue, $1, d", "company must be a non-empty string, got ''"),
+        ("Acme, revenue, , d", "variable_value must be a non-empty string, got ''"),
+        ("Acme, revenue, $1, ", "variable_date must be a non-empty string, got ''"),
+        ("Acme, revenue, $1, d| x", "record 'x' has fewer than four comma-separated fields"),
+        ("Acme, revenue, $1, March 3, 2021|Acme,,",
+         "record 'Acme,,' has fewer than four comma-separated fields"),
+        ("|| Acme ,  Founder , Jane, unknown-date ||", "variable_name must be one of ('founder', "
+         "'country', 'revenue', 'customers/users', 'investment'), got 'Founder'"),
+    ])
+    def test_bad_target_message(self, tmp_path, target, message):
+        path = tmp_path / "gold.jsonl"
+        write_lines(path, [json.dumps({"id": "0", "input_text": "t", "target_text": ""}),
+                           json.dumps({"id": "1", "input_text": "t", "target_text": target})])
+        with pytest.raises(CorpusFormatError) as info:
+            load_gold(path)
+        assert str(info.value) == f"line 2: bad target_text ({message})"
+
+    def test_valid_gold_builds_no_records(self, monkeypatch, tmp_path, gold_examples):
+        built = []
+        check = RelationRecord.__post_init__
+        monkeypatch.setattr(RelationRecord, "__post_init__", lambda r: built.append(r) or check(r))
+        path = tmp_path / "gold.jsonl"
+        corpus.save_gold(gold_examples, path)
+        assert len(load_gold(path)) == len(gold_examples)
+        assert built == []
+        parse(gold_examples[0].target_text)
+        assert built  # the count sees the records parse builds
 
     def test_gold_round_trip(self, tmp_path, gold_examples):
         path = tmp_path / "gold.jsonl"

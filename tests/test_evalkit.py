@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from finrelex.evalkit import (
     score_example,
     word_match,
 )
-from tests.test_acceptance import oracle_edit_distance, oracle_word_match
+from tests.test_acceptance import oracle_edit_distance, oracle_score, oracle_word_match
 
 EXACT_CFG = EvalConfig(mode="exact")
 FUZZY_CFG = EvalConfig(mode="fuzzy", fuzzy_threshold=0.90)
@@ -193,6 +194,29 @@ class TestScoreExample:
             score_example(" ".join(words), " ".join(predicted), FUZZY_CFG)
             assert len(calls) == k
 
+    def test_unicode_case_variants_equal_oracle(self):
+        # words whose folds differ in length or need full case folding, joined
+        # by separators the scorer strips or splits on
+        words = ["Straße", "STRASSE", "strasse", "İ", "i\u0307", "I", "ΣΑΣ", "σας", "σασ",
+                 "\ufb01n", "FIN", "fin", "fim", "Jumia", "JUMIA"]
+        joins = [" ", "\u00a0", "\u2003", "|", ",", ", ", "| ", " \u00a0"]
+        rng = random.Random(4242)
+
+        def text():
+            parts = rng.choices(words, k=rng.randint(0, 5))
+            joined = "".join(w + rng.choice(joins) for w in parts)
+            return joined if rng.random() < 0.5 else joined[:-1]  # or cut the last separator
+
+        for _ in range(400):
+            target, predicted = text(), text()
+            for mode, threshold, strip in [("exact", 0.9, True), ("exact", 0.9, False),
+                                           ("fuzzy", 0.5, True), ("fuzzy", 0.75, False),
+                                           ("fuzzy", 0.9, True), ("fuzzy", 1.0, True)]:
+                cfg = EvalConfig(mode=mode, fuzzy_threshold=threshold, strip_separators=strip)
+                assert score_example(target, predicted, cfg) == oracle_score(
+                    target, predicted, mode, threshold, strip
+                ), (target, predicted, mode, threshold, strip)
+
     def test_appending_matching_pair_never_decreases_tp(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -321,3 +345,18 @@ class TestEvalConfig:
 
     def test_accepts_int_threshold(self):
         assert EvalConfig(mode="fuzzy", fuzzy_threshold=1).fuzzy_threshold == 1
+
+
+def test_casefold_facts_that_folding_once_relies_on():
+    """``score_example`` folds a whole string and then splits it, and
+    ``word_match`` folds its words again.  That equals folding each word once
+    because no character folds to or from whitespace, none folds to ``|`` or
+    ``,``, and folding is idempotent.  Checked against this interpreter's
+    Unicode database, over every code point."""
+    for c in map(chr, range(sys.maxunicode + 1)):
+        folded = c.casefold()
+        if folded == c:
+            continue
+        assert not c.isspace(), hex(ord(c))
+        assert not any(f.isspace() or f in "|," for f in folded), hex(ord(c))
+        assert folded.casefold() == folded, hex(ord(c))

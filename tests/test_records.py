@@ -1,12 +1,18 @@
+import json
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from finrelex._fileio import jsonl_dumps
 from finrelex.records import (
     RecordError,
     RelationRecord,
     parse,
     serialize,
+    validate,
 )
 
 JUMIA_TARGET = "Jumia, revenue, €41 million, Q4 2020| Jumia, revenue, €33.7 million, Q3 2020|"
@@ -72,6 +78,52 @@ class TestRecordConstruction:
     def test_accepts_customers_users_name(self):
         record = RelationRecord("Acme", "customers/users", "5 million")
         assert parse(serialize([record])) == [record]
+
+
+# pieces of generated targets: good and bad fields, and their separators
+_FIELD_PIECES = ["Acme", " Acme ", "", " ", "\t", "revenue", "Revenue", "revnue", "founder",
+                 "customers/users", "$1 million", "March 3", " 2021", "unknown-date", "€4\u00a0m"]
+_COMMAS = [", ", ",", ",,", " , ", ""]
+_PIPES = ["|", "| ", "||", " | ", ""]
+
+
+def _outcome(fn, target):
+    try:
+        fn(target)
+    except RecordError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_rejects_exactly_what_parse_rejects():
+    rng = random.Random(1717)
+    kinds = Counter()
+    for _ in range(5000):
+        segments = []
+        for _ in range(rng.randint(0, 3)):
+            fields = [rng.choice(_FIELD_PIECES) for _ in range(rng.choice((1, 3, 4, 4, 4, 5)))]
+            segment = fields[0]
+            for f in fields[1:]:
+                segment += rng.choice(_COMMAS) + f
+            segments.append(segment + rng.choice(_PIPES))
+        target = rng.choice(_PIPES) + "".join(segments)
+        expected = _outcome(parse, target)
+        if expected is not None:
+            kinds[expected.split()[0]] += 1
+        assert _outcome(validate, target) == expected, target
+    # every way to fail occurs, and so does success
+    assert set(kinds) == {"record", "company", "variable_name", "variable_value", "variable_date"}
+    assert min(kinds.values()) >= 5 and sum(kinds.values()) < 4500, kinds
+
+
+@pytest.mark.parametrize("strings", [
+    ["plain", "", "caf\u00e9 \u20ac41 \u4e2d\u6587 \U0001f600"],
+    ['say "hi"', "back\\slash", "tab\tnew\nline\rcr", "\x00\x1f\x7f"],
+    ["line\u2028sep\u2029para", "\u00a0\u2003", "|, ,|"],
+])
+def test_jsonl_dumps_matches_per_row_json_dumps(strings):
+    rows = [{"id": s, "predicted_text": s[::-1], "n": i} for i, s in enumerate(strings)]
+    assert jsonl_dumps(rows) == "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in rows)
 
 
 class TestPredictionFiles:
