@@ -5,14 +5,19 @@ investment by comparing the phrase's mean word vector against two small
 lexicons and taking the single most similar word; person mentions get the
 same treatment against a founder lexicon.  A classification only sticks when
 the winning similarity strictly exceeds the configured threshold.
+
+A :class:`Classifier` holds the lexicon rows of one table and lexicon, with
+their norms; each table builds it at its first classification with that
+lexicon and keeps it for the rest of the run.
 """
 
 from __future__ import annotations
 
 import codecs
 import logging
+import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -48,14 +53,29 @@ class EmbeddingTable:
 
     ``load_embeddings`` fills ``vectors`` with a read-only mapping whose
     values are row views of one float64 matrix; any mapping of words to
-    vectors works as well.
+    float64 vectors works as well.
+
+    The table keeps the :class:`Classifier` of each lexicon it classifies
+    with, built at the first classification; the lexicon rows it holds are
+    the table's vectors at that moment, so a table's vectors must not
+    change after its first classification.
     """
 
     dimension: int
     vectors: Mapping[str, np.ndarray]
+    _classifiers: dict[LexiconConfig, Classifier] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def lookup(self, word: str) -> np.ndarray | None:
         return self.vectors.get(word.casefold())
+
+    def classifier(self, lex: LexiconConfig) -> Classifier:
+        """The classifier of ``lex`` over this table, built at its first use."""
+        clf = self._classifiers.get(lex)
+        if clf is None:
+            clf = self._classifiers[lex] = Classifier(self, lex)
+        return clf
 
 
 class _MatrixRows(Mapping[str, np.ndarray]):
@@ -92,6 +112,11 @@ class LexiconConfig:
     def __post_init__(self) -> None:
         if not self.revenue_words or not self.investment_words or not self.founder_words:
             raise ValueError("lexicon word lists must be non-empty")
+        for name in ("revenue_words", "investment_words", "founder_words"):
+            for word in getattr(self, name):
+                # table words come from ``str.split``, so no other word can match
+                if word.split() != [word]:
+                    raise ValueError(f"{name}: {word!r} is empty or holds whitespace, so it never matches")
         overlap = set(w.casefold() for w in self.revenue_words) & set(
             w.casefold() for w in self.investment_words
         )
@@ -232,35 +257,95 @@ def load_lexicon(path: str | Path) -> LexiconConfig:
 def phrase_vector(table: EmbeddingTable, phrase: str) -> np.ndarray | None:
     """Mean vector of the phrase's in-vocabulary tokens, or ``None`` if all
     tokens are out of vocabulary."""
-    found = [table.lookup(word) for word in phrase.split()]
-    found = [v for v in found if v is not None]
+    found = [v for v in map(table.lookup, phrase.split()) if v is not None]
     if not found:
         return None
-    return np.mean(found, axis=0)
+    # the sum and division ``np.mean`` performs, without its dispatch
+    return np.add.reduce(np.array(found), axis=0) / len(found)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; a zero vector yields 0.0 with a warning."""
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        logger.warning("cosine of a zero vector is undefined; returning 0.0")
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+def _norm(v: np.ndarray) -> float:
+    # how ``np.linalg.norm`` computes the norm of a real 1-D vector
+    return math.sqrt(v.dot(v))
 
 
-def _best_match(table: EmbeddingTable, vec: np.ndarray, words: tuple[str, ...]) -> float:
-    """Highest similarity of ``vec`` to an in-vocabulary word, or -2.0 (below
-    any threshold) when every word is out of vocabulary.  The strict ``>``
-    means a NaN similarity never wins."""
-    best_sim = -2.0
+class Classifier:
+    """The money and founder classifiers of one table and lexicon.
+
+    Each lexicon word is looked up, and its vector's norm computed, once,
+    when the classifier is built; an out-of-vocabulary word is left out of
+    its group.  Each phrase then costs one phrase vector and norm, and one
+    ``dot / (nu * nv)`` per lexicon row.  A zero vector on either side gives
+    similarity 0.0, with a warning: once per lexicon word at build time, and
+    once per classification of a phrase.
+    """
+
+    def __init__(self, table: EmbeddingTable, lex: LexiconConfig) -> None:
+        self.table = table
+        self.threshold = lex.threshold
+        self.groups = {
+            group: _lexicon_rows(table, group, words)
+            for group, words in (
+                (REVENUE, lex.revenue_words),
+                (INVESTMENT, lex.investment_words),
+                (FOUNDER, lex.founder_words),
+            )
+        }
+
+    def best_similarities(self, phrase: str, *groups: str) -> tuple[float, ...] | None:
+        """For each of ``groups``, the highest similarity of the phrase
+        vector to one of its words, or -2.0 (below any threshold) when the
+        group has no in-vocabulary word; ``None`` for a fully
+        out-of-vocabulary phrase.  The strict ``>`` means a NaN similarity
+        never wins."""
+        vec = phrase_vector(self.table, phrase)
+        if vec is None:
+            return None
+        nu = _norm(vec)
+        if nu == 0.0:
+            logger.warning("phrase %r has a zero vector; its similarity to every lexicon word is 0.0", phrase)
+        best_sims = []
+        for group in groups:
+            best_sim = -2.0
+            for row, nv in self.groups[group]:
+                sim = 0.0 if nu == 0.0 or nv == 0.0 else float(vec.dot(row) / (nu * nv))
+                if sim > best_sim:
+                    best_sim = sim
+            best_sims.append(best_sim)
+        return tuple(best_sims)
+
+    def money(self, phrase: str) -> str:
+        """See :func:`classify_money_phrase`."""
+        sims = self.best_similarities(phrase, REVENUE, INVESTMENT)
+        if sims is None:
+            return UNKNOWN
+        rev_sim, inv_sim = sims
+        if max(rev_sim, inv_sim) <= self.threshold or rev_sim == inv_sim:
+            return UNKNOWN
+        return REVENUE if rev_sim > inv_sim else INVESTMENT
+
+    def person(self, phrase: str, context: str) -> str:
+        """See :func:`classify_person_phrase`."""
+        sims = self.best_similarities(f"{phrase} {context}".strip(), FOUNDER)
+        if sims is None or sims[0] <= self.threshold:
+            return OTHER
+        return FOUNDER
+
+
+def _lexicon_rows(
+    table: EmbeddingTable, group: str, words: tuple[str, ...]
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """``(vector, norm)`` of each in-vocabulary word of ``group``, in lexicon order."""
+    rows = []
     for word in words:
-        wvec = table.lookup(word)
-        if wvec is None:
+        vec = table.lookup(word)
+        if vec is None:
             continue
-        sim = cosine(vec, wvec)
-        if sim > best_sim:
-            best_sim = sim
-    return best_sim
+        norm = _norm(vec)
+        if norm == 0.0:
+            logger.warning("%s lexicon word %r has a zero vector; its similarity to every phrase is 0.0", group, word)
+        rows.append((vec, norm))
+    return tuple(rows)
 
 
 def classify_money_phrase(table: EmbeddingTable, lex: LexiconConfig, phrase: str) -> str:
@@ -271,14 +356,7 @@ def classify_money_phrase(table: EmbeddingTable, lex: LexiconConfig, phrase: str
     out-of-vocabulary phrase, a sub-threshold winner, and an exact similarity
     tie between the two groups all yield ``unknown``.
     """
-    vec = phrase_vector(table, phrase)
-    if vec is None:
-        return UNKNOWN
-    rev_sim = _best_match(table, vec, lex.revenue_words)
-    inv_sim = _best_match(table, vec, lex.investment_words)
-    if max(rev_sim, inv_sim) <= lex.threshold or rev_sim == inv_sim:
-        return UNKNOWN
-    return REVENUE if rev_sim > inv_sim else INVESTMENT
+    return table.classifier(lex).money(phrase)
 
 
 def classify_person_phrase(
@@ -289,10 +367,4 @@ def classify_person_phrase(
     The mention and its governing noun-phrase context are pooled into one
     phrase vector and compared against the founder lexicon.
     """
-    combined = f"{phrase} {context}".strip()
-    vec = phrase_vector(table, combined)
-    if vec is None:
-        return OTHER
-    if _best_match(table, vec, lex.founder_words) <= lex.threshold:
-        return OTHER
-    return FOUNDER
+    return table.classifier(lex).person(phrase, context)

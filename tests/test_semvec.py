@@ -1,5 +1,6 @@
 import codecs
 import logging
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -8,18 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finrelex import semvec
+from finrelex import corpus, relex, semvec
+from finrelex.deptree import TreeView
 from finrelex.semvec import (
     EmbeddingFormatError,
     EmbeddingTable,
     LexiconConfig,
     classify_money_phrase,
     classify_person_phrase,
-    cosine,
     load_embeddings,
     load_lexicon,
     phrase_vector,
 )
+
+from tests.conftest import FIXTURE_CORPUS, TOY_EMBEDDINGS
 
 
 @pytest.fixture()
@@ -247,21 +250,78 @@ class TestPhraseVector:
         assert list(vec) == [1.0, 0.0]
 
 
+# The classifier path before the table built one classifier per lexicon:
+# every classification looked up each lexicon word again and computed both
+# norms once per word.  ``Classifier`` must give the same similarities and
+# verdicts, bit for bit.
+
+
+def _reference_phrase_vector(table, phrase):
+    found = [table.lookup(word) for word in phrase.split()]
+    found = [v for v in found if v is not None]
+    if not found:
+        return None
+    return np.mean(found, axis=0)
+
+
+def _reference_cosine(u, v):
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        semvec.logger.warning("cosine of a zero vector is undefined; returning 0.0")
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def _reference_best_match(table, vec, words):
+    best_sim = -2.0
+    for word in words:
+        wvec = table.lookup(word)
+        if wvec is None:
+            continue
+        sim = _reference_cosine(vec, wvec)
+        if sim > best_sim:
+            best_sim = sim
+    return best_sim
+
+
+def _reference_money(table, lex, phrase):
+    """``(revenue similarity, investment similarity)`` or ``None``, and the verdict."""
+    vec = _reference_phrase_vector(table, phrase)
+    if vec is None:
+        return None, "unknown"
+    rev_sim = _reference_best_match(table, vec, lex.revenue_words)
+    inv_sim = _reference_best_match(table, vec, lex.investment_words)
+    if max(rev_sim, inv_sim) <= lex.threshold or rev_sim == inv_sim:
+        return (rev_sim, inv_sim), "unknown"
+    return (rev_sim, inv_sim), "revenue" if rev_sim > inv_sim else "investment"
+
+
+def _reference_person(table, lex, phrase, context):
+    """``(founder similarity,)`` or ``None``, and the verdict."""
+    vec = _reference_phrase_vector(table, f"{phrase} {context}".strip())
+    if vec is None:
+        return None, "other"
+    sim = _reference_best_match(table, vec, lex.founder_words)
+    return (sim,), "other" if sim <= lex.threshold else "founder"
+
+
 class TestCosine:
+    """The reference's cosine, which ``Classifier.best_similarities`` inlines."""
+
     def test_identical(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert _reference_cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+        assert _reference_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
 
     def test_forty_five_degrees(self):
-        value = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        value = _reference_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert value == pytest.approx(2 ** -0.5, abs=1e-6)
         assert value == pytest.approx(0.7071, abs=1e-4)
 
     def test_zero_vector_warns_and_returns_zero(self, caplog):
         with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
-            value = cosine(np.zeros(2), np.array([1.0, 0.0]))
+            value = _reference_cosine(np.zeros(2), np.array([1.0, 0.0]))
         assert value == 0.0
         assert any("zero vector" in r.message for r in caplog.records)
 
@@ -269,7 +329,167 @@ class TestCosine:
         rng = np.random.default_rng(7)
         for _ in range(100):
             u, v = rng.normal(size=3), rng.normal(size=3)
-            assert cosine(u, v) == pytest.approx(cosine(v, u))
+            assert _reference_cosine(u, v) == pytest.approx(_reference_cosine(v, u))
+
+
+def _assert_matches_reference(table, lex, phrase, context):
+    clf = table.classifier(lex)
+    want_vec = _reference_phrase_vector(table, phrase)
+    got_vec = phrase_vector(table, phrase)
+    assert (got_vec is None) == (want_vec is None), phrase
+    if want_vec is not None:
+        assert got_vec.tobytes() == want_vec.tobytes(), phrase
+    sims, verdict = _reference_money(table, lex, phrase)
+    assert clf.best_similarities(phrase, "revenue", "investment") == sims, phrase
+    assert classify_money_phrase(table, lex, phrase) == verdict, phrase
+    sims, verdict = _reference_person(table, lex, phrase, context)
+    assert clf.best_similarities(f"{phrase} {context}".strip(), "founder") == sims, (phrase, context)
+    assert classify_person_phrase(table, lex, phrase, context) == verdict, (phrase, context)
+
+
+# Words of the drawn tables, lexicons and phrases: "zzz" and "qqq" are never
+# in a table, so lexicons and phrases also hold out-of-vocabulary words.
+_POOL = ["income", "revenue", "raised", "equity", "founder", "net", "the", "of", "million", "Income"]
+_OOV = ["zzz", "qqq"]
+# Components with zero rows, exact 45-degree ties and a component whose
+# square underflows, so a non-zero vector can have norm 0.0.
+_COMPONENTS = [0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -0.25, 3.7, 1e-3, 1e-200]
+
+
+@st.composite
+def _tables(draw):
+    """A dict- or matrix-backed table whose rows are drawn vectors, copies
+    of an earlier row (exact ties) or scaled copies of one."""
+    d = draw(st.integers(1, 3))
+    words = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=8, unique_by=str.casefold))
+    rows = []
+    for _ in words:
+        kind = draw(st.sampled_from(["drawn", "drawn", "copy", "scaled"])) if rows else "drawn"
+        if kind == "drawn":
+            row = np.array(draw(st.lists(st.sampled_from(_COMPONENTS), min_size=d, max_size=d)))
+        else:
+            row = draw(st.sampled_from(rows)) * (1.0 if kind == "copy" else draw(st.sampled_from([2.0, 0.5, 3.7])))
+        rows.append(row)
+    keys = [w.casefold() for w in words]
+    if draw(st.booleans()):
+        return EmbeddingTable(dimension=d, vectors=dict(zip(keys, rows)))
+    index = {w: i for i, w in enumerate(keys)}
+    return EmbeddingTable(dimension=d, vectors=semvec._MatrixRows(np.array(rows), index))
+
+
+@st.composite
+def _lexicons(draw):
+    words = st.sampled_from(_POOL + _OOV)
+    revenue = draw(st.lists(words, min_size=1, max_size=4))
+    investment = draw(st.lists(words.filter(
+        lambda w: w.casefold() not in {r.casefold() for r in revenue}), min_size=1, max_size=4))
+    founder = draw(st.lists(words, min_size=1, max_size=4))
+    threshold = draw(st.sampled_from([0.0, 0.5, 2 ** -0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    return LexiconConfig(tuple(revenue), tuple(investment), tuple(founder), threshold)
+
+
+_phrases = st.lists(st.sampled_from(_POOL + _OOV), max_size=4).map(" ".join)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tables(), _lexicons(), st.lists(st.tuples(_phrases, _phrases), min_size=1, max_size=4))
+def test_classifier_matches_reference(table, lex, phrases):
+    for phrase, context in phrases:
+        _assert_matches_reference(table, lex, phrase, context)
+
+
+def _classified_phrases(table, lex):
+    """The ``(money phrase, person phrase, person context)`` arguments of
+    every classification in an ``extract`` of the fixture corpus."""
+    money, person = [], []
+    with mock.patch.object(semvec, "classify_money_phrase", side_effect=lambda t, lx, p: money.append(p) or "unknown"), \
+            mock.patch.object(semvec, "classify_person_phrase", side_effect=lambda t, lx, p, c: person.append((p, c)) or "other"):
+        for doc in corpus.load_documents(FIXTURE_CORPUS):
+            relex.extract(TreeView.build(doc), table, lex)
+    return money, person
+
+
+def test_classifier_matches_reference_on_fixture_phrases(toy_table, lexicon):
+    money, person = _classified_phrases(toy_table, lexicon)
+    assert money and person
+    for phrase in money:
+        _assert_matches_reference(toy_table, lexicon, phrase, "")
+    for phrase, context in person:
+        _assert_matches_reference(toy_table, lexicon, phrase, context)
+
+
+class TestClassifierBuiltOnce:
+    def test_extract_looks_up_each_lexicon_word_once(self, lexicon):
+        # a fresh table, so no classifier is cached yet; lookups made while a
+        # phrase vector is built are per-phrase work and not counted
+        table = load_embeddings(TOY_EMBEDDINGS)
+        swapped = LexiconConfig(revenue_words=lexicon.investment_words, investment_words=lexicon.revenue_words)
+        counts = Counter()
+        in_phrase = False
+        lookup, phrase_vector_ = EmbeddingTable.lookup, semvec.phrase_vector
+
+        def counting_lookup(self, word):
+            if not in_phrase:
+                counts[word] += 1
+            return lookup(self, word)
+
+        def flagged_phrase_vector(table, phrase):
+            nonlocal in_phrase
+            in_phrase = True
+            try:
+                return phrase_vector_(table, phrase)
+            finally:
+                in_phrase = False
+
+        docs = corpus.load_documents(FIXTURE_CORPUS)
+        with mock.patch.object(EmbeddingTable, "lookup", counting_lookup), \
+                mock.patch.object(semvec, "phrase_vector", flagged_phrase_vector):
+            for lex in (lexicon, swapped, lexicon, swapped):
+                for doc in docs:
+                    relex.extract(TreeView.build(doc), table, lex)
+        lexicon_words = Counter(lexicon.revenue_words + lexicon.investment_words + lexicon.founder_words)
+        assert counts == lexicon_words + lexicon_words  # once for each of the two lexicons
+
+    def test_each_lexicon_gets_its_own_classifier(self, tmp_path):
+        # "far" is about 0.707 from "income": above one threshold, not the other
+        path = tmp_path / "vectors.txt"
+        path.write_text("income 1 0\nraised 0 1\nfar 1 1.0001\n", encoding="utf-8")
+        table = load_embeddings(path)
+        loose, strict = LexiconConfig(threshold=0.5), LexiconConfig(threshold=0.9)
+        swapped = LexiconConfig(revenue_words=loose.investment_words, investment_words=loose.revenue_words)
+        for lex, want in [(loose, "investment"), (strict, "unknown"), (swapped, "revenue"), (loose, "investment")]:
+            assert classify_money_phrase(table, lex, "far") == want, lex
+        assert table.classifier(loose) is table.classifier(LexiconConfig(threshold=0.5))
+        assert len({id(table.classifier(lex)) for lex in (loose, strict, swapped)}) == 3
+
+
+class TestZeroVectorWarnings:
+    def test_zero_lexicon_word_warns_once_at_build(self, tmp_path, caplog):
+        path = tmp_path / "vectors.txt"
+        path.write_text("income 0 0\nrevenue 1 0\nraised 0 1\n", encoding="utf-8")
+        table = load_embeddings(path)
+        lex = LexiconConfig()
+        with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
+            verdicts = [classify_money_phrase(table, lex, phrase) for phrase in ["revenue", "raised", "revenue"]]
+        assert verdicts == ["revenue", "investment", "revenue"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "revenue lexicon word 'income' has a zero vector; its similarity to every phrase is 0.0"
+        ]
+
+    def test_zero_phrase_warns_once_per_classification(self, tmp_path, caplog):
+        # three in-vocabulary lexicon words: the reference warned three times a phrase
+        path = tmp_path / "vectors.txt"
+        path.write_text("income 1 0\nrevenue 1 0\nraised 0 1\nnil 0 0\nzero 0 0\n", encoding="utf-8")
+        table = load_embeddings(path)
+        lex = LexiconConfig()
+        with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
+            assert classify_money_phrase(table, lex, "nil") == "unknown"
+            assert classify_money_phrase(table, lex, "nil zero") == "unknown"
+            assert classify_person_phrase(table, lex, "nil", "") == "other"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"phrase {phrase!r} has a zero vector; its similarity to every lexicon word is 0.0"
+            for phrase in ["nil", "nil zero", "nil"]
+        ]
 
 
 class TestClassifyMoneyPhrase:
@@ -363,6 +583,23 @@ class TestLexiconConfig:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             LexiconConfig(revenue_words=())
+
+    @pytest.mark.parametrize("key", ["revenue_words", "investment_words", "founder_words"])
+    @pytest.mark.parametrize("word", ["", " ", "net income", "income ", "\tincome"])
+    def test_word_that_never_matches_rejected(self, key, word):
+        # table words come from str.split: none is empty or holds whitespace
+        with pytest.raises(ValueError) as info:
+            LexiconConfig(**{key: ("sales", word)})
+        assert str(info.value) == f"{key}: {word!r} is empty or holds whitespace, so it never matches"
+
+    def test_load_lexicon_names_file_of_word_that_never_matches(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text('{"revenue_words": ["net income", ""]}', encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_lexicon(path)
+        assert str(info.value) == (
+            f"{path}: revenue_words: 'net income' is empty or holds whitespace, so it never matches"
+        )
 
     def test_load_lexicon_overrides(self, tmp_path):
         path = tmp_path / "lexicon.json"
