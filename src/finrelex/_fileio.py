@@ -1,4 +1,5 @@
-"""Shared file helpers: JSON-lines and JSON-object reading, and atomic writes.  Each record
+"""Shared file helpers: JSON-lines and JSON-object reading, splitting a file
+into ranges of whole lines, and atomic writes.  Each record
 kind declares its keys and their exact JSON types once, as :class:`Fields`;
 a bad line or field raises the caller's error naming the line; nothing is coerced."""
 
@@ -7,9 +8,12 @@ from __future__ import annotations
 import json
 import operator
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 # json.dumps builds a new encoder for each call that passes any argument
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
@@ -24,13 +28,67 @@ def decode_utf8(data: bytes, lineno: int, error: type[Exception]) -> str:
         raise error(f"line {bad}: not valid UTF-8 ({exc.reason})") from exc
 
 
-def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
-    """Yield (1-based line number, decoded value) per non-blank line; the first
-    line in file order that is not UTF-8, not JSON, or has a string with a
-    lone UTF-16 surrogate raises ``error``."""
+class LineRange(NamedTuple):
+    """Lines ``first`` to ``last`` (1-based) of a file, whose first byte is at offset ``start``."""
+
+    start: int
+    first: int
+    last: int
+
+
+def line_ranges(path: str | Path, parts: int) -> list[LineRange | None]:
+    """Split ``path`` into at most ``parts`` contiguous, non-empty ranges of
+    whole lines, in file order, each cut at the first line start at or after
+    a ``1/parts`` share of the bytes: none for an empty file, fewer when a
+    line spans a cut.  A file that is not a regular file (a pipe) cannot be
+    split and is ``[None]``, one part that reads it to its end."""
     with open(path, "rb") as fh:
-        lineno = 0
-        for line in fh:  # not enumerate, whose cached tuple would keep the raw bytes alive
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return [None]
+        size = info.st_size
+        cuts = [0]
+        for k in range(1, parts):
+            cut = size * k // parts
+            if cut > cuts[-1]:
+                fh.seek(cut - 1)
+                fh.readline()
+                cuts.append(fh.tell())
+        cuts.append(size)
+        ranges, first = [], 1
+        for start, end in zip(cuts, cuts[1:]):
+            if start < end:
+                fh.seek(start)
+                count = _count_lines(fh, end - start)
+                ranges.append(LineRange(start, first, first + count - 1))
+                first += count
+    return ranges
+
+
+def _count_lines(fh, size: int) -> int:
+    """Lines in the next ``size`` bytes of ``fh``, the last one with or without its newline."""
+    count, last = 0, b"\n"
+    while size > 0:
+        chunk = fh.read(min(size, 1 << 20))
+        if not chunk:
+            break
+        count += chunk.count(b"\n")
+        size -= len(chunk)
+        last = chunk[-1:]
+    return count + (last != b"\n")
+
+
+def iter_jsonl(path: str | Path, error: type[Exception],
+               lines: LineRange | None = None) -> Iterator[tuple[int, object]]:
+    """Yield (1-based line number, decoded value) per non-blank line of the
+    file, or of its range ``lines``; the first line in file order that is not
+    UTF-8, not JSON, or has a string with a lone UTF-16 surrogate raises ``error``."""
+    with open(path, "rb") as fh:
+        lineno, rows = 0, fh
+        if lines is not None:
+            fh.seek(lines.start)
+            lineno, rows = lines.first - 1, islice(fh, lines.last - lines.first + 1)
+        for line in rows:  # not enumerate, whose cached tuple would keep the raw bytes alive
             lineno += 1
             line = decode_utf8(line, lineno, error)
             if not line.strip():

@@ -19,9 +19,20 @@ comes from ``--log-level`` or the ``FINRELEX_LOG_LEVEL`` environment variable
 written atomically (temp file + rename), so an interrupted run never leaves a
 truncated file, and runs with identical inputs and seed produce byte-identical
 outputs.  An output path that resolves to an input or to another output is
-refused before anything is read.  Extraction runs in one process;
-``--workers`` is validated (an integer >= 1) and kept for compatibility, and
-does not change the output.
+refused before anything is read.
+
+``extract --workers N`` cuts the corpus file into at most N ranges of whole
+lines, no more than the CPUs the process may run on.  After the table,
+lexicon and classifier are built, each range but the first runs in a child
+forked from this process (the ``fork`` start method, so Linux), which
+inherits them and sends back only ids and predicted texts; this process runs
+the first range.  Results are joined in file order, so the output is
+byte-identical for every N and the first error in the file is the one a
+single process reports.  Children's per-document warnings may interleave on
+standard error.  Python 3.12 and later may warn that forking a process that
+runs threads (NumPy's BLAS threads) can deadlock; CI runs 3.10 and 3.11.
+One part (``--workers 1``, or a corpus of at most one line) forks nothing
+and imports no ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from pathlib import Path
 
 from . import corpus, evalkit
 from . import records as records_mod
-from ._fileio import atomic_write_text, jsonl_dumps, read_json_object
+from ._fileio import LineRange, atomic_write_text, jsonl_dumps, line_ranges, read_json_object
 from .deptree import TreeView
 
 logger = logging.getLogger(__name__)
@@ -61,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")
     p_extract.add_argument("--workers", type=int, default=1,
-                           help="kept for compatibility: an integer >= 1 that does not change "
-                           "the output, since extraction runs in one process (default %(default)s)")
+                           help="processes, at most one per available CPU, that each extract one "
+                           "range of the corpus's lines (fork, so Linux); the output does not "
+                           "depend on it (default %(default)s)")
     p_extract.set_defaults(run=cmd_extract, required_flags=("corpus", "embeddings", "out"))
 
     p_eval = sub.add_parser("evaluate", help="score a prediction file against gold targets")
@@ -160,20 +172,119 @@ def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
 
 def cmd_extract(args: argparse.Namespace) -> None:
     _check_outputs(args, ("corpus", "embeddings", "lexicon"), {"--out": args.out})
-    from . import relex, semvec  # NumPy: only extract and inspect import it
-    # --workers is only validated: extraction runs in one process.
+    from . import semvec  # NumPy: only extract and inspect import it
     if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1, got {args.workers!r}")
     # The table and lexicon first: a malformed one fails before the corpus is decoded.
     table = semvec.load_embeddings(args.embeddings)
     lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()
-    docs = corpus.load_documents(args.corpus)
-    results = [
-        (doc.id, records_mod.serialize(relex.extract(TreeView.build(doc), table, lex)))
-        for doc in docs
-    ]
+    table.classifier(lex)  # built once, before any fork, so every part inherits it
+    ranges = line_ranges(args.corpus, _part_count(args.workers))
+    results = _extract_parts(args.corpus, ranges, table, lex)
     records_mod.save_predictions(results, args.out)
     logger.info("wrote %d predictions to %s", len(results), args.out)
+
+
+def _part_count(workers: int) -> int:
+    """How many parts an ``extract --workers workers`` splits its corpus into:
+    at most one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
+_Part = tuple[list[tuple[int, str]], list[str], Exception | None, Exception | None]
+
+
+def _extract_part(path: str, lines: LineRange | None, table, lex) -> _Part:
+    """Load, build, extract and serialize the documents on ``lines`` of
+    ``path`` (all of it for ``None``).  Returns the (line number, id) of each
+    document loaded, their predicted texts, and the error that stopped the
+    load or else the one that stopped the extraction, the other ``None``.
+    After an error the texts are empty; after a load error the documents
+    loaded are those before the line that failed."""
+    from . import relex
+
+    loaded: list[tuple[int, str]] = []
+    try:
+        docs = corpus.load_documents(path, lines, loaded)
+    except Exception as exc:  # raised by the parent, after every earlier part
+        return loaded, [], exc, None
+    try:
+        texts = [records_mod.serialize(relex.extract(TreeView.build(doc), table, lex)) for doc in docs]
+    except Exception as exc:  # raised by the parent, once every part has loaded
+        return loaded, [], None, exc
+    return loaded, texts, None, None
+
+
+def _send_part(sender, path: str, lines: LineRange, table, lex) -> None:
+    """A forked child's body: run one part and send the parent its result."""
+    with sender:
+        sender.send(_extract_part(path, lines, table, lex))
+
+
+def _receive_part(lines: LineRange, receiver, child) -> _Part:
+    try:
+        return receiver.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"the extract worker for lines {lines.first}-{lines.last} exited "
+                           f"with code {child.exitcode} before sending its result") from None
+
+
+def _extract_parts(path: str, ranges: list[LineRange | None], table, lex) -> list[tuple[str, str]]:
+    """(id, predicted text) of every document on ``ranges`` of ``path``, in file order.
+
+    This process runs the first part; each other part runs in a child forked
+    before that, which inherits the table and its classifier and sends back
+    only its ids and texts.  Parts are joined in file order, so the error
+    is the one a single process, which loads every document before it
+    extracts any, reports: part k's ids are checked against every earlier
+    part's, and part k's load error is raised only when every earlier part
+    loaded and none of part k's documents repeats an earlier id; the first
+    extraction error is raised only when every part loaded.  Every child is
+    joined before this returns or raises; those still running on an error
+    are terminated first.
+    """
+    children = []
+    try:
+        if len(ranges) > 1:
+            import multiprocessing  # only a run of two or more parts forks
+
+            context = multiprocessing.get_context("fork")
+            for lines in ranges[1:]:
+                receiver, sender = context.Pipe(duplex=False)
+                with sender:
+                    child = context.Process(target=_send_part, args=(sender, path, lines, table, lex))
+                    children.append((lines, receiver, child))
+                    child.start()
+        ids: set[str] = set()
+        results, extract_errors = [], []
+        for k, lines in enumerate(ranges):
+            loaded, texts, load_error, extract_error = (_extract_part(path, lines, table, lex) if k == 0
+                                                        else _receive_part(*children[k - 1]))
+            for lineno, doc_id in loaded:
+                corpus.add_id(ids, doc_id, lineno)
+            if load_error is not None:
+                raise load_error
+            if extract_error is not None:
+                extract_errors.append(extract_error)
+            results += [(doc_id, text) for (_, doc_id), text in zip(loaded, texts)]
+        if extract_errors:
+            raise extract_errors[0]
+        return results
+    except BaseException:
+        for _, _, child in children:
+            if child.is_alive():
+                child.terminate()
+        raise
+    finally:
+        for _, receiver, child in children:
+            if child.pid is not None:
+                child.join()
+            receiver.close()
 
 
 def cmd_evaluate(args: argparse.Namespace) -> None:

@@ -25,7 +25,7 @@ from sys import intern
 from typing import NamedTuple
 
 from . import records as records_mod
-from ._fileio import Fields, atomic_write_text, iter_jsonl, jsonl_dumps
+from ._fileio import Fields, LineRange, atomic_write_text, iter_jsonl, jsonl_dumps
 
 logger = logging.getLogger(__name__)
 
@@ -235,16 +235,30 @@ def _document_from_dict(obj: object, lineno: int) -> AnnotatedDocument:
     )
 
 
-def load_documents(path: str | Path) -> list[AnnotatedDocument]:
-    """Load and validate a line-delimited document file, in file order; ids
-    must be unique."""
-    docs: dict[str, AnnotatedDocument] = {}
-    for lineno, obj in iter_jsonl(path, CorpusFormatError):
+def load_documents(path: str | Path, lines: LineRange | None = None,
+                   loaded: list[tuple[int, str]] | None = None) -> list[AnnotatedDocument]:
+    """Load and validate a line-delimited document file, or its range of
+    lines ``lines``, in file order; ids must be unique.  When ``loaded`` is a
+    list, each document's (line number, id) is appended to it as the
+    document loads, so a caller still has them when a later line raises."""
+    docs: list[AnnotatedDocument] = []
+    ids: set[str] = set()
+    for lineno, obj in iter_jsonl(path, CorpusFormatError, lines):
         doc = _document_from_dict(obj, lineno)
-        if doc.id in docs:
-            raise CorpusFormatError(f"line {lineno}: duplicate document id {doc.id!r}")
-        docs[doc.id] = doc
-    return list(docs.values())
+        add_id(ids, doc.id, lineno)
+        docs.append(doc)
+        if loaded is not None:
+            loaded.append((lineno, doc.id))
+    return docs
+
+
+def add_id(ids: set[str], doc_id: str, lineno: int) -> None:
+    """Add the id of the document on line ``lineno`` to ``ids``, the ids of
+    the documents before it; a ``CorpusFormatError`` naming the line when
+    it is there already."""
+    if doc_id in ids:
+        raise CorpusFormatError(f"line {lineno}: duplicate document id {doc_id!r}")
+    ids.add(doc_id)
 
 
 def load_gold(path: str | Path) -> list[GoldExample]:

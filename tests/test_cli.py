@@ -1,13 +1,17 @@
 import argparse
 import json
 import logging
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from finrelex import corpus, records, semvec
+from finrelex import cli, corpus, records, relex, semvec
+from finrelex._fileio import line_ranges
 from finrelex.cli import build_parser, main
 from tests.conftest import DATA_DIR, FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
 
@@ -108,6 +112,181 @@ class TestExtract:
         assert run("extract", "--corpus", FIXTURE_CORPUS, "--embeddings", TOY_EMBEDDINGS,
                    "--out", pooled, "--workers", 8) == 0
         assert single.read_bytes() == pooled.read_bytes()
+
+
+def _set_head(line: bytes, token: int, head: int) -> bytes:
+    obj = json.loads(line)
+    obj["tokens"][token]["head"] = head
+    return json.dumps(obj).encode("utf-8")
+
+
+def _drop_field(line: bytes, key: str) -> bytes:
+    obj = json.loads(line)
+    del obj[key]
+    return json.dumps(obj).encode("utf-8")
+
+
+# Each case changes fixture lines (0-based index -> new bytes) and names the
+# parts, of the two that ``line_ranges`` cuts, whose lines it changes.
+_LINES = FIXTURE_CORPUS.read_bytes().splitlines()
+_SHARDED_DEFECTS = {
+    "part0-bad-json": ({1: b"{not json"}, {0}),
+    "part1-invalid-head": ({15: _set_head(_LINES[15], 0, 99)}, {1}),
+    "both-parts": ({3: _drop_field(_LINES[3], "tokens"), 18: b"[]"}, {0, 1}),
+    "cross-part-duplicate-before-defect": ({14: _LINES[2], 19: _drop_field(_LINES[19], "entities")}, {1}),
+    "defect-before-cross-part-duplicate": ({14: _set_head(_LINES[14], 0, 99), 19: _LINES[2]}, {1}),
+    "duplicate-within-part1": ({17: _LINES[13]}, {1}),
+    "non-utf8-part1": ({16: b'{"id": "caf\xff"}'}, {1}),
+    "bad-json-last-line": ({21: _LINES[21][:-9]}, {1}),
+}
+
+
+class TestShardedExtract:
+    """``--workers 2`` splits the corpus into two parts, run by this process
+    and one forked child, and must fail exactly as one process does."""
+
+    @staticmethod
+    def extract(tmp_path, corpus_path, workers, caplog):
+        caplog.clear()
+        out = tmp_path / f"pred-{workers}.jsonl"
+        status = run("extract", "--corpus", corpus_path, "--embeddings", TOY_EMBEDDINGS,
+                     "--out", out, "--workers", workers)
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        return status, errors, out
+
+    @pytest.mark.parametrize("changes, parts", _SHARDED_DEFECTS.values(), ids=_SHARDED_DEFECTS)
+    def test_first_error_matches_one_process(self, tmp_path, caplog, monkeypatch, changes, parts):
+        # two parts even on a one-CPU machine
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        lines = list(_LINES)
+        for index, line in changes.items():
+            lines[index] = line
+        corpus_path = tmp_path / "corpus.jsonl"
+        # a changed last line also loses its final newline
+        corpus_path.write_bytes(b"\n".join(lines) + (b"" if 21 in changes else b"\n"))
+        cut = line_ranges(corpus_path, 2)[1].first
+        assert {int(i + 1 >= cut) for i in changes} == parts
+        one = self.extract(tmp_path, corpus_path, 1, caplog)
+        two = self.extract(tmp_path, corpus_path, 2, caplog)
+        assert one[:2] == two[:2]
+        assert one[0] == 1 and len(one[1]) == 1
+        assert one[1][0].startswith(("CorpusFormatError: line ", "DocumentValidationError: "))
+        assert not one[2].exists() and not two[2].exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("part1_defect", [False, True], ids=["extraction-error", "later-load-error"])
+    def test_load_error_beats_earlier_extraction_error(self, tmp_path, caplog, monkeypatch, part1_defect):
+        # one process loads every document before it extracts any, so a load
+        # error in part 1 wins over an extraction failure in part 0
+        extract = relex.extract
+
+        def failing(view, table, lex):
+            if view.document.id == "apple-income":
+                raise RuntimeError("extraction failed")
+            return extract(view, table, lex)
+
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        monkeypatch.setattr(relex, "extract", failing)
+        lines = list(_LINES)
+        if part1_defect:
+            lines[15] = _set_head(lines[15], 0, 99)
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_bytes(b"\n".join(lines) + b"\n")
+        one = self.extract(tmp_path, corpus_path, 1, caplog)
+        assert one[:2] == self.extract(tmp_path, corpus_path, 2, caplog)[:2]
+        assert one[1][0].startswith("DocumentValidationError" if part1_defect else "RuntimeError")
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, monkeypatch):
+        # the forked child inherits the patch, so part 1 dies before sending a result
+        extract_part = cli._extract_part
+
+        def dying(path, lines, table, lex):
+            if lines.first > 1:
+                os._exit(3)
+            return extract_part(path, lines, table, lex)
+
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        monkeypatch.setattr(cli, "_extract_part", dying)
+        [_, part1] = line_ranges(FIXTURE_CORPUS, 2)
+        status, errors, out = self.extract(tmp_path, FIXTURE_CORPUS, 2, caplog)
+        assert status == 1
+        assert errors == [f"RuntimeError: the extract worker for lines {part1.first}-{part1.last} "
+                          "exited with code 3 before sending its result"]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_part0_terminates_later_parts(self, tmp_path, caplog, monkeypatch):
+        # part 1 would run for a minute; part 0's error needs nothing from it
+        extract_part = cli._extract_part
+
+        def slow(path, lines, table, lex):
+            if lines.first > 1:
+                time.sleep(60)
+            return extract_part(path, lines, table, lex)
+
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        monkeypatch.setattr(cli, "_extract_part", slow)
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_bytes(b"\n".join([_LINES[0], b"{not json", *_LINES[2:]]) + b"\n")
+        start = time.monotonic()
+        status, errors, out = self.extract(tmp_path, corpus_path, 2, caplog)
+        assert time.monotonic() - start < 20
+        assert status == 1 and errors[0].startswith("CorpusFormatError: line 2: invalid JSON record")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 10_000])
+    def test_part_count_never_exceeds_cpus(self, workers):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert cli._part_count(workers) == min(workers, cpus)
+        assert multiprocessing.active_children() == []
+
+    def test_part_count_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [cli._part_count(w) for w in (1, 2, 10_000)] == [1, 2, 3]
+
+    def test_one_part_forks_nothing(self, tmp_path):
+        # --workers 1, and an empty corpus at any --workers, run in-process
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        script = (
+            "import sys\n"
+            "from finrelex.cli import main\n"
+            "corpus, empty, toy, out = sys.argv[1:]\n"
+            "for path, workers in ((corpus, '1'), (empty, '2')):\n"
+            "    assert main(['extract', '--corpus', path, '--embeddings', toy, '--out', out,\n"
+            "                 '--workers', workers]) == 0\n"
+            "assert 'multiprocessing' not in sys.modules, 'a one-part extract imported multiprocessing'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURE_CORPUS), str(empty), str(TOY_EMBEDDINGS),
+             str(tmp_path / "pred.jsonl")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_classifier_built_once_per_run(self, tmp_path):
+        # a fresh interpreter, whose forked child writes its warnings to the
+        # same stderr; the build warning is logged by the parent alone, also
+        # for a corpus that never classifies
+        table = tmp_path / "vectors.txt"
+        rows = TOY_EMBEDDINGS.read_text(encoding="utf-8").splitlines()
+        dim = len(rows[0].split()) - 1
+        table.write_text("\n".join(rows + ["proceeds" + " 0" * dim]) + "\n", encoding="utf-8")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        src = Path(__file__).resolve().parents[1] / "src"
+        for corpus_path in (FIXTURE_CORPUS, empty):
+            proc = subprocess.run(
+                [sys.executable, "-m", "finrelex.cli", "extract", "--corpus", str(corpus_path),
+                 "--embeddings", str(table), "--out", str(tmp_path / "pred.jsonl"), "--workers", "2"],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.count("lexicon word 'proceeds' has a zero vector") == 1, proc.stderr
 
 
 class TestEvaluate:
@@ -621,6 +800,7 @@ assert main(["evaluate", "--gold", gold, "--pred", pred, "--mode", "fuzzy",
              "--report", out + "/report.json"]) == 0
 assert main(["prepare", "--gold", gold, "--balanced", "--out-dir", out + "/split"]) == 0
 assert "numpy" not in sys.modules, "evaluate or prepare imported numpy"
+assert "multiprocessing" not in sys.modules, "evaluate or prepare imported multiprocessing"
 """
 
 
