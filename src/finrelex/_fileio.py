@@ -1,7 +1,14 @@
-"""Shared file helpers: JSON-lines and JSON-object reading, splitting a file
-into ranges of whole lines, and atomic writes.  Each record
-kind declares its keys and their exact JSON types once, as :class:`Fields`;
-a bad line or field raises the caller's error naming the line; nothing is coerced."""
+"""Shared file helpers: the one JSON-lines codec, JSON-object reading,
+splitting a file into ranges of whole lines, and atomic writes.
+
+Each record kind declares its keys and their exact JSON types once, as
+:class:`Fields`, which reads a decoded row strictly and writes the rows of
+its kind; a bad line or field raises the caller's error naming the line, and
+nothing is coerced.  Each line is decoded by one scanner call; only a line
+the scanner cannot take whole (blank, padded, a BOM, extra data, invalid or
+too deep) goes through ``json.loads``, the slow path, which writes every
+decode error.  Each row is written as one formatted line with the same bytes
+as ``json.dumps(..., ensure_ascii=False)``."""
 
 from __future__ import annotations
 
@@ -9,14 +16,19 @@ import json
 import operator
 import os
 import stat
+import sys
 import tempfile
 from collections.abc import Iterable, Iterator
 from itertools import islice
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
 # json.dumps builds a new encoder for each call that passes any argument
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+# the scanner behind json.loads, without its BOM check and whitespace matches
+_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
 
 
 def decode_utf8(data: bytes, lineno: int, error: type[Exception]) -> str:
@@ -91,12 +103,20 @@ def iter_jsonl(path: str | Path, error: type[Exception],
         for line in rows:  # not enumerate, whose cached tuple would keep the raw bytes alive
             lineno += 1
             line = decode_utf8(line, lineno, error)
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
+                obj, end = _decode(line)
+            except (ValueError, RecursionError):
+                end = -1
+            # a value followed by JSON whitespace only is what json.loads
+            # returns; any other line takes the slow path, which skips a blank
+            # line and raises every error, so each message is json.loads's own
+            if end < 0 or line[end:].strip(_JSON_SPACE):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise error(f"line {lineno}: invalid JSON record ({_refusal(exc)})") from exc
             # a strict UTF-8 line can carry a surrogate only as a \ud800-\udfff
             # escape; the one-character test is a memchr that clears most lines
             if "\\" in line and ("\\ud" in line or "\\uD" in line):
@@ -110,10 +130,22 @@ def _reject_lone_surrogates(obj: object, lineno: int, error: type[Exception]) ->
     decodes to one character and passes."""
     try:
         _ENCODER.encode(obj).encode("utf-8")
+    except RecursionError as exc:  # the encoder's frames sit a little deeper than the decoder's
+        raise error(f"line {lineno}: invalid JSON record ({_refusal(exc)})") from exc
     except UnicodeEncodeError as exc:
         surrogate = ord(exc.object[exc.start])
         raise error(f"line {lineno}: lone UTF-16 surrogate \\u{surrogate:04x} in a string "
                     "(not valid Unicode)") from exc
+
+
+def _refusal(exc: Exception) -> str:
+    """Why ``json.loads`` refused a text: a syntax error's own message, or the
+    limit it hit; for a ``str`` it raises no other ``ValueError``."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def read_json_object(path: str | Path, error: type[Exception], name: str) -> dict:
@@ -123,14 +155,16 @@ def read_json_object(path: str | Path, error: type[Exception], name: str) -> dic
         obj = json.loads(Path(path).read_bytes().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise error(f"{name}: not valid UTF-8 ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{name}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{name}: invalid JSON ({_refusal(exc)})") from exc
     if type(obj) is not dict:
         raise error(f"{name}: expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
+# what json.dumps(..., ensure_ascii=False) writes for a value of each kind
+_WRITERS = {str: encode_basestring, int: int.__repr__}
 
 
 class Fields:
@@ -138,9 +172,11 @@ class Fields:
     type of each: ``str``, ``int`` or ``list``, where a bool or a float is not an ``int``."""
 
     def __init__(self, **kinds: type) -> None:
-        self._keys = tuple(kinds)
+        self.keys = tuple(kinds)
         self._kinds = tuple(kinds.values())
         self._get = operator.itemgetter(*kinds)
+        # one row's line, each value's JSON text a %s
+        self._line = "{" + ", ".join(encode_basestring(k).replace("%", "%%") + ": %s" for k in kinds) + "}\n"
 
     def read(self, obj, lineno: int, error: type[Exception]) -> tuple:
         """The values of the declared keys in declaration order; else ``error``
@@ -154,20 +190,21 @@ class Fields:
         if type(obj) is not dict:
             raise error(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
         # a missing key reads as None, which is no declared kind
-        key, kind = next((k, t) for k, t in zip(self._keys, self._kinds) if type(obj.get(k)) is not t)
+        key, kind = next((k, t) for k, t in zip(self.keys, self._kinds) if type(obj.get(k)) is not t)
         if key not in obj:
             raise error(f"line {lineno}: missing field {key!r}")
         raise error(f"line {lineno}: field {key!r} must be {_KIND_NAMES[kind]}, got {obj[key]!r}")
 
-    def dump(self, values: Iterable) -> dict:
-        """The record with ``values`` under the declared keys, in declaration order."""
-        return dict(zip(self._keys, values, strict=True))
-
-
-def jsonl_dumps(objects: Iterable[dict]) -> str:
-    """One ``json.dumps(obj, ensure_ascii=False)`` line per object."""
-    encode = _ENCODER.encode
-    return "".join(encode(obj) + "\n" for obj in objects)
+    def dumps(self, rows: Iterable[tuple]) -> str:
+        """One ``json.dumps(dict(zip(keys, row)), ensure_ascii=False)`` line per
+        row, for kinds ``str`` and ``int`` only and values of exactly those
+        kinds.  Each column goes through the function that encoder uses,
+        ``encode_basestring`` or ``int.__repr__``, and each row fills one line."""
+        columns = list(zip(*rows, strict=True))  # none when there is no row
+        if columns and len(columns) != len(self.keys):
+            raise ValueError(f"rows of {len(columns)} values for the {len(self.keys)} keys {self.keys}")
+        texts = [map(_WRITERS[kind], column) for kind, column in zip(self._kinds, columns)]
+        return "".join(map(self._line.__mod__, zip(*texts)))
 
 
 def atomic_write_text(path: str | Path, content: str) -> None:

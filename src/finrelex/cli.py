@@ -46,7 +46,7 @@ from pathlib import Path
 
 from . import corpus, evalkit
 from . import records as records_mod
-from ._fileio import LineRange, atomic_write_text, jsonl_dumps, line_ranges, read_json_object
+from ._fileio import LineRange, atomic_write_text, line_ranges, read_json_object
 from .deptree import TreeView
 
 logger = logging.getLogger(__name__)
@@ -299,7 +299,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     report = evalkit.evaluate_corpus(gold, predictions, cfg)
     atomic_write_text(args.report, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.breakdown:
-        atomic_write_text(args.breakdown, jsonl_dumps(evalkit.score_breakdown(gold, report)))
+        atomic_write_text(args.breakdown, evalkit.BREAKDOWN.dumps(evalkit.score_breakdown(gold, report)))
     logger.info(
         "evaluated %d examples: accuracy %.4f, precision %.4f, recall %.4f, f1 %.4f",
         len(gold), report.accuracy, report.precision, report.recall, report.f1,

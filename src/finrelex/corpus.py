@@ -25,7 +25,7 @@ from sys import intern
 from typing import NamedTuple
 
 from . import records as records_mod
-from ._fileio import Fields, LineRange, atomic_write_text, iter_jsonl, jsonl_dumps
+from ._fileio import Fields, LineRange, atomic_write_text, iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -285,7 +285,7 @@ def load_gold(path: str | Path) -> list[GoldExample]:
 
 
 def save_gold(examples: list[GoldExample], path: str | Path) -> None:
-    atomic_write_text(path, jsonl_dumps(_GOLD.dump((e.id, e.input_text, e.target_text)) for e in examples))
+    atomic_write_text(path, _GOLD.dumps((e.id, e.input_text, e.target_text) for e in examples))
 
 
 def _info_content(example: GoldExample) -> Counter:

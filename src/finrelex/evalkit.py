@@ -11,7 +11,9 @@ Each scored string is case-folded once, whole, before it is split, and a
 pair of equal folded words is a match without further work; only unequal
 pairs reach :func:`word_match`.  Fuzzy mode decides each of those with an
 edit distance bounded at the largest distance the threshold admits, which
-gives the verdict of the full distance at a fraction of the cost.
+gives the verdict of the full distance at a fraction of the cost; when that
+bound is 0 (at threshold 0.9, every word shorter than 10 characters) the
+unequal pair is refused with no distance at all.
 :func:`evaluate_corpus` scores each example once; :func:`score_breakdown`
 only formats the per-example counts kept on its report.
 """
@@ -22,6 +24,7 @@ import functools
 import logging
 from dataclasses import dataclass, field, fields
 
+from ._fileio import Fields
 from .corpus import GoldExample
 
 logger = logging.getLogger(__name__)
@@ -136,7 +139,7 @@ def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
     empty strings too) match without an edit distance.  Fuzzy mode accepts
     an unequal pair when ``1 - editdistance/max(len)`` meets the threshold
     (inclusive), decided by a distance bounded at the largest admissible
-    value.
+    value; when that value is 0 the unequal words cannot match.
     """
     a, b = a.strip().casefold(), b.strip().casefold()
     if a == b:
@@ -144,7 +147,7 @@ def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
     if cfg.mode == EXACT:
         return False
     k = _max_distance(max(len(a), len(b)), cfg.fuzzy_threshold)
-    return edit_distance(a, b, k) <= k
+    return k > 0 and edit_distance(a, b, k) <= k
 
 
 def _tokenize(s: str, cfg: EvalConfig) -> list[str]:
@@ -224,10 +227,11 @@ def evaluate_corpus(
     return aggregate([score_example(ex.target_text, predictions[ex.id], cfg) for ex in gold])
 
 
-def score_breakdown(gold: list[GoldExample], report: EvalReport) -> list[dict]:
-    """Per-example counter rows for the optional breakdown file, taken from
-    the report that :func:`evaluate_corpus` made for ``gold``."""
-    return [
-        {"id": ex.id, "tp": tp, "tn": tn, "fp": fp, "fn": fn}
-        for ex, (tp, tn, fp, fn) in zip(gold, report.per_example, strict=True)
-    ]
+# one row of the optional breakdown file
+BREAKDOWN = Fields(id=str, tp=int, tn=int, fp=int, fn=int)
+
+
+def score_breakdown(gold: list[GoldExample], report: EvalReport) -> list[tuple[str, int, int, int, int]]:
+    """Per-example counter rows, in :data:`BREAKDOWN` order, taken from the
+    report that :func:`evaluate_corpus` made for ``gold``."""
+    return [(ex.id, *counts) for ex, counts in zip(gold, report.per_example, strict=True)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ._fileio import Fields, atomic_write_text, iter_jsonl, jsonl_dumps
+from ._fileio import Fields, atomic_write_text, iter_jsonl
 
 VARIABLE_NAMES = ("founder", "country", "revenue", "customers/users", "investment")
 
@@ -135,7 +135,7 @@ def load_predictions(path) -> dict[str, str]:
 
 def save_predictions(pairs: list[tuple[str, str]], path) -> None:
     """Write (id, predicted_text) pairs as a prediction file, atomically."""
-    atomic_write_text(path, jsonl_dumps(map(_PREDICTION.dump, pairs)))
+    atomic_write_text(path, _PREDICTION.dumps(pairs))
 
 
 def _normalize(record: RelationRecord) -> tuple[str, str, str, str]:

@@ -589,8 +589,11 @@ class TestConfigAndFlags:
             (b'{"seed": "\xff"}', "not valid UTF-8 (invalid start byte)"),
             (b"[1]", "expected a JSON object, got list"),
             (b"3", "expected a JSON object, got int"),
+            (b'{"seed": ' + b"[" * 200_000, "invalid JSON (nested too deeply)"),
+            (b'{"seed": ' + b"1" * 5000 + b"}",
+             f"invalid JSON (an integer has more than {sys.get_int_max_str_digits()} digits)"),
         ],
-        ids=["truncated-json", "non-utf8", "list", "int"],
+        ids=["truncated-json", "non-utf8", "list", "int", "deep", "long-integer"],
     )
     def test_unreadable_config_names_file(self, tmp_path, caplog, content, message):
         # a bare JSONDecodeError or UnicodeDecodeError used to leak
@@ -743,6 +746,62 @@ def test_lone_surrogate_fails_extract_before_any_output(tmp_path, caplog):
     assert run("extract", "--corpus", corpus_path, "--embeddings", TOY_EMBEDDINGS, "--out", out) == 1
     assert "CorpusFormatError: line 1: lone UTF-16 surrogate \\ud800" in caplog.text
     assert not out.exists()
+
+
+_DECODER_LIMITS = [
+    (b"[" * 200_000, "nested too deeply"),
+    (b'{"id": "a", "n": ' + b"1" * 5000 + b"}",
+     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+]
+_DECODER_LIMIT_IDS = ["deep", "long-integer"]
+
+
+@pytest.mark.parametrize("load, error, good", _SURROGATE_LOADERS, ids=_SURROGATE_IDS)
+@pytest.mark.parametrize("bad, reason", _DECODER_LIMITS, ids=_DECODER_LIMIT_IDS)
+def test_decoder_limit_raises_loader_error_naming_line(tmp_path, load, error, good, bad, reason):
+    # a bare RecursionError or ValueError used to leak, naming no line
+    path = tmp_path / "input"
+    path.write_bytes(good + b"\n" + bad + b"\n" + good + b"\n")
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == f"line 2: invalid JSON record ({reason})"
+
+
+@pytest.mark.parametrize("bad, reason", _DECODER_LIMITS, ids=_DECODER_LIMIT_IDS)
+def test_decoder_limit_in_lexicon_names_file(tmp_path, bad, reason):
+    path = tmp_path / "lexicon.json"
+    path.write_bytes(b'{"revenue_words": ' + bad + b"}")
+    with pytest.raises(semvec.EmbeddingFormatError) as info:
+        semvec.load_lexicon(path)
+    assert str(info.value) == f"{path}: invalid JSON ({reason})"
+
+
+def test_deep_line_fails_evaluate_naming_line(tmp_path, caplog):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_bytes(b"[" * 200_000 + b"\n")
+    report = tmp_path / "report.json"
+    assert run("evaluate", "--gold", deep, "--pred", deep, "--report", report) == 1
+    assert "CorpusFormatError: line 1: invalid JSON record (nested too deeply)" in caplog.text
+    assert not report.exists()
+
+
+def test_nesting_at_the_decoder_limit_names_line(tmp_path):
+    # the lone-surrogate check re-encodes a decoded row a few frames deeper
+    # than the decoder ran, so rows just under the decoder's limit hit the
+    # encoder's; every depth around it fails with the loader's error
+    lo, hi = 1, 100_000  # decodes from here at lo, not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            lo = mid
+        except RecursionError:
+            hi = mid
+    path = tmp_path / "gold.jsonl"
+    for depth in range(lo - 16, hi + 1):
+        path.write_text("[" * depth + '"\\ud800"' + "]" * depth + "\n", encoding="ascii")
+        with pytest.raises(corpus.CorpusFormatError, match="^line 1: "):
+            corpus.load_gold(path)
 
 
 class TestOutputNamesInput:

@@ -187,12 +187,24 @@ class TestScoreExample:
         monkeypatch.setattr(evalkit, "edit_distance", counting)
         assert score_example(JUMIA_TARGET, JUMIA_TARGET.upper(), FUZZY_CFG) == (12, 0, 0, 0)
         assert calls == []
-        words = ["alpha", "beta", "gamma", "delta"]
+        # words of 10 or more characters: an unequal pair has a band of 1 at 0.9
+        words = ["alphabetical", "betterments", "gammaglobulin", "deltahedron"]
         for k in range(len(words) + 1):
             calls.clear()
             predicted = [w + "x" for w in words[:k]] + [w.upper() for w in words[k:]] + ["extra"]
             score_example(" ".join(words), " ".join(predicted), FUZZY_CFG)
             assert len(calls) == k
+
+    def test_zero_band_pairs_never_reach_edit_distance(self, monkeypatch):
+        # below 10 characters no distance but 0 meets 0.9, so an unequal pair
+        # is refused without one; the counts are the same as with it
+        calls = []
+        monkeypatch.setattr(evalkit, "edit_distance", lambda a, b, limit: calls.append((a, b)))
+        words = "alpha beta gamma delta"
+        predicted = "alphax bet GAMMA dela extra"
+        counts = score_example(words, predicted, FUZZY_CFG)
+        assert counts == oracle_score(words, predicted, "fuzzy", 0.90, True) == (1, 0, 4, 0)
+        assert calls == []
 
     def test_unicode_case_variants_equal_oracle(self):
         # words whose folds differ in length or need full case folding, joined
@@ -307,9 +319,10 @@ class TestScoreBreakdown:
         }
         report = evaluate_corpus(gold, predictions, FUZZY_CFG)
         rows = score_breakdown(gold, report)
-        assert [r["id"] for r in rows] == [ex.id for ex in gold]
-        for key in ("tp", "tn", "fp", "fn"):
-            assert sum(r[key] for r in rows) == getattr(report, key)
+        assert evalkit.BREAKDOWN.keys == ("id", "tp", "tn", "fp", "fn")
+        assert [r[0] for r in rows] == [ex.id for ex in gold]
+        for column, key in enumerate(("tp", "tn", "fp", "fn"), start=1):
+            assert sum(r[column] for r in rows) == getattr(report, key)
         assert report.fp and report.fn and report.tp
 
     def test_counts_stay_out_of_report_file_and_equality(self):

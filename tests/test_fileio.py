@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finrelex._fileio import LineRange, iter_jsonl, line_ranges
+from finrelex._fileio import Fields, LineRange, _reject_lone_surrogates, decode_utf8, iter_jsonl, line_ranges
 
 # One line's content: blank, or a JSON value, some long enough to span a cut.
 _CONTENT = st.one_of(
@@ -57,3 +57,82 @@ def test_line_ranges_cut_near_equal_byte_shares(tmp_path):
 def test_file_that_is_not_regular_is_one_unsplit_part():
     # its size says nothing of its lines, so it is read to its end
     assert line_ranges("/dev/null", 4) == [None]
+
+
+def _reference_iter_jsonl(path, error):
+    """The per-line loop before the one-scanner-call fast path: every line
+    through ``json.loads``; kept as a test-only oracle."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = decode_utf8(line, lineno, error)
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
+            if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                _reject_lone_surrogates(obj, lineno, error)
+            yield lineno, obj
+
+
+def _outcome(load, path):
+    """What ``load`` yields, as text so that NaN compares, or the error it raises."""
+    try:
+        return repr(list(load(path, ValueError)))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_VALUE = st.one_of(
+    st.dictionaries(st.text(max_size=4), st.one_of(st.none(), st.booleans(), st.integers(),
+                                                   st.floats(), st.text(max_size=4)), max_size=3),
+    st.lists(st.integers(), max_size=2), st.text(max_size=4), st.floats(),
+).map(json.dumps)  # NaN, Infinity, and a non-BMP character as an escaped surrogate pair
+_ODD_VALUE = st.sampled_from([
+    "null", "NaN", "-Infinity", '{"x": NaN}', '{"a": 1, "a": 2}', '{"a": "\\ud83d\\ude00"}',
+    '"\\ud800"', '{"a": "x\\uDC80"}', '["\\udbff", 1]', '{"a": ', "{bad}", "[1,]", "'a'", "",
+])
+_PAD = st.sampled_from([""] * 6 + [" ", "\t\r", "\xa0", "\u2028", "\x1c"])
+# mostly lines that decode, so that a file's first error is often past line 1
+_LINE = st.tuples(st.sampled_from([""] * 12 + ["\ufeff", " ", "\xa0"]),
+                  st.one_of(_VALUE, _VALUE, _ODD_VALUE), _PAD,
+                  st.sampled_from([""] * 12 + ["x", " 1", "}", '{"b": 2}']),
+                  st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(_LINE.map("".join), max_size=4))
+def test_iter_jsonl_matches_per_line_json_loads(rows_path, lines):
+    rows_path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert _outcome(iter_jsonl, rows_path) == _outcome(_reference_iter_jsonl, rows_path)
+
+
+_ROW = Fields(id=str, predicted_text=str, n=int)
+# every code point, surrogates and controls too
+_ANY_TEXT = st.text(alphabet=st.characters(exclude_categories=()))
+
+
+def _examples(strings):
+    return [(s, s[::-1], i) for i, s in enumerate(strings)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT, st.one_of(st.integers(),
+                                                              st.integers(min_value=2**64),
+                                                              st.integers(max_value=-2**64))),
+                     max_size=4))
+@example(rows=_examples(["plain", "", "caf\u00e9 \u20ac41 \u4e2d\u6587 \U0001f600"]))
+@example(rows=_examples(['say "hi"', "back\\slash", "tab\tnew\nline\rcr", "\x00\x1f\x7f"]))
+@example(rows=_examples(["line\u2028sep\u2029para", "\u00a0\u2003", "|, ,|"]))
+def test_fields_dumps_matches_per_row_json_dumps(rows):
+    want = "".join(json.dumps(dict(zip(_ROW.keys, row)), ensure_ascii=False) + "\n" for row in rows)
+    assert _ROW.dumps(rows) == want
+
+
+def test_fields_dumps_refuses_rows_of_another_width():
+    assert _ROW.dumps(iter([])) == ""
+    with pytest.raises(ValueError):
+        _ROW.dumps([("a", "b", 1, 2)])
+    with pytest.raises(ValueError):
+        _ROW.dumps([("a", "b", 1), ("a", "b")])

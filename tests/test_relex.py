@@ -173,11 +173,16 @@ def _tree_heads(draw, size: int) -> list[int]:
     return heads
 
 
+def _dump(fields, values) -> dict:
+    """The file row of ``values`` under the keys of ``fields``, in declaration order."""
+    return dict(zip(fields.keys, values, strict=True))
+
+
 def _row(doc_id: str, tokens: list[dict], entities: list[dict], chunks: list[dict], text=None) -> dict:
     """A document file row; ``text`` defaults to the token texts joined by spaces."""
     if text is None:
         text = " ".join(t["text"] for t in tokens)
-    return corpus._DOCUMENT.dump((doc_id, text, tokens, entities, chunks))
+    return _dump(corpus._DOCUMENT, (doc_id, text, tokens, entities, chunks))
 
 
 def _document(row: dict) -> AnnotatedDocument:
@@ -197,7 +202,7 @@ def _forests(draw) -> AnnotatedDocument:
         for i, head in enumerate(heads):
             pos = draw(st.sampled_from(["VERB", "AUX", "NOUN", "PROPN", "ADP"]))
             dep = "ROOT" if head == i else "dep"
-            tokens.append(corpus._TOKEN.dump((off + i, "w", "w", pos, dep, off + head, sent)))
+            tokens.append(_dump(corpus._TOKEN, (off + i, "w", "w", pos, dep, off + head, sent)))
     return _document(_row("generated", tokens, [], []))
 
 
@@ -248,13 +253,13 @@ def _sentence(draw, off: int, sent: int) -> list[dict]:
         dep = "ROOT" if head == i else draw(st.sampled_from(_HEURISTIC_DEPS))
         pos = draw(st.sampled_from(["VERB", "AUX", "NOUN", "PROPN", "ADP", "NUM"]))
         text = draw(st.sampled_from(_WORDS))
-        tokens.append(corpus._TOKEN.dump((off + i, text, text.lower(), pos, dep, off + head, sent)))
+        tokens.append(_dump(corpus._TOKEN, (off + i, text, text.lower(), pos, dep, off + head, sent)))
     return tokens
 
 
 def _chunks(draw, off: int, n: int) -> list[dict]:
     """Noun chunk rows over tokens [off, off + n), each with a root inside."""
-    return [corpus._CHUNK.dump((off + start, off + end, draw(st.integers(off + start, off + end - 1))))
+    return [_dump(corpus._CHUNK, (off + start, off + end, draw(st.integers(off + start, off + end - 1))))
             for start, end in _spans(draw, n)]
 
 
@@ -273,7 +278,7 @@ def _valid_rows(draw) -> dict:
         labels: list[str] = []
         while len(labels) < len(spans):
             labels += draw(st.permutations(KIND_LABELS[draw(st.sampled_from(sorted(KIND_LABELS)))]))
-        entities += [corpus._ENTITY.dump((off + start, off + end, label))
+        entities += [_dump(corpus._ENTITY, (off + start, off + end, label))
                      for (start, end), label in zip(spans, labels)]
     return _row("generated", tokens, entities, _chunks(draw, 0, len(tokens)))
 
@@ -410,13 +415,13 @@ def _reference_company_date(view: TreeView) -> list[PairwiseRelation]:
 def _word_rows(words: list[tuple], off: int, sent: int) -> list[dict]:
     """Token rows of sentence ``sent`` from (text, pos, dep, head) tuples,
     numbered and headed from ``off``."""
-    return [corpus._TOKEN.dump((off + i, text, text.lower(), pos, dep, off + head, sent))
+    return [_dump(corpus._TOKEN, (off + i, text, text.lower(), pos, dep, off + head, sent))
             for i, (text, pos, dep, head) in enumerate(words)]
 
 
 def _sentence_row(doc_id: str, words: list[tuple], entities: list[tuple]) -> dict:
     """A one-sentence document row from (text, pos, dep, head) and (start, end, label) tuples."""
-    return _row(doc_id, _word_rows(words, 0, 0), [corpus._ENTITY.dump(e) for e in entities], [])
+    return _row(doc_id, _word_rows(words, 0, 0), [_dump(corpus._ENTITY, e) for e in entities], [])
 
 
 # Two organizations under one verb with a person: the nearer one wins, not the leftmost.
@@ -496,7 +501,7 @@ def _grafted(row: dict, shape: tuple[str, str], chunks: list[dict]) -> dict:
     plus ``chunks``, noun chunk rows over the shape's tokens."""
     words, spans = _PATH_SHAPES[shape]
     off, sent = len(row["tokens"]), row["tokens"][-1]["sent"] + 1
-    entities = [corpus._ENTITY.dump((off + start, off + end, label)) for start, end, label in spans]
+    entities = [_dump(corpus._ENTITY, (off + start, off + end, label)) for start, end, label in spans]
     return _row(row["id"], row["tokens"] + _word_rows(words, off, sent), row["entities"] + entities,
                 row["noun_chunks"] + chunks)
 
@@ -679,7 +684,7 @@ class TestExtract:
 
 def _build_initial_pp_doc() -> AnnotatedDocument:
     tokens = [
-        corpus._TOKEN.dump(values)
+        _dump(corpus._TOKEN, values)
         for values in (
             (0, "In", "in", "ADP", "prep", 5, 0),
             (1, "Q3", "q3", "PROPN", "compound", 2, 0),
@@ -690,6 +695,6 @@ def _build_initial_pp_doc() -> AnnotatedDocument:
             (6, "revenue", "revenue", "NOUN", "dobj", 5, 0),
         )
     ]
-    entities = [corpus._ENTITY.dump(values) for values in ((1, 3, "DATE"), (4, 5, "ORG"))]
-    chunks = [corpus._CHUNK.dump(values) for values in ((1, 3, 2), (4, 5, 4), (6, 7, 6))]
+    entities = [_dump(corpus._ENTITY, values) for values in ((1, 3, "DATE"), (4, 5, "ORG"))]
+    chunks = [_dump(corpus._CHUNK, values) for values in ((1, 3, 2), (4, 5, 4), (6, 7, 6))]
     return _document(_row("initial-pp", tokens, entities, chunks, text="In Q3 2020, Jumia reported revenue"))
