@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from finrelex._fileio import Fields
 from finrelex.records import (
     RecordError,
     RelationRecord,
@@ -112,6 +114,18 @@ def test_validate_rejects_exactly_what_parse_rejects():
     # every way to fail occurs, and so does success
     assert set(kinds) == {"record", "company", "variable_name", "variable_value", "variable_date"}
     assert min(kinds.values()) >= 5 and sum(kinds.values()) < 4500, kinds
+
+
+@pytest.mark.parametrize("strings", [
+    ["plain", "", "caf\u00e9 \u20ac41 \u4e2d\u6587 \U0001f600"],
+    ['say "hi"', "back\\slash", "tab\tnew\nline\rcr", "\x00\x1f\x7f"],
+    ["line\u2028sep\u2029para", "\u00a0\u2003", "|, ,|"],
+])
+def test_jsonl_dumps_matches_per_row_json_dumps(strings):
+    fields = Fields(id=str, predicted_text=str, n=int)
+    rows = [(s, s[::-1], i) for i, s in enumerate(strings)]
+    want = "".join(json.dumps(dict(zip(fields.keys, row)), ensure_ascii=False) + "\n" for row in rows)
+    assert fields.dumps(rows) == want
 
 
 class TestPredictionFiles:
