@@ -22,32 +22,42 @@ outputs.  An output path that resolves to an input or to another output is
 refused before anything is read.
 
 ``extract --workers N`` cuts the corpus file into at most N ranges of whole
-lines, no more than the CPUs the process may run on.  After the table,
-lexicon and classifier are built, each range but the first runs in a child
-forked from this process (the ``fork`` start method, so Linux), which
-inherits them and sends back only ids and predicted texts; this process runs
-the first range.  Results are joined in file order, so the output is
-byte-identical for every N and the first error in the file is the one a
-single process reports.  Children's per-document warnings may interleave on
-standard error.  Python 3.12 and later may warn that forking a process that
-runs threads (NumPy's BLAS threads) can deadlock; CI runs 3.10 and 3.11.
-One part (``--workers 1``, or a corpus of at most one line) forks nothing
-and imports no ``multiprocessing``.
+lines, no more than the CPUs the process may run on.  Each range runs in a
+child forked from this process (the ``fork`` start method, so Linux) before
+it imports NumPy or loads the table; the child decodes, validates and
+relates its own lines and sends back only (line, id) pairs and unclassified
+candidate records.  This process runs no range: meanwhile it loads the
+table and lexicon and builds the classifier, then joins the ranges in file
+order and classifies each distinct bridge phrase and person context once.
+So the output is byte-identical for every N, the first error is the one a
+single process reports (a table error, then a lexicon error, then the first
+corpus error in the file), and every warning is logged by this process in
+file order.  NumPy is not imported yet at the fork, so its BLAS threads
+have not started, and Python 3.12's warning about forking a threaded
+process does not fire in a ``finrelex extract`` run.  One part
+(``--workers 1``, a corpus of at most one line or a pipe, which cannot be
+cut, or a corpus that cannot be opened) forks nothing and imports no
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import corpus, evalkit
 from . import records as records_mod
 from ._fileio import LineRange, atomic_write_text, line_ranges, read_json_object
 from .deptree import TreeView
+
+if TYPE_CHECKING:
+    from .relex import Candidate
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")
     p_extract.add_argument("--workers", type=int, default=1,
-                           help="processes, at most one per available CPU, that each extract one "
-                           "range of the corpus's lines (fork, so Linux); the output does not "
-                           "depend on it (default %(default)s)")
+                           help="processes, at most one per available CPU, that each read and relate "
+                           "one range of the corpus's lines, forked (so Linux) before the table "
+                           "loads; the main process then classifies each distinct phrase once. "
+                           "The output does not depend on it (default %(default)s)")
     p_extract.set_defaults(run=cmd_extract, required_flags=("corpus", "embeddings", "out"))
 
     p_eval = sub.add_parser("evaluate", help="score a prediction file against gold targets")
@@ -172,17 +183,35 @@ def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
 
 def cmd_extract(args: argparse.Namespace) -> None:
     _check_outputs(args, ("corpus", "embeddings", "lexicon"), {"--out": args.out})
-    from . import semvec  # NumPy: only extract and inspect import it
+    from . import relex  # before any fork, so the parts inherit it; evaluate and prepare do without
     if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1, got {args.workers!r}")
-    # The table and lexicon first: a malformed one fails before the corpus is decoded.
-    table = semvec.load_embeddings(args.embeddings)
-    lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()
-    table.classifier(lex)  # built once, before any fork, so every part inherits it
-    ranges = line_ranges(args.corpus, _part_count(args.workers))
-    results = _extract_parts(args.corpus, ranges, table, lex)
+    parts = _part_count(args.workers)
+    try:
+        ranges = line_ranges(args.corpus, parts) if parts > 1 else []
+    except OSError:  # raised again by the load, after the table and lexicon, as one part raises it
+        ranges = []
+    if len(ranges) > 1:
+        results = _extract_parts(args, ranges)
+    else:
+        table, lex = _load_table(args)
+        verdicts: dict = {}
+        results = [(doc.id, records_mod.serialize(relex.extract(TreeView.build(doc), table, lex, verdicts)))
+                   for doc in corpus.load_documents(args.corpus)]
     records_mod.save_predictions(results, args.out)
     logger.info("wrote %d predictions to %s", len(results), args.out)
+
+
+def _load_table(args: argparse.Namespace):
+    """``extract``'s table and lexicon, the table first, so a malformed one
+    fails before the corpus; their classifier is built here, so its
+    warnings are logged once per run, also when nothing is classified."""
+    from . import semvec  # NumPy: only extract imports it
+
+    table = semvec.load_embeddings(args.embeddings)
+    lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()
+    table.classifier(lex)
+    return table, lex
 
 
 def _part_count(workers: int) -> int:
@@ -195,16 +224,17 @@ def _part_count(workers: int) -> int:
     return min(workers, cpus)
 
 
-_Part = tuple[list[tuple[int, str]], list[str], Exception | None, Exception | None]
+_Part = tuple[list[tuple[int, str]], list[list["Candidate"]], Exception | None, Exception | None]
 
 
-def _extract_part(path: str, lines: LineRange | None, table, lex) -> _Part:
-    """Load, build, extract and serialize the documents on ``lines`` of
-    ``path`` (all of it for ``None``).  Returns the (line number, id) of each
-    document loaded, their predicted texts, and the error that stopped the
-    load or else the one that stopped the extraction, the other ``None``.
-    After an error the texts are empty; after a load error the documents
-    loaded are those before the line that failed."""
+def _relate_part(path: str, lines: LineRange) -> _Part:
+    """A forked child's work: load, build and relate the documents on
+    ``lines`` of ``path``.  Returns the (line number, id) of each document
+    loaded, the candidates of each document related, and the error that
+    stopped the load or else the one that stopped relating, the other
+    ``None``.  After a load error the documents loaded are those before the
+    line that failed, and none is related; after a relating error the
+    candidates are those of the documents before the one that failed."""
     from . import relex
 
     loaded: list[tuple[int, str]] = []
@@ -212,17 +242,22 @@ def _extract_part(path: str, lines: LineRange | None, table, lex) -> _Part:
         docs = corpus.load_documents(path, lines, loaded)
     except Exception as exc:  # raised by the parent, after every earlier part
         return loaded, [], exc, None
+    related: list[list[Candidate]] = []
     try:
-        texts = [records_mod.serialize(relex.extract(TreeView.build(doc), table, lex)) for doc in docs]
+        for doc in docs:
+            related.append(relex.relate(TreeView.build(doc)))
     except Exception as exc:  # raised by the parent, once every part has loaded
-        return loaded, [], None, exc
-    return loaded, texts, None, None
+        return loaded, related, None, exc
+    return loaded, related, None, None
 
 
-def _send_part(sender, path: str, lines: LineRange, table, lex) -> None:
+def _send_part(sender, path: str, lines: LineRange) -> None:
     """A forked child's body: run one part and send the parent its result."""
+    # All a part allocates stays reachable until it is sent and the child
+    # exits, so each cyclic collection would only rescan the growing heap.
+    gc.disable()
     with sender:
-        sender.send(_extract_part(path, lines, table, lex))
+        sender.send(_relate_part(path, lines))
 
 
 def _receive_part(lines: LineRange, receiver, child) -> _Part:
@@ -234,46 +269,57 @@ def _receive_part(lines: LineRange, receiver, child) -> _Part:
                            f"with code {child.exitcode} before sending its result") from None
 
 
-def _extract_parts(path: str, ranges: list[LineRange | None], table, lex) -> list[tuple[str, str]]:
-    """(id, predicted text) of every document on ``ranges`` of ``path``, in file order.
+def _extract_parts(args: argparse.Namespace, ranges: list[LineRange]) -> list[tuple[str, str]]:
+    """(id, predicted text) of every document on ``ranges`` of the corpus, in file order.
 
-    This process runs the first part; each other part runs in a child forked
-    before that, which inherits the table and its classifier and sends back
-    only its ids and texts.  Parts are joined in file order, so the error
-    is the one a single process, which loads every document before it
-    extracts any, reports: part k's ids are checked against every earlier
-    part's, and part k's load error is raised only when every earlier part
-    loaded and none of part k's documents repeats an earlier id; the first
-    extraction error is raised only when every part loaded.  Every child is
-    joined before this returns or raises; those still running on an error
-    are terminated first.
+    Each part runs in a child forked before this process imports NumPy or
+    loads the table; the child loads, builds and relates its documents and
+    sends back only their (line, id) pairs and candidates.  Meanwhile this
+    process loads the table and lexicon, and it reads no result before they
+    have loaded, so a table error, then a lexicon error, comes first, as in
+    one process.  Parts are then joined in file order, so the error is the
+    one a single process, which loads every document before it extracts
+    any, reports: part k's ids are checked against every earlier part's, and
+    part k's load error is raised only when every earlier part loaded and
+    none of part k's documents repeats an earlier id.  Once every part has
+    loaded, this process finishes the documents in file order with one
+    memo of verdicts, so each distinct phrase is classified once and the
+    warnings come in file order, and raises a part's relating error after
+    finishing that part's documents before it.  Every child is joined
+    before this returns or raises; those still running on an error are
+    terminated first.
     """
+    import multiprocessing  # only a run of two or more parts forks
+
+    from . import relex
+
+    context = multiprocessing.get_context("fork")
     children = []
     try:
-        if len(ranges) > 1:
-            import multiprocessing  # only a run of two or more parts forks
-
-            context = multiprocessing.get_context("fork")
-            for lines in ranges[1:]:
-                receiver, sender = context.Pipe(duplex=False)
-                with sender:
-                    child = context.Process(target=_send_part, args=(sender, path, lines, table, lex))
-                    children.append((lines, receiver, child))
-                    child.start()
+        for lines in ranges:
+            receiver, sender = context.Pipe(duplex=False)
+            with sender:
+                child = context.Process(target=_send_part, args=(sender, args.corpus, lines))
+                children.append((lines, receiver, child))
+                child.start()
+        table, lex = _load_table(args)
         ids: set[str] = set()
-        results, extract_errors = [], []
-        for k, lines in enumerate(ranges):
-            loaded, texts, load_error, extract_error = (_extract_part(path, lines, table, lex) if k == 0
-                                                        else _receive_part(*children[k - 1]))
+        parts = []
+        for child in children:
+            part = _receive_part(*child)
+            loaded, _, load_error, _ = part
             for lineno, doc_id in loaded:
                 corpus.add_id(ids, doc_id, lineno)
             if load_error is not None:
                 raise load_error
-            if extract_error is not None:
-                extract_errors.append(extract_error)
-            results += [(doc_id, text) for (_, doc_id), text in zip(loaded, texts)]
-        if extract_errors:
-            raise extract_errors[0]
+            parts.append(part)
+        verdicts: dict = {}
+        results = []
+        for loaded, related, _, relate_error in parts:
+            results += [(doc_id, records_mod.serialize(relex.finish(doc_id, candidates, table, lex, verdicts)))
+                        for (_, doc_id), candidates in zip(loaded, related)]
+            if relate_error is not None:
+                raise relate_error
         return results
     except BaseException:
         for _, _, child in children:

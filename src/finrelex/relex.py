@@ -26,18 +26,24 @@ Each :class:`PairwiseRelation` names the heuristic that built it in ``path``
 renders it as the line ``finrelex inspect`` prints.
 ``extract`` integrates the pairwise relations into ordered
 :class:`~finrelex.records.RelationRecord` lists, classifying money bridges
-as revenue/investment and person mentions as founders.
+as revenue/investment and person mentions as founders.  It is two steps:
+:func:`relate`, which needs no embedding table and so imports no NumPy,
+turns a paragraph into :class:`Candidate` records; :func:`finish` classifies
+them with the table and orders the records kept.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import deptree as dt
-from . import semvec
 from .corpus import EntitySpan, NounChunk
 from .records import UNKNOWN_DATE, RecordError, RelationRecord
+
+if TYPE_CHECKING:
+    from .semvec import EmbeddingTable, LexiconConfig
 
 logger = logging.getLogger(__name__)
 
@@ -278,20 +284,30 @@ def _nearest_date(
     return min(candidates, key=lambda d: (abs(dt.entity_root(view, d) - reference_root), d.start))
 
 
-def extract(
-    view: dt.TreeView,
-    table: semvec.EmbeddingTable,
-    lex: semvec.LexiconConfig,
-) -> list[RelationRecord]:
-    """Integrate all pairwise relations of a paragraph into ordered records.
+class Candidate(NamedTuple):
+    """One record of a paragraph before classification.
 
-    Money relations become revenue/investment records via the bridge-phrase
-    classifier (an unknown verdict drops the record); the nearest related
-    date, if any, fills the money record's date field.  Person relations
-    become founder records only on a founder verdict; country relations pass
-    through directly.  Records are ordered by company root token index, then
-    by value span start.  A value that cannot form a well-formed record
-    (embedded separator characters) is dropped with a warning.
+    A country candidate is its record as written; :func:`finish` names a
+    money candidate from its bridge ``phrase`` and keeps a person candidate
+    only when the person, pooled with its context ``phrase``, is a founder.
+    """
+
+    company_root: int  # records sort by the company's root token, then by value_start
+    value_start: int
+    kind: str  # COMPANY_MONEY, COMPANY_PERSON or COMPANY_COUNTRY
+    company: str
+    value: str
+    date: str
+    phrase: str
+
+
+def relate(view: dt.TreeView) -> list[Candidate]:
+    """The table-free step of :func:`extract`: the candidate of each money,
+    person and country relation of a paragraph, money ones first.
+
+    A money candidate's date is its nearest related date (a money-date
+    relation of the money entity, or a company-date relation of its
+    organization), else ``unknown-date``.
     """
     money_rels = relate_money_company(view)
     date_rels = relate_company_date(view)
@@ -301,33 +317,79 @@ def extract(
         if r.kind in (COMPANY_DATE, MONEY_DATE):
             dates_of.setdefault(r.left, []).append(r.right)
 
-    rows: list[tuple[int, int, RelationRecord]] = []
-
-    def add(company: EntitySpan, name: str, value_span: EntitySpan, date_text: str) -> None:
-        try:
-            record = RelationRecord(company.text, name, value_span.text, date_text)
-        except RecordError as exc:
-            logger.warning("dropping unserializable record from document %s: %s", view.document.id, exc)
-            return
-        rows.append((dt.entity_root(view, company), value_span.start, record))
-
+    candidates = []
     for rel in money_rels:
-        label = semvec.classify_money_phrase(table, lex, rel.bridge_phrase or "")
-        if label == semvec.UNKNOWN:
-            continue
         money_root = dt.entity_root(view, rel.right)
-        candidates = dates_of.get(rel.right, []) + dates_of.get(rel.left, [])
-        date = _nearest_date(candidates, view, money_root)
-        add(rel.left, label, rel.right, date.text if date else UNKNOWN_DATE)
-
+        date = _nearest_date(dates_of.get(rel.right, []) + dates_of.get(rel.left, []), view, money_root)
+        candidates.append(Candidate(dt.entity_root(view, rel.left), rel.right.start, COMPANY_MONEY, rel.left.text,
+                                    rel.right.text, date.text if date else UNKNOWN_DATE, rel.bridge_phrase or ""))
     for rel in other_rels:
-        if rel.kind == COMPANY_PERSON:
-            context = _person_context(view, rel.right)
-            verdict = semvec.classify_person_phrase(table, lex, rel.right.text, context)
-            if verdict == semvec.FOUNDER:
-                add(rel.left, "founder", rel.right, UNKNOWN_DATE)
-        elif rel.kind == COMPANY_COUNTRY:
-            add(rel.left, "country", rel.right, UNKNOWN_DATE)
+        if rel.kind in (COMPANY_PERSON, COMPANY_COUNTRY):
+            phrase = _person_context(view, rel.right) if rel.kind == COMPANY_PERSON else ""
+            candidates.append(Candidate(dt.entity_root(view, rel.left), rel.right.start, rel.kind, rel.left.text,
+                                        rel.right.text, UNKNOWN_DATE, phrase))
+    return candidates
+
+
+def finish(
+    doc_id: str,
+    candidates: list[Candidate],
+    table: EmbeddingTable,
+    lex: LexiconConfig,
+    verdicts: dict | None = None,
+) -> list[RelationRecord]:
+    """The classifying step of :func:`extract`: the records of document
+    ``doc_id``'s candidates, ordered by company root token, then by value
+    span start.
+
+    A money candidate becomes a revenue/investment record by its bridge
+    phrase's verdict, and is dropped on ``unknown``; a person candidate
+    becomes a founder record only on a founder verdict.  A value that cannot
+    form a well-formed record (embedded separator characters) is dropped
+    with a warning.  ``verdicts`` memoizes the verdicts of one table and
+    lexicon, keyed by bridge phrase and by (person, context); pass one dict
+    to every call of a run, and each distinct phrase is classified once.
+    """
+    from . import semvec  # NumPy: only this step needs the table
+
+    if verdicts is None:
+        verdicts = {}
+
+    def verdict(key, classify, *phrase) -> str:
+        found = verdicts.get(key)
+        if found is None:
+            found = verdicts[key] = classify(table, lex, *phrase)
+        return found
+
+    rows: list[tuple[int, int, RelationRecord]] = []
+    for c in candidates:
+        if c.kind == COMPANY_MONEY:
+            name = verdict(c.phrase, semvec.classify_money_phrase, c.phrase)
+            if name == semvec.UNKNOWN:
+                continue
+        elif c.kind == COMPANY_PERSON:
+            if verdict((c.value, c.phrase), semvec.classify_person_phrase, c.value, c.phrase) != semvec.FOUNDER:
+                continue
+            name = "founder"
+        else:
+            name = "country"
+        try:
+            record = RelationRecord(c.company, name, c.value, c.date)
+        except RecordError as exc:
+            logger.warning("dropping unserializable record from document %s: %s", doc_id, exc)
+            continue
+        rows.append((c.company_root, c.value_start, record))
 
     rows.sort(key=lambda row: (row[0], row[1]))
     return [record for _, _, record in rows]
+
+
+def extract(
+    view: dt.TreeView,
+    table: EmbeddingTable,
+    lex: LexiconConfig,
+    verdicts: dict | None = None,
+) -> list[RelationRecord]:
+    """Integrate all pairwise relations of a paragraph into ordered records:
+    :func:`finish` of :func:`relate`, with the memo ``verdicts``."""
+    return finish(view.document.id, relate(view), table, lex, verdicts)

@@ -142,15 +142,15 @@ _SHARDED_DEFECTS = {
 
 
 class TestShardedExtract:
-    """``--workers 2`` splits the corpus into two parts, run by this process
-    and one forked child, and must fail exactly as one process does."""
+    """``--workers 2`` splits the corpus into two parts, each run by a child
+    forked before the table loads, and must fail exactly as one process does."""
 
     @staticmethod
-    def extract(tmp_path, corpus_path, workers, caplog):
+    def extract(tmp_path, corpus_path, workers, caplog, *flags):
         caplog.clear()
         out = tmp_path / f"pred-{workers}.jsonl"
         status = run("extract", "--corpus", corpus_path, "--embeddings", TOY_EMBEDDINGS,
-                     "--out", out, "--workers", workers)
+                     "--out", out, "--workers", workers, *flags)
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         return status, errors, out
 
@@ -178,15 +178,15 @@ class TestShardedExtract:
     def test_load_error_beats_earlier_extraction_error(self, tmp_path, caplog, monkeypatch, part1_defect):
         # one process loads every document before it extracts any, so a load
         # error in part 1 wins over an extraction failure in part 0
-        extract = relex.extract
+        relate = relex.relate
 
-        def failing(view, table, lex):
+        def failing(view):
             if view.document.id == "apple-income":
                 raise RuntimeError("extraction failed")
-            return extract(view, table, lex)
+            return relate(view)
 
         monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
-        monkeypatch.setattr(relex, "extract", failing)
+        monkeypatch.setattr(relex, "relate", failing)
         lines = list(_LINES)
         if part1_defect:
             lines[15] = _set_head(lines[15], 0, 99)
@@ -199,15 +199,15 @@ class TestShardedExtract:
 
     def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, monkeypatch):
         # the forked child inherits the patch, so part 1 dies before sending a result
-        extract_part = cli._extract_part
+        relate_part = cli._relate_part
 
-        def dying(path, lines, table, lex):
+        def dying(path, lines):
             if lines.first > 1:
                 os._exit(3)
-            return extract_part(path, lines, table, lex)
+            return relate_part(path, lines)
 
         monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
-        monkeypatch.setattr(cli, "_extract_part", dying)
+        monkeypatch.setattr(cli, "_relate_part", dying)
         [_, part1] = line_ranges(FIXTURE_CORPUS, 2)
         status, errors, out = self.extract(tmp_path, FIXTURE_CORPUS, 2, caplog)
         assert status == 1
@@ -218,21 +218,68 @@ class TestShardedExtract:
 
     def test_error_in_part0_terminates_later_parts(self, tmp_path, caplog, monkeypatch):
         # part 1 would run for a minute; part 0's error needs nothing from it
-        extract_part = cli._extract_part
+        relate_part = cli._relate_part
 
-        def slow(path, lines, table, lex):
+        def slow(path, lines):
             if lines.first > 1:
                 time.sleep(60)
-            return extract_part(path, lines, table, lex)
+            return relate_part(path, lines)
 
         monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
-        monkeypatch.setattr(cli, "_extract_part", slow)
+        monkeypatch.setattr(cli, "_relate_part", slow)
         corpus_path = tmp_path / "corpus.jsonl"
         corpus_path.write_bytes(b"\n".join([_LINES[0], b"{not json", *_LINES[2:]]) + b"\n")
         start = time.monotonic()
         status, errors, out = self.extract(tmp_path, corpus_path, 2, caplog)
         assert time.monotonic() - start < 20
         assert status == 1 and errors[0].startswith("CorpusFormatError: line 2: invalid JSON record")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad_file", ["vectors", "lexicon", "none"])
+    def test_table_then_lexicon_then_corpus_error(self, tmp_path, caplog, monkeypatch, bad_file):
+        # the parts fork before the table loads, yet a table error, then a
+        # lexicon error, beats every corpus error, and an unopenable corpus
+        # still fails as one process fails
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        vectors, lexicon = tmp_path / "vectors.txt", tmp_path / "lexicon.json"
+        vectors.write_text("a 1\nb 1 2\n", encoding="utf-8")
+        lexicon.write_text('{"treshold": 0.9}', encoding="utf-8")
+        corpus_path = tmp_path / "corpus.jsonl"
+        if bad_file == "vectors":
+            lines = list(_LINES)
+            lines[15] = _set_head(lines[15], 0, 99)
+            corpus_path.write_bytes(b"\n".join(lines) + b"\n")
+            flags, message = ["--embeddings", vectors], "EmbeddingFormatError: line 2: expected 1 components"
+        elif bad_file == "lexicon":
+            flags, message = ["--lexicon", lexicon], "EmbeddingFormatError: "
+        else:
+            flags, message = [], "FileNotFoundError: "
+        one = self.extract(tmp_path, corpus_path, 1, caplog, *flags)
+        two = self.extract(tmp_path, corpus_path, 2, caplog, *flags)
+        assert one[:2] == two[:2]
+        assert one[0] == 1 and len(one[1]) == 1 and one[1][0].startswith(message)
+        assert bad_file != "lexicon" or "'treshold' is not a lexicon field" in one[1][0]
+        assert not one[2].exists() and not two[2].exists()
+        assert multiprocessing.active_children() == []
+
+    def test_table_error_terminates_running_parts(self, tmp_path, caplog, monkeypatch):
+        # part 1 would run for a minute; the table error needs nothing from it
+        relate_part = cli._relate_part
+
+        def slow(path, lines):
+            if lines.first > 1:
+                time.sleep(60)
+            return relate_part(path, lines)
+
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        monkeypatch.setattr(cli, "_relate_part", slow)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("a 1\nb 1 2\n", encoding="utf-8")
+        start = time.monotonic()
+        status, errors, out = self.extract(tmp_path, FIXTURE_CORPUS, 2, caplog, "--embeddings", vectors)
+        assert time.monotonic() - start < 20
+        assert status == 1 and errors == ["EmbeddingFormatError: line 2: expected 1 components, found 2"]
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
@@ -248,25 +295,89 @@ class TestShardedExtract:
         assert [cli._part_count(w) for w in (1, 2, 10_000)] == [1, 2, 3]
 
     def test_one_part_forks_nothing(self, tmp_path):
-        # --workers 1, and an empty corpus at any --workers, run in-process
-        empty = tmp_path / "empty.jsonl"
+        # --workers 1, and at --workers 2 an empty or one-line corpus, or one
+        # that cannot be opened, run in-process, even where two CPUs are free
+        empty, one_line = tmp_path / "empty.jsonl", tmp_path / "one.jsonl"
         empty.write_bytes(b"")
+        one_line.write_bytes(_LINES[0] + b"\n")
         script = (
             "import sys\n"
-            "from finrelex.cli import main\n"
-            "corpus, empty, toy, out = sys.argv[1:]\n"
-            "for path, workers in ((corpus, '1'), (empty, '2')):\n"
-            "    assert main(['extract', '--corpus', path, '--embeddings', toy, '--out', out,\n"
-            "                 '--workers', workers]) == 0\n"
+            "from finrelex import cli\n"
+            "cli._part_count = lambda workers: workers\n"
+            "corpus, empty, one_line, missing, toy, out = sys.argv[1:]\n"
+            "for path, workers, status in ((corpus, '1', 0), (empty, '2', 0), (one_line, '2', 0),\n"
+            "                              (missing, '2', 1)):\n"
+            "    assert cli.main(['extract', '--corpus', path, '--embeddings', toy, '--out', out,\n"
+            "                     '--workers', workers]) == status, path\n"
             "assert 'multiprocessing' not in sys.modules, 'a one-part extract imported multiprocessing'\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(FIXTURE_CORPUS), str(empty), str(TOY_EMBEDDINGS),
-             str(tmp_path / "pred.jsonl")],
+            [sys.executable, "-c", script, str(FIXTURE_CORPUS), str(empty), str(one_line),
+             str(tmp_path / "missing.jsonl"), str(TOY_EMBEDDINGS), str(tmp_path / "pred.jsonl")],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_parts_never_import_numpy(self, tmp_path):
+        # a fresh interpreter, whose parts fork before it loads the table;
+        # each part's body reports whether NumPy was loaded in it
+        script = (
+            "import sys\n"
+            "from finrelex import cli\n"
+            "cli._part_count = lambda workers: workers\n"
+            "relate_part = cli._relate_part\n"
+            "def probe(path, lines):\n"
+            "    relate_part(path, lines)\n"
+            "    return [(lines.first, f'{lines.first}: {\"numpy\" in sys.modules}')], [[]], None, None\n"
+            "cli._relate_part = probe\n"
+            "corpus, toy, out = sys.argv[1:]\n"
+            "sys.exit(cli.main(['extract', '--corpus', corpus, '--embeddings', toy, '--out', out, '--workers', '2']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "pred.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURE_CORPUS), str(TOY_EMBEDDINGS), str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        cut = line_ranges(FIXTURE_CORPUS, 2)[1].first
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["1: False", f"{cut}: False"]
+
+    @pytest.mark.parametrize("case", ["unserializable-record", "zero-bridge-vector"])
+    def test_warnings_match_one_process(self, tmp_path, case):
+        # a fresh interpreter, whose forked children would write to the same
+        # stderr; the parent alone logs each document's warnings, in file order
+        lines = list(_LINES)
+        rows = TOY_EMBEDDINGS.read_text(encoding="utf-8").splitlines()
+        if case == "unserializable-record":
+            for index in (8, 19):  # a country record in each part
+                lines[index] = lines[index].replace(b"Nigeria", b"Nige|ria")
+            changed, warning, count = (9, 20), "dropping unserializable record from document", 2
+        else:
+            # each "$N million" bridge phrase has a zero vector; part 1 repeats one of part 0's
+            rows = [("million" + " 0" * (len(row.split()) - 1)) if row.startswith("million ") else row
+                    for row in rows]
+            lines.append(_LINES[1].replace(b'"konga-raise"', b'"konga-raise-again"'))
+            changed, warning, count = (2, len(lines)), "phrase '$10 million' has a zero vector", 1
+        table, corpus_path, out = tmp_path / "vectors.txt", tmp_path / "corpus.jsonl", tmp_path / "pred.jsonl"
+        table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        corpus_path.write_bytes(b"\n".join(lines) + b"\n")
+        assert changed[0] < line_ranges(corpus_path, 2)[1].first <= changed[1]
+        script = ("import sys\nfrom finrelex import cli\n"
+                  "cli._part_count = lambda workers: workers\nsys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        runs = []
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "extract", "--corpus", str(corpus_path), "--embeddings", str(table),
+                 "--out", str(out), "--workers", workers],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stderr, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].count(warning) == count, runs[0][0]
 
     def test_classifier_built_once_per_run(self, tmp_path):
         # a fresh interpreter, whose forked child writes its warnings to the
@@ -852,14 +963,15 @@ class TestOutputNamesInput:
 
 _WITHOUT_NUMPY = """
 import sys
-src, gold, pred, out = sys.argv[1:]
+src, gold, pred, out, docs = sys.argv[1:]
 sys.path.insert(0, src)
 from finrelex.cli import main
 assert main(["evaluate", "--gold", gold, "--pred", pred, "--mode", "fuzzy",
              "--report", out + "/report.json"]) == 0
 assert main(["prepare", "--gold", gold, "--balanced", "--out-dir", out + "/split"]) == 0
-assert "numpy" not in sys.modules, "evaluate or prepare imported numpy"
-assert "multiprocessing" not in sys.modules, "evaluate or prepare imported multiprocessing"
+assert main(["inspect", "--corpus", docs, "--id", "apple-income"]) == 0
+assert "numpy" not in sys.modules, "evaluate, prepare or inspect imported numpy"
+assert "multiprocessing" not in sys.modules, "evaluate, prepare or inspect imported multiprocessing"
 """
 
 
@@ -869,7 +981,8 @@ def test_evaluate_and_prepare_do_not_import_numpy(tmp_path, gold_examples):
     records.save_predictions([(g.id, g.target_text) for g in gold_examples], pred)
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, str(src), str(FIXTURE_GOLD), str(pred), str(tmp_path)],
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(src), str(FIXTURE_GOLD), str(pred), str(tmp_path),
+         str(FIXTURE_CORPUS)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

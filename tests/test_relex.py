@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from finrelex import corpus
 from finrelex import deptree as dt
 from finrelex import records as records_mod
-from finrelex import relex
+from finrelex import relex, semvec
 from finrelex.corpus import AnnotatedDocument
 from finrelex.deptree import TreeView
 from finrelex.records import RelationRecord
@@ -21,6 +25,7 @@ from finrelex.relex import (
     relate_money_company,
     relate_other_pairs,
 )
+from tests.conftest import FIXTURE_CORPUS
 
 
 def view_of(doc_by_id, doc_id):
@@ -680,6 +685,38 @@ class TestExtract:
                 left_sent = doc.tokens[rel.left.start].sentence
                 right_sent = doc.tokens[rel.right.start].sentence
                 assert left_sent == right_sent
+
+    def test_shared_verdicts_classify_each_phrase_once(self, documents, toy_table, lexicon):
+        # one memo across the corpus: the same records, one classification per distinct key
+        money = mock.Mock(wraps=semvec.classify_money_phrase)
+        person = mock.Mock(wraps=semvec.classify_person_phrase)
+        verdicts = {}
+        with mock.patch.object(semvec, "classify_money_phrase", money), \
+                mock.patch.object(semvec, "classify_person_phrase", person):
+            shared = [extract(TreeView.build(doc), toy_table, lexicon, verdicts) for doc in documents]
+        assert shared == [extract(TreeView.build(doc), toy_table, lexicon) for doc in documents]
+        candidates = [c for doc in documents for c in relex.relate(TreeView.build(doc))]
+        money_phrases = [c.phrase for c in candidates if c.kind == relex.COMPANY_MONEY]
+        person_keys = [(c.value, c.phrase) for c in candidates if c.kind == relex.COMPANY_PERSON]
+        assert len(money_phrases) > len(set(money_phrases)) and person_keys
+        assert [c.args[2] for c in money.call_args_list] == list(dict.fromkeys(money_phrases))
+        assert [c.args[2:] for c in person.call_args_list] == list(dict.fromkeys(person_keys))
+        assert set(verdicts) == set(money_phrases) | set(person_keys)
+
+
+def test_relate_imports_no_numpy():
+    # a fresh interpreter: this test process has NumPy loaded already
+    script = (
+        "import sys\n"
+        "from finrelex import corpus, relex\n"
+        "from finrelex.deptree import TreeView\n"
+        "assert any(relex.relate(TreeView.build(doc)) for doc in corpus.load_documents(sys.argv[1]))\n"
+        "assert 'numpy' not in sys.modules, 'relex or relate imported numpy'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script, str(FIXTURE_CORPUS)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def _build_initial_pp_doc() -> AnnotatedDocument:
