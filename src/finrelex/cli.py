@@ -43,7 +43,6 @@ cut, or a corpus that cannot be opened) forks nothing and imports no
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import logging
 import os
@@ -195,8 +194,7 @@ def cmd_extract(args: argparse.Namespace) -> None:
         results = _extract_parts(args, ranges)
     else:
         table, lex = _load_table(args)
-        verdicts: dict = {}
-        results = [(doc.id, records_mod.serialize(relex.extract(TreeView.build(doc), table, lex, verdicts)))
+        results = [(doc.id, records_mod.serialize(relex.extract(TreeView.build(doc), table, lex)))
                    for doc in corpus.load_documents(args.corpus)]
     records_mod.save_predictions(results, args.out)
     logger.info("wrote %d predictions to %s", len(results), args.out)
@@ -253,9 +251,6 @@ def _relate_part(path: str, lines: LineRange) -> _Part:
 
 def _send_part(sender, path: str, lines: LineRange) -> None:
     """A forked child's body: run one part and send the parent its result."""
-    # All a part allocates stays reachable until it is sent and the child
-    # exits, so each cyclic collection would only rescan the growing heap.
-    gc.disable()
     with sender:
         sender.send(_relate_part(path, lines))
 
@@ -282,9 +277,9 @@ def _extract_parts(args: argparse.Namespace, ranges: list[LineRange]) -> list[tu
     any, reports: part k's ids are checked against every earlier part's, and
     part k's load error is raised only when every earlier part loaded and
     none of part k's documents repeats an earlier id.  Once every part has
-    loaded, this process finishes the documents in file order with one
-    memo of verdicts, so each distinct phrase is classified once and the
-    warnings come in file order, and raises a part's relating error after
+    loaded, this process finishes the documents in file order, so the
+    warnings come in file order (the table's classifier works out each
+    distinct phrase once), and raises a part's relating error after
     finishing that part's documents before it.  Every child is joined
     before this returns or raises; those still running on an error are
     terminated first.
@@ -313,10 +308,9 @@ def _extract_parts(args: argparse.Namespace, ranges: list[LineRange]) -> list[tu
             if load_error is not None:
                 raise load_error
             parts.append(part)
-        verdicts: dict = {}
         results = []
         for loaded, related, _, relate_error in parts:
-            results += [(doc_id, records_mod.serialize(relex.finish(doc_id, candidates, table, lex, verdicts)))
+            results += [(doc_id, records_mod.serialize(relex.finish(doc_id, candidates, table, lex)))
                         for (_, doc_id), candidates in zip(loaded, related)]
             if relate_error is not None:
                 raise relate_error

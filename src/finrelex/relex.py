@@ -336,7 +336,6 @@ def finish(
     candidates: list[Candidate],
     table: EmbeddingTable,
     lex: LexiconConfig,
-    verdicts: dict | None = None,
 ) -> list[RelationRecord]:
     """The classifying step of :func:`extract`: the records of document
     ``doc_id``'s candidates, ordered by company root token, then by value
@@ -346,29 +345,18 @@ def finish(
     phrase's verdict, and is dropped on ``unknown``; a person candidate
     becomes a founder record only on a founder verdict.  A value that cannot
     form a well-formed record (embedded separator characters) is dropped
-    with a warning.  ``verdicts`` memoizes the verdicts of one table and
-    lexicon, keyed by bridge phrase and by (person, context); pass one dict
-    to every call of a run, and each distinct phrase is classified once.
+    with a warning.
     """
     from . import semvec  # NumPy: only this step needs the table
-
-    if verdicts is None:
-        verdicts = {}
-
-    def verdict(key, classify, *phrase) -> str:
-        found = verdicts.get(key)
-        if found is None:
-            found = verdicts[key] = classify(table, lex, *phrase)
-        return found
 
     rows: list[tuple[int, int, RelationRecord]] = []
     for c in candidates:
         if c.kind == COMPANY_MONEY:
-            name = verdict(c.phrase, semvec.classify_money_phrase, c.phrase)
+            name = semvec.classify_money_phrase(table, lex, c.phrase)
             if name == semvec.UNKNOWN:
                 continue
         elif c.kind == COMPANY_PERSON:
-            if verdict((c.value, c.phrase), semvec.classify_person_phrase, c.value, c.phrase) != semvec.FOUNDER:
+            if semvec.classify_person_phrase(table, lex, c.value, c.phrase) != semvec.FOUNDER:
                 continue
             name = "founder"
         else:
@@ -388,8 +376,7 @@ def extract(
     view: dt.TreeView,
     table: EmbeddingTable,
     lex: LexiconConfig,
-    verdicts: dict | None = None,
 ) -> list[RelationRecord]:
     """Integrate all pairwise relations of a paragraph into ordered records:
-    :func:`finish` of :func:`relate`, with the memo ``verdicts``."""
-    return finish(view.document.id, relate(view), table, lex, verdicts)
+    :func:`finish` of :func:`relate`."""
+    return finish(view.document.id, relate(view), table, lex)

@@ -7,8 +7,9 @@ same treatment against a founder lexicon.  A classification only sticks when
 the winning similarity strictly exceeds the configured threshold.
 
 A :class:`Classifier` holds the lexicon rows of one table and lexicon, with
-their norms; each table builds it at its first classification with that
-lexicon and keeps it for the rest of the run.
+their norms, and the verdict of each phrase it has classified; each table
+builds it at its first classification with that lexicon and keeps it for the
+rest of the run, so a run classifies each distinct phrase once.
 """
 
 from __future__ import annotations
@@ -275,9 +276,12 @@ class Classifier:
     Each lexicon word is looked up, and its vector's norm computed, once,
     when the classifier is built; an out-of-vocabulary word is left out of
     its group.  Each phrase then costs one phrase vector and norm, and one
-    ``dot / (nu * nv)`` per lexicon row.  A zero vector on either side gives
-    similarity 0.0, with a warning: once per lexicon word at build time, and
-    once per classification of a phrase.
+    ``dot / (nu * nv)`` per lexicon row, the first time it is classified:
+    the money verdict of each phrase, and the founder verdict of each
+    (person, context) pair, is kept and returned again on a later call.  A
+    zero vector on either side gives similarity 0.0, with a warning: once
+    per lexicon word at build time, and once per distinct phrase classified
+    (a money phrase and a person pooled with its context apart).
     """
 
     def __init__(self, table: EmbeddingTable, lex: LexiconConfig) -> None:
@@ -291,6 +295,8 @@ class Classifier:
                 (FOUNDER, lex.founder_words),
             )
         }
+        self._money: dict[str, str] = {}
+        self._person: dict[tuple[str, str], str] = {}
 
     def best_similarities(self, phrase: str, *groups: str) -> tuple[float, ...] | None:
         """For each of ``groups``, the highest similarity of the phrase
@@ -316,6 +322,12 @@ class Classifier:
 
     def money(self, phrase: str) -> str:
         """See :func:`classify_money_phrase`."""
+        verdict = self._money.get(phrase)
+        if verdict is None:
+            verdict = self._money[phrase] = self._classify_money(phrase)
+        return verdict
+
+    def _classify_money(self, phrase: str) -> str:
         sims = self.best_similarities(phrase, REVENUE, INVESTMENT)
         if sims is None:
             return UNKNOWN
@@ -326,6 +338,12 @@ class Classifier:
 
     def person(self, phrase: str, context: str) -> str:
         """See :func:`classify_person_phrase`."""
+        verdict = self._person.get((phrase, context))
+        if verdict is None:
+            verdict = self._person[phrase, context] = self._classify_person(phrase, context)
+        return verdict
+
+    def _classify_person(self, phrase: str, context: str) -> str:
         sims = self.best_similarities(f"{phrase} {context}".strip(), FOUNDER)
         if sims is None or sims[0] <= self.threshold:
             return OTHER

@@ -25,7 +25,7 @@ from finrelex.relex import (
     relate_money_company,
     relate_other_pairs,
 )
-from tests.conftest import FIXTURE_CORPUS
+from tests.conftest import FIXTURE_CORPUS, TOY_EMBEDDINGS
 
 
 def view_of(doc_by_id, doc_id):
@@ -686,23 +686,28 @@ class TestExtract:
                 right_sent = doc.tokens[rel.right.start].sentence
                 assert left_sent == right_sent
 
-    def test_shared_verdicts_classify_each_phrase_once(self, documents, toy_table, lexicon):
-        # one memo across the corpus: the same records, one classification per distinct key
-        money = mock.Mock(wraps=semvec.classify_money_phrase)
-        person = mock.Mock(wraps=semvec.classify_person_phrase)
-        verdicts = {}
-        with mock.patch.object(semvec, "classify_money_phrase", money), \
-                mock.patch.object(semvec, "classify_person_phrase", person):
-            shared = [extract(TreeView.build(doc), toy_table, lexicon, verdicts) for doc in documents]
-        assert shared == [extract(TreeView.build(doc), toy_table, lexicon) for doc in documents]
+    def test_classifier_classifies_each_distinct_phrase_once(self, documents, lexicon):
+        # a fresh table, so its classifier has kept no verdict yet
+        table = semvec.load_embeddings(TOY_EMBEDDINGS)
+        money_calls = mock.Mock(wraps=semvec.classify_money_phrase)
+        person_calls = mock.Mock(wraps=semvec.classify_person_phrase)
+        money_work = mock.Mock(side_effect=semvec.Classifier._classify_money)
+        person_work = mock.Mock(side_effect=semvec.Classifier._classify_person)
+        with mock.patch.object(semvec, "classify_money_phrase", money_calls), \
+                mock.patch.object(semvec, "classify_person_phrase", person_calls), \
+                mock.patch.object(semvec.Classifier, "_classify_money", lambda *a: money_work(*a)), \
+                mock.patch.object(semvec.Classifier, "_classify_person", lambda *a: person_work(*a)):
+            first, again = ([extract(TreeView.build(doc), table, lexicon) for doc in documents] for _ in range(2))
+        assert first == again == [extract(TreeView.build(doc), table, lexicon) for doc in documents]
         candidates = [c for doc in documents for c in relex.relate(TreeView.build(doc))]
         money_phrases = [c.phrase for c in candidates if c.kind == relex.COMPANY_MONEY]
         person_keys = [(c.value, c.phrase) for c in candidates if c.kind == relex.COMPANY_PERSON]
         assert len(money_phrases) > len(set(money_phrases)) and person_keys
-        assert [c.args[2] for c in money.call_args_list] == list(dict.fromkeys(money_phrases))
-        assert [c.args[2:] for c in person.call_args_list] == list(dict.fromkeys(person_keys))
-        assert set(verdicts) == set(money_phrases) | set(person_keys)
-
+        # one classifier call per relation, but each distinct phrase is worked out once
+        assert [c.args[2] for c in money_calls.call_args_list] == money_phrases * 2
+        assert [c.args[2:] for c in person_calls.call_args_list] == person_keys * 2
+        assert [c.args[1] for c in money_work.call_args_list] == list(dict.fromkeys(money_phrases))
+        assert [c.args[1:] for c in person_work.call_args_list] == list(dict.fromkeys(person_keys))
 
 def test_relate_imports_no_numpy():
     # a fresh interpreter: this test process has NumPy loaded already

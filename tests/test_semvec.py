@@ -477,7 +477,8 @@ class TestZeroVectorWarnings:
         ]
 
     def test_zero_phrase_warns_once_per_classification(self, tmp_path, caplog):
-        # three in-vocabulary lexicon words: the reference warned three times a phrase
+        # three in-vocabulary lexicon words: the reference warned three times a
+        # phrase; a phrase classified again is not worked out, nor warned, again
         path = tmp_path / "vectors.txt"
         path.write_text("income 1 0\nrevenue 1 0\nraised 0 1\nnil 0 0\nzero 0 0\n", encoding="utf-8")
         table = load_embeddings(path)
@@ -485,6 +486,8 @@ class TestZeroVectorWarnings:
         with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
             assert classify_money_phrase(table, lex, "nil") == "unknown"
             assert classify_money_phrase(table, lex, "nil zero") == "unknown"
+            assert classify_person_phrase(table, lex, "nil", "") == "other"
+            assert classify_money_phrase(table, lex, "nil") == "unknown"
             assert classify_person_phrase(table, lex, "nil", "") == "other"
         assert [r.getMessage() for r in caplog.records] == [
             f"phrase {phrase!r} has a zero vector; its similarity to every lexicon word is 0.0"
