@@ -6,10 +6,12 @@ lexicons and taking the single most similar word; person mentions get the
 same treatment against a founder lexicon.  A classification only sticks when
 the winning similarity strictly exceeds the configured threshold.
 
-A :class:`Classifier` holds the lexicon rows of one table and lexicon, with
-their norms, and the verdict of each phrase it has classified; each table
-builds it at its first classification with that lexicon and keeps it for the
-rest of the run, so a run classifies each distinct phrase once.
+An :class:`EmbeddingTable` is one float64 matrix, ``vectors``, and the
+``index`` of each case-folded word's row.  A :class:`Classifier` holds the
+lexicon rows of one table and lexicon, with their norms, and the verdict of
+each phrase it has classified; each table builds it at its first
+classification with that lexicon and keeps it for the rest of the run, so a
+run classifies each distinct phrase once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import codecs
 import logging
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -48,28 +49,23 @@ class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding or lexicon files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Case-folded word -> dense vector map of a fixed dimension.
+    """Case-folded word -> row ``index`` into one (V, D) float64 matrix, ``vectors``.
 
-    ``load_embeddings`` fills ``vectors`` with a read-only mapping whose
-    values are row views of one float64 matrix; any mapping of words to
-    float64 vectors works as well.
-
-    The table keeps the :class:`Classifier` of each lexicon it classifies
-    with, built at the first classification; the lexicon rows it holds are
-    the table's vectors at that moment, so a table's vectors must not
-    change after its first classification.
+    A table compares by identity.  It keeps the :class:`Classifier` of each
+    lexicon it classifies with, built at the first classification; the
+    lexicon rows it holds are views of ``vectors``, so the matrix must not
+    change after the table's first classification.
     """
 
-    dimension: int
-    vectors: Mapping[str, np.ndarray]
-    _classifiers: dict[LexiconConfig, Classifier] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    index: dict[str, int]
+    vectors: np.ndarray
+    _classifiers: dict[LexiconConfig, Classifier] = field(default_factory=dict, init=False, repr=False)
 
     def lookup(self, word: str) -> np.ndarray | None:
-        return self.vectors.get(word.casefold())
+        row = self.index.get(word.casefold())
+        return None if row is None else self.vectors[row]
 
     def classifier(self, lex: LexiconConfig) -> Classifier:
         """The classifier of ``lex`` over this table, built at its first use."""
@@ -77,30 +73,6 @@ class EmbeddingTable:
         if clf is None:
             clf = self._classifiers[lex] = Classifier(self, lex)
         return clf
-
-
-class _MatrixRows(Mapping[str, np.ndarray]):
-    """Read-only ``word -> row view`` over one matrix and its ``word -> row`` index."""
-
-    __slots__ = ("_matrix", "_index")
-
-    def __init__(self, matrix: np.ndarray, index: dict[str, int]) -> None:
-        self._matrix, self._index = matrix, index
-
-    def __getitem__(self, word: str) -> np.ndarray:
-        return self._matrix[self._index[word]]
-
-    def get(self, word: str, default: np.ndarray | None = None) -> np.ndarray | None:
-        # ``lookup`` calls this for every phrase and lexicon word; a miss
-        # here costs no ``KeyError`` as ``Mapping.get`` would.
-        row = self._index.get(word)
-        return default if row is None else self._matrix[row]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 @dataclass(frozen=True)
@@ -164,7 +136,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             lineno += len(raw)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
-    return EmbeddingTable(dimension=dimension, vectors=_MatrixRows(np.concatenate(blocks), index))
+    return EmbeddingTable(index, np.concatenate(blocks))
 
 
 def _parse_chunk(lines: list[str], index: dict[str, int], dimension: int | None) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finrelex import corpus, semvec
@@ -10,6 +11,14 @@ DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CORPUS = DATA_DIR / "fixture_corpus.jsonl"
 FIXTURE_GOLD = DATA_DIR / "fixture_gold.jsonl"
 TOY_EMBEDDINGS = DATA_DIR / "toy_embeddings.txt"
+
+
+def table_of(vectors):
+    """The table of ``{word: vector}``, its words taken as already case-folded,
+    one matrix row each in the dict's order."""
+    return semvec.EmbeddingTable(
+        {word: row for row, word in enumerate(vectors)}, np.array(list(vectors.values()), dtype=np.float64)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from finrelex.cli import main as cli_main
 from finrelex.deptree import TreeView
 from finrelex.evalkit import EvalConfig, f1_score, score_example, word_match
 from finrelex.records import RelationRecord
-from tests.conftest import FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
+from tests.conftest import FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS, table_of
 
 
 @contextmanager
@@ -267,10 +267,7 @@ def test_criterion_08_classifier_properties(toy_table, lexicon):
 
         probes = ("income", "a net income", "raised", "$10 million", "zzz", "the founder of")
         for scale in (0.001, 2.5, 1000.0):
-            scaled = semvec.EmbeddingTable(
-                dimension=toy_table.dimension,
-                vectors={w: scale * v for w, v in toy_table.vectors.items()},
-            )
+            scaled = table_of({w: scale * toy_table.vectors[i] for w, i in toy_table.index.items()})
             for phrase in probes:
                 assert semvec.classify_money_phrase(scaled, lexicon, phrase) == (
                     semvec.classify_money_phrase(toy_table, lexicon, phrase)

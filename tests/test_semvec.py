@@ -22,7 +22,7 @@ from finrelex.semvec import (
     phrase_vector,
 )
 
-from tests.conftest import FIXTURE_CORPUS, TOY_EMBEDDINGS
+from tests.conftest import FIXTURE_CORPUS, TOY_EMBEDDINGS, table_of
 
 
 @pytest.fixture()
@@ -34,8 +34,8 @@ def tiny_table(tmp_path):
 
 class TestLoadEmbeddings:
     def test_three_word_table(self, tiny_table):
-        assert tiny_table.dimension == 2
-        assert sorted(tiny_table.vectors) == ["income", "raised", "revenue"]
+        assert tiny_table.vectors.shape[1] == 2
+        assert sorted(tiny_table.index) == ["income", "raised", "revenue"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -68,28 +68,28 @@ class TestLoadEmbeddings:
         path = tmp_path / "vectors.txt"
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert table.dimension == 3
+        assert table.vectors.shape[1] == 3
         assert len(table.vectors) == 2
 
     def test_header_after_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("\n  \n2 3\nfoo 1 2 3\nbar 0 1 0\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert table.dimension == 3
-        assert sorted(table.vectors) == ["bar", "foo"]
+        assert table.vectors.shape[1] == 3
+        assert sorted(table.index) == ["bar", "foo"]
 
     def test_only_first_non_blank_line_can_be_header(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1\n2 3\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert sorted(table.vectors) == ["2", "a"]
+        assert sorted(table.index) == ["2", "a"]
 
     def test_duplicate_word_keeps_first(self, tmp_path, caplog):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 0\na 0 1\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
             table = load_embeddings(path)
-        assert list(table.vectors["a"]) == [1.0, 0.0]
+        assert list(table.lookup("a")) == [1.0, 0.0]
         assert any("duplicate" in r.message for r in caplog.records)
 
     def test_lookup_is_case_folded(self, tmp_path):
@@ -138,7 +138,7 @@ def _reference_load(path):
             vectors[word] = vec
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
-    return EmbeddingTable(dimension=dimension, vectors=vectors)
+    return table_of(vectors)
 
 
 # Case variants that fold alike ("ß" and "SS" both fold to "ss"), and a
@@ -203,7 +203,7 @@ def _outcome(load, path):
             table = load(path)
         except EmbeddingFormatError as exc:
             return ("error", str(exc)), messages
-    return (table.dimension, [(w, v.tobytes()) for w, v in table.vectors.items()]), messages
+    return (table.vectors.shape[1], [(w, table.vectors[i].tobytes()) for w, i in table.index.items()]), messages
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,11 +226,9 @@ def test_table_rows_share_one_matrix(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
     table = load_embeddings(path)
-    assert len(table.vectors) == 2 and "a" in table.vectors and "c" not in table.vectors
-    assert table.lookup("B").base is table.lookup("a").base is not None
-    assert table.vectors.get("c") is None
-    with pytest.raises(TypeError):
-        table.vectors["c"] = np.zeros(2)
+    assert table.lookup("B").base is table.lookup("a").base is table.vectors
+    assert table.lookup("c") is None
+    assert sorted(table.index.values()) == list(range(len(table.vectors)))
 
 
 class TestPhraseVector:
@@ -358,8 +356,8 @@ _COMPONENTS = [0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -0.25, 3.7, 1e-3, 1e-200]
 
 @st.composite
 def _tables(draw):
-    """A dict- or matrix-backed table whose rows are drawn vectors, copies
-    of an earlier row (exact ties) or scaled copies of one."""
+    """A table whose rows are drawn vectors, copies of an earlier row
+    (exact ties) or scaled copies of one."""
     d = draw(st.integers(1, 3))
     words = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=8, unique_by=str.casefold))
     rows = []
@@ -370,11 +368,7 @@ def _tables(draw):
         else:
             row = draw(st.sampled_from(rows)) * (1.0 if kind == "copy" else draw(st.sampled_from([2.0, 0.5, 3.7])))
         rows.append(row)
-    keys = [w.casefold() for w in words]
-    if draw(st.booleans()):
-        return EmbeddingTable(dimension=d, vectors=dict(zip(keys, rows)))
-    index = {w: i for i, w in enumerate(keys)}
-    return EmbeddingTable(dimension=d, vectors=semvec._MatrixRows(np.array(rows), index))
+    return table_of(dict(zip((w.casefold() for w in words), rows)))
 
 
 @st.composite
@@ -546,10 +540,7 @@ class TestClassifyMoneyPhrase:
 
     def test_scale_invariance(self, toy_table, lexicon):
         phrases = ["a net income", "raised", "$10 million", "the founder of", "zzz"]
-        scaled = EmbeddingTable(
-            dimension=toy_table.dimension,
-            vectors={w: 3.7 * v for w, v in toy_table.vectors.items()},
-        )
+        scaled = table_of({w: 3.7 * toy_table.vectors[i] for w, i in toy_table.index.items()})
         for phrase in phrases:
             assert classify_money_phrase(toy_table, lexicon, phrase) == classify_money_phrase(
                 scaled, lexicon, phrase
@@ -674,6 +665,6 @@ class TestCommittedToyTable:
                 assert classify_money_phrase(toy_table, lexicon, word) == "investment", word
 
     def test_no_nan_or_inf(self, toy_table):
-        for vec in toy_table.vectors.values():
+        for vec in toy_table.vectors:
             assert np.all(np.isfinite(vec))
-            assert len(vec) == toy_table.dimension
+            assert len(vec) == toy_table.vectors.shape[1]

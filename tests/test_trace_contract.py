@@ -60,3 +60,6 @@ def test_traced_workload_runs_every_layer(name, fr, tmp_path):
     if name == "score_fuzzy":
         # one scoring pass, with or without --breakdown
         assert metrics["evalkit.score_example_calls"] == wl.items
+    if name == "short_docs":
+        # the tracer reads the vocabulary as the loaded table's row count
+        assert metrics["semvec.vocab"] == wl.sizes["embedding_words"] == 217
