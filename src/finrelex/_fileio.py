@@ -48,18 +48,17 @@ class LineRange(NamedTuple):
     last: int
 
 
-def line_ranges(path: str | Path, parts: int) -> list[LineRange | None]:
+def line_ranges(path: str | Path, parts: int) -> list[LineRange]:
     """Split ``path`` into at most ``parts`` contiguous, non-empty ranges of
     whole lines, in file order, each cut at the first line start at or after
-    a ``1/parts`` share of the bytes: none for an empty file, fewer when a
-    line spans a cut.  A file that is not a regular file (a pipe) cannot be
-    split and is ``[None]``, one part that reads it to its end."""
+    a ``1/parts`` share of the bytes: none for an empty file or one that is
+    not regular (a pipe, told by a stat, since opening a named pipe waits
+    for its writer), fewer when a line spans a cut."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        return []
+    size, cuts = info.st_size, [0]
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return [None]
-        size = info.st_size
-        cuts = [0]
         for k in range(1, parts):
             cut = size * k // parts
             if cut > cuts[-1]:

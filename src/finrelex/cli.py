@@ -24,20 +24,20 @@ refused before anything is read.
 ``extract --workers N`` cuts the corpus file into at most N ranges of whole
 lines, no more than the CPUs the process may run on.  Each range runs in a
 child forked from this process (the ``fork`` start method, so Linux) before
-it imports NumPy or loads the table; the child decodes, validates and
-relates its own lines and sends back only (line, id) pairs and unclassified
-candidate records.  This process runs no range: meanwhile it loads the
-table and lexicon and builds the classifier, then joins the ranges in file
-order and classifies each distinct bridge phrase and person context once.
-So the output is byte-identical for every N, the first error is the one a
-single process reports (a table error, then a lexicon error, then the first
-corpus error in the file), and every warning is logged by this process in
-file order.  NumPy is not imported yet at the fork, so its BLAS threads
-have not started, and Python 3.12's warning about forking a threaded
-process does not fire in a ``finrelex extract`` run.  One part
-(``--workers 1``, a corpus of at most one line or a pipe, which cannot be
-cut, or a corpus that cannot be opened) forks nothing and imports no
-``multiprocessing``.
+it imports NumPy or loads the table; the child reads, validates and relates
+its own lines one document at a time, and sends back only (line, id) pairs
+and unclassified candidate records.  This process runs no range: meanwhile
+it loads the table and lexicon and builds the classifier, then joins the
+ranges in file order and classifies each distinct bridge phrase and person
+context once.  So the output is byte-identical for every N, the first error
+is the one a single process reports (a table error, then a lexicon error,
+then the first corpus error in the file), and every warning is logged by
+this process in file order.  NumPy is not imported yet at the fork, so its
+BLAS threads have not started, and Python 3.12's warning about forking a
+threaded process does not fire in a ``finrelex extract`` run.  One part
+(``--workers 1``, a corpus of at most one line, a pipe, named or not, which
+cannot be cut, or a corpus that cannot be opened) forks nothing and imports
+no ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -226,27 +226,29 @@ _Part = tuple[list[tuple[int, str]], list[list["Candidate"]], Exception | None, 
 
 
 def _relate_part(path: str, lines: LineRange) -> _Part:
-    """A forked child's work: load, build and relate the documents on
-    ``lines`` of ``path``.  Returns the (line number, id) of each document
-    loaded, the candidates of each document related, and the error that
-    stopped the load or else the one that stopped relating, the other
-    ``None``.  After a load error the documents loaded are those before the
-    line that failed, and none is related; after a relating error the
-    candidates are those of the documents before the one that failed."""
+    """A forked child's work: read, validate, build and relate the documents
+    on ``lines`` of ``path``, one at a time.  Returns the (line number, id)
+    of each document loaded, the candidates of each document related, and
+    the error that stopped the load or else the first relating error, the
+    other ``None``.  After a load error the documents loaded are those
+    before the line that failed, and none is related; after a relating error
+    the candidates are those of the documents before the one that failed."""
     from . import relex
 
     loaded: list[tuple[int, str]] = []
+    related: list[list[Candidate]] = []
+    relate_error = None
     try:
-        docs = corpus.load_documents(path, lines, loaded)
+        for lineno, doc in corpus.iter_documents(path, lines):
+            loaded.append((lineno, doc.id))
+            if relate_error is None:
+                try:
+                    related.append(relex.relate(TreeView.build(doc)))
+                except Exception as exc:  # raised by the parent, once every part has loaded
+                    relate_error = exc
     except Exception as exc:  # raised by the parent, after every earlier part
         return loaded, [], exc, None
-    related: list[list[Candidate]] = []
-    try:
-        for doc in docs:
-            related.append(relex.relate(TreeView.build(doc)))
-    except Exception as exc:  # raised by the parent, once every part has loaded
-        return loaded, related, None, exc
-    return loaded, related, None, None
+    return loaded, related, None, relate_error
 
 
 def _send_part(sender, path: str, lines: LineRange) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from sys import intern
@@ -235,21 +236,19 @@ def _document_from_dict(obj: object, lineno: int) -> AnnotatedDocument:
     )
 
 
-def load_documents(path: str | Path, lines: LineRange | None = None,
-                   loaded: list[tuple[int, str]] | None = None) -> list[AnnotatedDocument]:
-    """Load and validate a line-delimited document file, or its range of
-    lines ``lines``, in file order; ids must be unique.  When ``loaded`` is a
-    list, each document's (line number, id) is appended to it as the
-    document loads, so a caller still has them when a later line raises."""
-    docs: list[AnnotatedDocument] = []
+def iter_documents(path: str | Path, lines: LineRange | None = None) -> Iterator[tuple[int, AnnotatedDocument]]:
+    """Yield (line number, document) per row of a document file, or of its range of
+    lines ``lines``, in file order, read, validated and built one at a time; ids must be unique."""
     ids: set[str] = set()
     for lineno, obj in iter_jsonl(path, CorpusFormatError, lines):
         doc = _document_from_dict(obj, lineno)
         add_id(ids, doc.id, lineno)
-        docs.append(doc)
-        if loaded is not None:
-            loaded.append((lineno, doc.id))
-    return docs
+        yield lineno, doc
+
+
+def load_documents(path: str | Path) -> list[AnnotatedDocument]:
+    """Every document of a document file, in file order (:func:`iter_documents`)."""
+    return [doc for _, doc in iter_documents(path)]
 
 
 def add_id(ids: set[str], doc_id: str, lineno: int) -> None:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,89 @@ class TestShardedExtract:
         assert one[:2] == self.extract(tmp_path, corpus_path, 2, caplog)[:2]
         assert one[1][0].startswith("DocumentValidationError" if part1_defect else "RuntimeError")
         assert multiprocessing.active_children() == []
+
+    def test_load_error_beats_earlier_relating_error_in_the_same_part(self, tmp_path, caplog, monkeypatch):
+        # a part relates each document as it loads, so in part 1 a relating
+        # failure comes before the bad line 21; one process loads every
+        # document first, so line 21 is the error at every N
+        failing_id = json.loads(_LINES[16])["id"]
+        relate = relex.relate
+
+        def failing(view):
+            if view.document.id == failing_id:
+                raise RuntimeError("extraction failed")
+            return relate(view)
+
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        monkeypatch.setattr(relex, "relate", failing)
+        lines = list(_LINES)
+        lines[20] = b"{not json"
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_bytes(b"\n".join(lines) + b"\n")
+        assert line_ranges(corpus_path, 2)[1].first <= 17
+        one = self.extract(tmp_path, corpus_path, 1, caplog)
+        two = self.extract(tmp_path, corpus_path, 2, caplog)
+        assert one[:2] == two[:2]
+        assert one[0] == 1 and len(one[1]) == 1
+        assert one[1][0].startswith("CorpusFormatError: line 21: invalid JSON record")
+        assert not one[2].exists() and not two[2].exists()
+        assert multiprocessing.active_children() == []
+
+    def test_part_holds_one_document_at_a_time(self, monkeypatch):
+        # every document built is tracked; when each is related, it is the only one alive
+        live = weakref.WeakSet()
+        counts = []
+        document_from_dict, relate = corpus._document_from_dict, relex.relate
+
+        def tracked(obj, lineno):
+            doc = document_from_dict(obj, lineno)
+            live.add(doc)
+            return doc
+
+        def counting(view):
+            counts.append(len(live))
+            return relate(view)
+
+        monkeypatch.setattr(corpus, "_document_from_dict", tracked)
+        monkeypatch.setattr(relex, "relate", counting)
+        [part0, _] = line_ranges(FIXTURE_CORPUS, 2)
+        loaded, related, load_error, relate_error = cli._relate_part(str(FIXTURE_CORPUS), part0)
+        assert load_error is None and relate_error is None
+        assert len(loaded) == len(related) == len(counts) == part0.last
+        assert set(counts) == {1}
+
+    def test_named_pipe_corpus_runs_as_one_part(self, tmp_path):
+        # a stat, which never waits, tells a named pipe from a regular file,
+        # so the pipe is opened once, by the one-part load, and its writer is
+        # neither waited for nor cut off; a fresh interpreter under a timeout,
+        # so a regression fails instead of hanging the suite
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        script = ("import sys\nfrom finrelex import cli\n"
+                  "cli._part_count = lambda workers: workers\nsys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def extract(corpus_path, out):
+            return subprocess.run(
+                [sys.executable, "-c", script, "extract", "--corpus", str(corpus_path),
+                 "--embeddings", str(TOY_EMBEDDINGS), "--out", str(out), "--workers", "2"],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+            )
+
+        regular, piped = tmp_path / "regular.jsonl", tmp_path / "piped.jsonl"
+        assert extract(FIXTURE_CORPUS, regular).returncode == 0
+        writer = subprocess.Popen([sys.executable, "-c", "import shutil, sys; "
+                                   "shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
+                                   str(FIXTURE_CORPUS), str(fifo)])
+        try:
+            proc = extract(fifo, piped)
+            writer_status = writer.wait(timeout=10)
+        finally:
+            writer.kill()
+            writer.wait()
+        assert proc.returncode == 0, proc.stderr
+        assert writer_status == 0
+        assert piped.read_bytes() == regular.read_bytes()
 
     def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, monkeypatch):
         # the forked child inherits the patch, so part 1 dies before sending a result

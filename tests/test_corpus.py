@@ -54,6 +54,15 @@ class TestLoadDocuments:
         path.write_text("", encoding="utf-8")
         assert load_documents(path) == []
 
+    def test_iter_documents_yields_each_row_before_a_later_bad_row_raises(self, tmp_path, raw_lines):
+        first, second = list(raw_lines)[:2]
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [raw_lines[first], "", raw_lines[second], "{not json"])
+        rows = corpus.iter_documents(path)
+        assert [(lineno, doc.id) for lineno, doc in (next(rows), next(rows))] == [(1, first), (3, second)]
+        with pytest.raises(CorpusFormatError, match="^line 4: invalid JSON record"):
+            next(rows)
+
     def test_head_out_of_range_names_document(self, tmp_path, apple_line):
         obj = json.loads(apple_line)
         obj["tokens"][3]["head"] = 99

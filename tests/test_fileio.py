@@ -55,8 +55,9 @@ def test_line_ranges_cut_near_equal_byte_shares(tmp_path):
 
 
 def test_file_that_is_not_regular_is_one_unsplit_part():
-    # its size says nothing of its lines, so it is read to its end
-    assert line_ranges("/dev/null", 4) == [None]
+    # its size says nothing of its lines, so it has no ranges and the caller
+    # reads it whole, as one part
+    assert line_ranges("/dev/null", 4) == []
 
 
 def _reference_iter_jsonl(path, error):
