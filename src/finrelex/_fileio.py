@@ -17,7 +17,6 @@ import operator
 import os
 import stat
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from itertools import islice
 from json.encoder import encode_basestring
@@ -209,10 +208,14 @@ class Fields:
 def atomic_write_text(path: str | Path, content: str) -> None:
     """Write ``content`` to ``path`` via a temp file and atomic rename.
 
-    An interrupted run never leaves a truncated file at the destination.
+    An interrupted run never leaves a truncated file at the destination.  The
+    file written has mode 0o666 less the umask, as one ``open(path, "w")``
+    creates.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
+    tmp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL fails on a name already taken rather than write into that file
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)

@@ -308,16 +308,17 @@ def split_train_test(
     neither equal to nor contained in the record multiset of any example left
     in the training side.  Rejected candidates stay in training and the draw
     continues until the requested size is met or candidates run out; running
-    out yields a smaller test set plus a warning.  Note that a no-information
-    candidate is contained in every training example, so such examples stay
-    in training whenever anything else remains there.  A fraction that rounds
-    to an empty test set is rejected.
+    out yields a smaller test set plus a warning.  A fraction that rounds to
+    an empty test set, or to every example, is rejected, so some example
+    always stays in training; a no-information candidate is contained in it,
+    and so never joins the test set.
 
     A multiset can only be contained in an example that holds its rarest
     record, so each informative candidate is compared only with the examples
-    listed under that record in a record → examples index.  The cost is the
-    total length of the scanned lists: inputs where every record of many
-    candidates is common to many examples still scan long lists.
+    listed under that record in a record → examples index.  The bound is one
+    ``_contained`` call per entry of each candidate's rarest-record list:
+    linear when most records are rare, quadratic in the number of examples
+    when every record is common to a fixed share of them.
     """
     if not gold:
         raise ValueError("gold corpus is empty")
@@ -327,6 +328,11 @@ def split_train_test(
     if target == 0:
         raise ValueError(
             f"test_fraction {test_fraction} of {len(gold)} examples rounds to an empty test set"
+        )
+    if target == len(gold):
+        raise ValueError(
+            f"test_fraction {test_fraction} of {len(gold)} examples rounds to every example, "
+            "leaving an empty training set"
         )
 
     info = [_info_content(ex) for ex in gold]
@@ -342,16 +348,11 @@ def split_train_test(
         if len(picked) >= target:
             break
         records = info[idx]
-        if records:
-            rarest = min(records, key=lambda key: len(postings[key]))
-            conflict = any(
-                other != idx and other not in picked and _contained(records, info[other])
-                for other in postings[rarest]
-            )
-        else:
-            # an empty multiset is contained in every other unpicked example
-            conflict = len(gold) - len(picked) - 1 > 0
-        if not conflict:
+        if not records:
+            continue  # contained in every other unpicked example, and target < len(gold) leaves one
+        rarest = min(records, key=lambda key: len(postings[key]))
+        if not any(other != idx and other not in picked and _contained(records, info[other])
+                   for other in postings[rarest]):
             picked.add(idx)
 
     if not picked:

@@ -28,8 +28,8 @@ renders it as the line ``finrelex inspect`` prints.
 :class:`~finrelex.records.RelationRecord` lists, classifying money bridges
 as revenue/investment and person mentions as founders.  It is two steps:
 :func:`relate`, which needs no embedding table and so imports no NumPy,
-turns a paragraph into :class:`Candidate` records; :func:`finish` classifies
-them with the table and orders the records kept.
+turns a paragraph into :class:`Candidate` records in record order;
+:func:`finish` classifies them with the table and keeps or drops each.
 """
 
 from __future__ import annotations
@@ -276,14 +276,6 @@ def _person_context(view: dt.TreeView, person: EntitySpan) -> str:
     return " ".join(parts)
 
 
-def _nearest_date(
-    candidates: list[EntitySpan], view: dt.TreeView, reference_root: int
-) -> EntitySpan | None:
-    if not candidates:
-        return None
-    return min(candidates, key=lambda d: (abs(dt.entity_root(view, d) - reference_root), d.start))
-
-
 class Candidate(NamedTuple):
     """One record of a paragraph before classification.
 
@@ -292,8 +284,6 @@ class Candidate(NamedTuple):
     only when the person, pooled with its context ``phrase``, is a founder.
     """
 
-    company_root: int  # records sort by the company's root token, then by value_start
-    value_start: int
     kind: str  # COMPANY_MONEY, COMPANY_PERSON or COMPANY_COUNTRY
     company: str
     value: str
@@ -303,7 +293,8 @@ class Candidate(NamedTuple):
 
 def relate(view: dt.TreeView) -> list[Candidate]:
     """The table-free step of :func:`extract`: the candidate of each money,
-    person and country relation of a paragraph, money ones first.
+    person and country relation of a paragraph, in record order, by the
+    company's root token, then by the value span's start.
 
     A money candidate's date is its nearest related date (a money-date
     relation of the money entity, or a company-date relation of its
@@ -317,17 +308,20 @@ def relate(view: dt.TreeView) -> list[Candidate]:
         if r.kind in (COMPANY_DATE, MONEY_DATE):
             dates_of.setdefault(r.left, []).append(r.right)
 
+    rels = money_rels + [r for r in other_rels if r.kind in (COMPANY_PERSON, COMPANY_COUNTRY)]
+    rels.sort(key=lambda r: (dt.entity_root(view, r.left), r.right.start))
     candidates = []
-    for rel in money_rels:
-        money_root = dt.entity_root(view, rel.right)
-        date = _nearest_date(dates_of.get(rel.right, []) + dates_of.get(rel.left, []), view, money_root)
-        candidates.append(Candidate(dt.entity_root(view, rel.left), rel.right.start, COMPANY_MONEY, rel.left.text,
-                                    rel.right.text, date.text if date else UNKNOWN_DATE, rel.bridge_phrase or ""))
-    for rel in other_rels:
-        if rel.kind in (COMPANY_PERSON, COMPANY_COUNTRY):
-            phrase = _person_context(view, rel.right) if rel.kind == COMPANY_PERSON else ""
-            candidates.append(Candidate(dt.entity_root(view, rel.left), rel.right.start, rel.kind, rel.left.text,
-                                        rel.right.text, UNKNOWN_DATE, phrase))
+    for rel in rels:
+        date, phrase = UNKNOWN_DATE, ""
+        if rel.kind == COMPANY_MONEY:
+            money_root = dt.entity_root(view, rel.right)
+            nearest = min(dates_of.get(rel.right, []) + dates_of.get(rel.left, []),
+                          key=lambda d: (abs(dt.entity_root(view, d) - money_root), d.start), default=None)
+            date = nearest.text if nearest else UNKNOWN_DATE
+            phrase = rel.bridge_phrase or ""
+        elif rel.kind == COMPANY_PERSON:
+            phrase = _person_context(view, rel.right)
+        candidates.append(Candidate(rel.kind, rel.left.text, rel.right.text, date, phrase))
     return candidates
 
 
@@ -338,8 +332,7 @@ def finish(
     lex: LexiconConfig,
 ) -> list[RelationRecord]:
     """The classifying step of :func:`extract`: the records of document
-    ``doc_id``'s candidates, ordered by company root token, then by value
-    span start.
+    ``doc_id``'s candidates, in their order.
 
     A money candidate becomes a revenue/investment record by its bridge
     phrase's verdict, and is dropped on ``unknown``; a person candidate
@@ -349,7 +342,7 @@ def finish(
     """
     from . import semvec  # NumPy: only this step needs the table
 
-    rows: list[tuple[int, int, RelationRecord]] = []
+    records = []
     for c in candidates:
         if c.kind == COMPANY_MONEY:
             name = semvec.classify_money_phrase(table, lex, c.phrase)
@@ -362,14 +355,10 @@ def finish(
         else:
             name = "country"
         try:
-            record = RelationRecord(c.company, name, c.value, c.date)
+            records.append(RelationRecord(c.company, name, c.value, c.date))
         except RecordError as exc:
             logger.warning("dropping unserializable record from document %s: %s", doc_id, exc)
-            continue
-        rows.append((c.company_root, c.value_start, record))
-
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return [record for _, _, record in rows]
+    return records
 
 
 def extract(

@@ -575,6 +575,17 @@ class TestPrepare:
         assert not out_dir.exists()
         assert "test_fraction 0.2 of 2 examples" in caplog.text
 
+    def test_fraction_rounding_to_every_example_fails_without_output(self, tmp_path, caplog):
+        # 96% of ten examples rounds to ten, which would leave train.jsonl empty
+        path = tmp_path / "ten.jsonl"
+        lines = [{"id": str(i), "input_text": f"p{i}", "target_text": f"C{i}, revenue, $1, unknown-date|"}
+                 for i in range(10)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out_dir = tmp_path / "splits"
+        assert run("prepare", "--gold", path, "--test-fraction", 0.96, "--out-dir", out_dir) == 1
+        assert not out_dir.exists()
+        assert "test_fraction 0.96 of 10 examples rounds to every example" in caplog.text
+
     def test_run_without_balanced_removes_stale_subset(self, tmp_path, distinct_gold_path):
         # the earlier subset would hold examples the new split puts in test
         out_dir = tmp_path / "splits"

@@ -611,6 +611,11 @@ class TestSplitTrainTest:
         with pytest.raises(ValueError, match=r"test_fraction 0\.2 of 2 examples"):
             split_train_test(distinct_gold(2), 0.2, seed=1)
 
+    def test_fraction_rounding_to_every_example_rejected(self):
+        # 96% of ten examples rounds to ten: an empty training side is refused too
+        with pytest.raises(ValueError, match=r"test_fraction 0\.96 of 10 examples rounds to every example"):
+            split_train_test(distinct_gold(10), 0.96, seed=1)
+
 
 def _reference_split(gold, test_fraction, seed):
     """The all-pairs split: every candidate is compared with every example."""
@@ -651,11 +656,11 @@ _GOLD_LISTS = st.lists(_TARGETS, min_size=1, max_size=9).map(
 
 
 @settings(max_examples=150, deadline=None)
-@example([_gold(0, "|")], 0.9, 0)  # an empty candidate with no other example left
+@example([_gold(0, "|")], 0.9, 0)  # a fraction that rounds to the one example, an empty candidate
 @given(_GOLD_LISTS, st.floats(0.05, 0.95), st.integers(0, 2**16))
 def test_split_matches_all_pairs_reference(gold, fraction, seed):
-    if round(fraction * len(gold)) == 0:
-        with pytest.raises(ValueError, match="rounds to an empty test set"):
+    if round(fraction * len(gold)) in (0, len(gold)):
+        with pytest.raises(ValueError, match="rounds to (an empty test set|every example)"):
             split_train_test(gold, fraction, seed)
         return
     try:

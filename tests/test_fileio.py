@@ -1,10 +1,20 @@
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finrelex._fileio import Fields, LineRange, _reject_lone_surrogates, decode_utf8, iter_jsonl, line_ranges
+from finrelex._fileio import (
+    Fields,
+    LineRange,
+    _reject_lone_surrogates,
+    atomic_write_text,
+    decode_utf8,
+    iter_jsonl,
+    line_ranges,
+)
 
 # One line's content: blank, or a JSON value, some long enough to span a cut.
 _CONTENT = st.one_of(
@@ -130,3 +140,25 @@ def test_fields_dumps_refuses_rows_of_another_width():
         _ROW.dumps([("a", "b", 1, 2)])
     with pytest.raises(ValueError):
         _ROW.dumps([("a", "b", 1), ("a", "b")])
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.jsonl", "row\n")
+        with open(tmp_path / "opened.jsonl", "w") as fh:
+            fh.write("row\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.jsonl").st_mode) == mode
+    assert stat.S_IMODE(os.stat(tmp_path / "opened.jsonl").st_mode) == mode
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    atomic_write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "new \ud800\n")  # a lone surrogate, which UTF-8 cannot write
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]

@@ -451,6 +451,23 @@ _ANCHOR_ROW = _sentence_row(
     [("Acme", "PROPN", "ROOT", 0), ("Beta", "PROPN", "conj", 0), ("Nigeria", "PROPN", "nmod", 0)],
     [(1, 2, "ORG"), (2, 3, "GPE")],
 )
+# A country record in the first sentence and a money record in the second:
+# the money-company pass finds its relation before the other pairs' pass,
+# but the records come in company token order, country first.
+_COUNTRY_BEFORE_MONEY_ROW = _row(
+    "country-before-money",
+    _word_rows([("Acme", "PROPN", "nsubj", 1), ("entered", "VERB", "ROOT", 1), ("Nigeria", "PROPN", "dobj", 1)], 0, 0)
+    + _word_rows([("Beta", "PROPN", "nsubj", 1), ("raised", "VERB", "ROOT", 1), ("million", "NUM", "dobj", 1)], 3, 1),
+    [_dump(corpus._ENTITY, e) for e in ((0, 1, "ORG"), (2, 3, "GPE"), (3, 4, "ORG"), (5, 6, "MONEY"))],
+    [_dump(corpus._CHUNK, (5, 6, 5))],
+)
+
+
+def _keeps_relate_order(view: TreeView, table, lex) -> bool:
+    """Whether ``extract``'s (company, value) pairs are an ordered
+    subsequence of ``relate``'s candidates."""
+    candidates = iter((c.company, c.value) for c in relex.relate(view))
+    return all((r.company, r.variable_value) in candidates for r in extract(view, table, lex))
 
 
 # One sentence per (kind, path), as (text, pos, dep, head) words and
@@ -582,11 +599,13 @@ class TestAllPairsReference:
 class TestGeneratedDocuments:
     @settings(max_examples=120, deadline=None)
     @given(_valid_rows())
+    @example(_COUNTRY_BEFORE_MONEY_ROW)
     def test_heuristics_hold_on_valid_documents(self, toy_table, lexicon, row):
         doc = _document(row)
         view = TreeView.build(doc)
         got = extract(view, toy_table, lexicon)
         assert records_mod.parse(records_mod.serialize(got)) == got
+        assert _keeps_relate_order(view, toy_table, lexicon)
         tokens = doc.tokens
         for rel in _relations(view):
             assert rel.path in _PATHS[rel.kind]
@@ -650,6 +669,15 @@ class TestExtract:
         assert got == [
             RelationRecord("Flutterwave", "country", "Nigeria", "unknown-date"),
             RelationRecord("Flutterwave", "founder", "Olugbenga Agboola", "unknown-date"),
+        ]
+
+    def test_records_keep_relate_order(self, documents, toy_table, lexicon):
+        views = [TreeView.build(doc) for doc in (*documents, _document(_COUNTRY_BEFORE_MONEY_ROW))]
+        for view in views:
+            assert _keeps_relate_order(view, toy_table, lexicon), view.document.id
+        assert extract(views[-1], toy_table, lexicon) == [
+            RelationRecord("Acme", "country", "Nigeria", "unknown-date"),
+            RelationRecord("Beta", "investment", "million", "unknown-date"),
         ]
 
     def test_deterministic(self, documents, toy_table, lexicon):
