@@ -38,11 +38,29 @@ threaded process does not fire in a ``finrelex extract`` run.  One part
 (``--workers 1``, a corpus of at most one line, a pipe, named or not, which
 cannot be cut, or a corpus that cannot be opened) forks nothing and imports
 no ``multiprocessing``.
+
+``main`` runs a command with the automatic cyclic garbage collector off and
+puts it back as it found it, so a caller (a test, an in-process tracer)
+keeps its own setting; the forked parts inherit it off.  This is safe
+because the records a run builds (tokens, spans, documents, candidates,
+relation records, gold examples) hold no reference cycles: reference
+counting frees each as soon as it is dropped, and a run's only cycles are a
+fixed handful (the argument parser, the table's classifier cache), whatever
+the size of the input.  The collector would find nothing else, yet it
+would traverse every record, again and again as they pile up.  It stays on
+through NumPy's import, which leaves cyclic garbage behind.  At exit the
+heap is frozen (``gc.freeze``, registered once per process), so the
+interpreter's last collection traverses none of it; nothing is lost, since
+every output file is closed by then and finalization still flushes the
+standard streams.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import logging
 import os
@@ -157,14 +175,15 @@ def _configure_logging(level_name: str) -> None:
 
 
 def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
-                   outputs: dict[str, str | Path | None]) -> None:
+                   outputs: dict[str, str | Path | None], *, makes_directory: bool = False) -> None:
     """Raise ``ValueError`` naming both flags when an output path resolves to
-    the same file as an input or as another output.
+    the same file as an input or as another output, and naming the flag when
+    an output's directory does not exist, unless the command ``makes_directory``.
 
     ``inputs`` are the destinations of the flags the command reads, ``--config``
     added; ``outputs`` maps a flag's name to the path written, ``None`` for
-    none.  Commands call this before they read anything, so a clash leaves
-    every file as it was.
+    none.  Commands call this before they read anything, so a refused run
+    leaves every file as it was.
     """
     seen: dict[Path, str] = {}
     for dest in ("config", *inputs):
@@ -174,6 +193,9 @@ def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
     for flag, path in outputs.items():
         if path is None:
             continue
+        directory = Path(path).parent
+        if not makes_directory and not directory.is_dir():
+            raise ValueError(f"{flag} {path}: {directory} is not a directory")
         resolved = Path(path).resolve()
         if resolved in seen:
             raise ValueError(f"{flag} and {seen[resolved]} name the same file: {path}")
@@ -204,7 +226,12 @@ def _load_table(args: argparse.Namespace):
     """``extract``'s table and lexicon, the table first, so a malformed one
     fails before the corpus; their classifier is built here, so its
     warnings are logged once per run, also when nothing is classified."""
-    from . import semvec  # NumPy: only extract imports it
+    # NumPy (only extract imports it) leaves cyclic garbage as it imports.
+    # Freed by the collector as it is made, not by one collection after,
+    # it leaves the run's peak memory about 0.4 MB lower (4 long documents).
+    gc.enable()
+    from . import semvec
+    gc.disable()
 
     table = semvec.load_embeddings(args.embeddings)
     lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()
@@ -354,7 +381,8 @@ def cmd_prepare(args: argparse.Namespace) -> None:
         out_dir / name for name in ("train.jsonl", "test.jsonl", "balanced-train.jsonl"))
     # balanced-train.jsonl is removed when not written, so it is an output either way
     _check_outputs(args, ("gold",),
-                   {f"--out-dir ({p.name})": p for p in (train_path, test_path, balanced_path)})
+                   {f"--out-dir ({p.name})": p for p in (train_path, test_path, balanced_path)},
+                   makes_directory=True)
     gold = corpus.load_gold(args.gold)
     train, test = corpus.split_train_test(gold, args.test_fraction, args.seed)
     # Balance before writing, so a training side it rejects leaves no split behind.
@@ -408,9 +436,20 @@ def cmd_inspect(args: argparse.Namespace) -> None:
         print("  (no heuristic fired)")
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Once per process: at exit, move every object into the collector's
+    permanent generation, so the interpreter's final collection traverses
+    none of them."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_heap_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
+    collector_was_on = gc.isenabled()
+    gc.disable()
     try:
         _configure_logging(args.log_level)
         if args.config:
@@ -426,6 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         logger.error("%s: %s", type(exc).__name__, exc,
                      exc_info=logger.isEnabledFor(logging.DEBUG))
         return 1
+    finally:
+        (gc.enable if collector_was_on else gc.disable)()
     return 0
 
 

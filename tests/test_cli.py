@@ -1056,6 +1056,38 @@ class TestOutputNamesInput:
         assert gold.read_bytes() == FIXTURE_GOLD.read_bytes()
 
 
+class TestOutputDirectory:
+    """An output whose directory does not exist is refused, naming its flag,
+    before anything is read or written; ``prepare`` makes its ``--out-dir``."""
+
+    def test_extract_out_fails_before_table_loads(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(semvec, "load_embeddings", lambda path: pytest.fail("the table was loaded"))
+        out = tmp_path / "nodir" / "pred.jsonl"
+        assert run("extract", "--corpus", FIXTURE_CORPUS, "--embeddings", TOY_EMBEDDINGS, "--out", out) == 1
+        assert TestOutputNamesInput.error(caplog) == (
+            f"ValueError: --out {out}: {out.parent} is not a directory")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_evaluate_breakdown_fails_before_report_is_written(self, tmp_path, caplog, predictions_path):
+        report, breakdown = tmp_path / "report.json", tmp_path / "nodir" / "b.jsonl"
+        assert run("evaluate", "--gold", FIXTURE_GOLD, "--pred", predictions_path,
+                   "--report", report, "--breakdown", breakdown) == 1
+        assert TestOutputNamesInput.error(caplog) == (
+            f"ValueError: --breakdown {breakdown}: {breakdown.parent} is not a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.jsonl"]
+
+    def test_output_under_a_file_is_refused(self, tmp_path, caplog, predictions_path):
+        report = predictions_path / "report.json"
+        assert run("evaluate", "--gold", FIXTURE_GOLD, "--pred", predictions_path, "--report", report) == 1
+        assert TestOutputNamesInput.error(caplog) == (
+            f"ValueError: --report {report}: {predictions_path} is not a directory")
+
+    def test_prepare_makes_missing_out_dir(self, tmp_path):
+        out_dir = tmp_path / "new" / "split"
+        assert run("prepare", "--gold", FIXTURE_GOLD, "--out-dir", out_dir) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["test.jsonl", "train.jsonl"]
+
+
 _WITHOUT_NUMPY = """
 import sys
 src, gold, pred, out, docs = sys.argv[1:]
