@@ -178,7 +178,9 @@ def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
                    outputs: dict[str, str | Path | None], *, makes_directory: bool = False) -> None:
     """Raise ``ValueError`` naming both flags when an output path resolves to
     the same file as an input or as another output, and naming the flag when
-    an output's directory does not exist, unless the command ``makes_directory``.
+    an output is a directory or its directory is not one.  A command that
+    ``makes_directory`` needs only the nearest existing ancestor of that
+    directory to be one.
 
     ``inputs`` are the destinations of the flags the command reads, ``--config``
     added; ``outputs`` maps a flag's name to the path written, ``None`` for
@@ -193,10 +195,15 @@ def _check_outputs(args: argparse.Namespace, inputs: tuple[str, ...],
     for flag, path in outputs.items():
         if path is None:
             continue
-        directory = Path(path).parent
-        if not makes_directory and not directory.is_dir():
+        target = Path(path)
+        if target.is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
+        directory = target.parent
+        while makes_directory and not directory.exists():
+            directory = directory.parent
+        if not directory.is_dir():
             raise ValueError(f"{flag} {path}: {directory} is not a directory")
-        resolved = Path(path).resolve()
+        resolved = target.resolve()
         if resolved in seen:
             raise ValueError(f"{flag} and {seen[resolved]} name the same file: {path}")
         seen[resolved] = flag

@@ -8,10 +8,17 @@ corpus-preparation steps used before training/evaluation runs: an
 information-deduplicated train/test split and a class-balanced subset.
 
 Everything loaded here is immutable and built once; all operations are pure
-given their inputs and a seed.  A token is a ``NamedTuple`` of strings and
-integers, and each token's text, lemma, POS tag and dependency label, like
-each entity label, is passed through :func:`sys.intern` as its row is read,
-so a loaded corpus holds each distinct string once.
+given their inputs and a seed.  Tokens, entity spans, noun chunks and gold
+examples are ``NamedTuple`` rows of strings and integers, and each token's
+text, lemma, POS tag and dependency label, like each entity label, is passed
+through :func:`sys.intern` as its row is read, so a loaded corpus holds each
+distinct string once.
+
+A record type of the package is a ``NamedTuple`` unless it needs what only a
+dataclass gives: validation at construction (``RelationRecord``,
+``PairwiseRelation``, ``LexiconConfig``, ``EvalConfig``), an equality that is
+not field by field (``EvalReport``, ``EmbeddingTable``), or a weak reference
+(:class:`AnnotatedDocument`).
 """
 
 from __future__ import annotations
@@ -70,8 +77,7 @@ class Token(NamedTuple):
     sentence: int
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """A labeled token range, end-exclusive; ``text`` is the surface form."""
 
     start: int
@@ -80,8 +86,7 @@ class EntitySpan:
     text: str
 
 
-@dataclass(frozen=True)
-class NounChunk:
+class NounChunk(NamedTuple):
     """A base noun phrase span with its syntactic head token; ``text`` is the
     surface form."""
 
@@ -100,8 +105,7 @@ class AnnotatedDocument:
     noun_chunks: tuple[NounChunk, ...]
 
 
-@dataclass(frozen=True)
-class GoldExample:
+class GoldExample(NamedTuple):
     """A manually labeled paragraph: input text plus serialized target records.
 
     A ``target_text`` without records (``""``, ``"|"``; see
@@ -284,7 +288,7 @@ def load_gold(path: str | Path) -> list[GoldExample]:
 
 
 def save_gold(examples: list[GoldExample], path: str | Path) -> None:
-    atomic_write_text(path, _GOLD.dumps((e.id, e.input_text, e.target_text) for e in examples))
+    atomic_write_text(path, _GOLD.dumps(examples))
 
 
 def _info_content(example: GoldExample) -> Counter:

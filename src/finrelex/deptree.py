@@ -4,23 +4,23 @@
 :class:`~finrelex.corpus.AnnotatedDocument` in one O(n) pass: the children
 of each token, the entity and the noun chunk covering each token, and each
 entity's root token, so :func:`entity_at`, :func:`noun_chunk_of` and
-:func:`entity_root` are O(1) lookups.  Ancestry (:func:`is_ancestor`,
-:func:`governing_verb`) walks the head chain, O(depth).  A view is immutable
-and safe to share across threads.  The heuristics in :mod:`~finrelex.relex`
-read dependency labels straight from the document's tokens.
+:func:`entity_root` are O(1) lookups.  A view is a ``NamedTuple`` of the
+document and these indexes, immutable and safe to share across threads.
+Ancestry (:func:`ancestors`, :func:`governing_verb`) walks the head chain,
+O(depth).  The heuristics in :mod:`~finrelex.relex` read dependency labels
+straight from the document's tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import AnnotatedDocument, EntitySpan, NounChunk
 
 VERB_POS = frozenset({"VERB", "AUX"})
 
 
-@dataclass(frozen=True)
-class TreeView:
+class TreeView(NamedTuple):
     """A document plus per-token indexes of its trees and span layers.
 
     ``children_index[t]`` lists the dependents of ``t``; ``entity_index[t]``
@@ -67,23 +67,11 @@ def ancestors(view: TreeView, t: int) -> list[int]:
     """
     chain = []
     tokens = view.document.tokens
-    cur = tokens[t]
-    while cur.head != cur.index:
-        cur = tokens[cur.head]
-        chain.append(cur.index)
+    head = tokens[t].head
+    while head != t:
+        chain.append(head)
+        t, head = head, tokens[head].head
     return chain
-
-
-def is_ancestor(view: TreeView, a: int, t: int) -> bool:
-    """Whether ``a`` is a strict ancestor of ``t``, i.e. ``t`` lies in
-    ``subtree(view, a)``; walks the head chain, O(depth)."""
-    tokens = view.document.tokens
-    cur = tokens[t]
-    while cur.head != cur.index:
-        if cur.head == a:
-            return True
-        cur = tokens[cur.head]
-    return False
 
 
 def subtree(view: TreeView, t: int) -> list[int]:

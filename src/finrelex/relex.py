@@ -225,7 +225,7 @@ def _related(view: dt.TreeView, left_root: int, right_root: int) -> bool:
     left_verb = dt.governing_verb(view, left_root)
     if left_verb is not None and left_verb == dt.governing_verb(view, right_root):
         return True
-    return dt.is_ancestor(view, left_root, right_root) or dt.is_ancestor(view, right_root, left_root)
+    return left_root in dt.ancestors(view, right_root) or right_root in dt.ancestors(view, left_root)
 
 
 def relate_other_pairs(view: dt.TreeView) -> list[PairwiseRelation]:

@@ -1057,8 +1057,9 @@ class TestOutputNamesInput:
 
 
 class TestOutputDirectory:
-    """An output whose directory does not exist is refused, naming its flag,
-    before anything is read or written; ``prepare`` makes its ``--out-dir``."""
+    """An output that is a directory, or whose directory does not exist, is
+    refused, naming its flag, before anything is read or written; ``prepare``
+    makes its ``--out-dir`` under the nearest existing directory."""
 
     def test_extract_out_fails_before_table_loads(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setattr(semvec, "load_embeddings", lambda path: pytest.fail("the table was loaded"))
@@ -1081,6 +1082,34 @@ class TestOutputDirectory:
         assert run("evaluate", "--gold", FIXTURE_GOLD, "--pred", predictions_path, "--report", report) == 1
         assert TestOutputNamesInput.error(caplog) == (
             f"ValueError: --report {report}: {predictions_path} is not a directory")
+
+    def test_extract_out_directory_fails_before_table_loads(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(semvec, "load_embeddings", lambda path: pytest.fail("the table was loaded"))
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert run("extract", "--corpus", FIXTURE_CORPUS, "--embeddings", TOY_EMBEDDINGS, "--out", out) == 1
+        assert TestOutputNamesInput.error(caplog) == f"ValueError: --out {out} is a directory"
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_evaluate_breakdown_directory_writes_no_report(self, tmp_path, caplog, predictions_path):
+        report, breakdown = tmp_path / "report.json", tmp_path / "bd"
+        breakdown.mkdir()
+        assert run("evaluate", "--gold", FIXTURE_GOLD, "--pred", predictions_path,
+                   "--report", report, "--breakdown", breakdown) == 1
+        assert TestOutputNamesInput.error(caplog) == f"ValueError: --breakdown {breakdown} is a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bd", "pred.jsonl"]
+        assert list(breakdown.iterdir()) == []
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+    def test_prepare_out_dir_file_fails_before_gold_loads(self, tmp_path, caplog, monkeypatch, nested):
+        monkeypatch.setattr(corpus, "load_gold", lambda path: pytest.fail("the gold was loaded"))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out_dir = blocker / "split" if nested else blocker
+        assert run("prepare", "--gold", FIXTURE_GOLD, "--out-dir", out_dir) == 1
+        assert TestOutputNamesInput.error(caplog) == (
+            f"ValueError: --out-dir (train.jsonl) {out_dir / 'train.jsonl'}: {blocker} is not a directory")
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
 
     def test_prepare_makes_missing_out_dir(self, tmp_path):
         out_dir = tmp_path / "new" / "split"

@@ -154,6 +154,25 @@ class TestLoadDocuments:
         with pytest.raises(DocumentValidationError, match="overlap"):
             load_documents(path)
 
+    @pytest.mark.parametrize(
+        "layer,index,row,message",
+        [
+            ("entities", 0, {"start": 0, "end": 1, "label": "COMPANY"}, "entity [0,1): unknown label 'COMPANY'"),
+            ("entities", 1, {"start": 6, "end": 10, "label": "MONEY"}, "entity [6,10): out of bounds for 9 tokens"),
+            ("noun_chunks", 1, {"start": 2, "end": 5, "root": 5}, "noun chunk [2,5) root 5 out of bounds"),
+            ("noun_chunks", 0, {"start": 0, "end": 3, "root": 0}, "noun chunks [0,3) and [2,5) overlap"),
+        ],
+        ids=["entity-label", "entity-bounds", "chunk-root-outside", "chunks-overlap"],
+    )
+    def test_bad_span_names_document(self, tmp_path, apple_line, layer, index, row, message):
+        obj = json.loads(apple_line)
+        obj[layer][index] = row
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps(obj)])
+        with pytest.raises(DocumentValidationError) as info:
+            load_documents(path)
+        assert str(info.value) == f"document 'apple-income': {message}"
+
     def test_entity_across_sentences_rejected(self, tmp_path, apple_line):
         # an entity lives in one sentence; the heuristics reach a span through
         # any of its tokens, so one crossing a boundary would relate across it

@@ -75,6 +75,19 @@ class TestRelateMoneyCompany:
             relations = relate_money_company(TreeView.build(_document(row)))
             assert [(r.left.text, r.right.text, r.path) for r in relations] == [(org, "$5", "b")]
 
+    def test_subject_ancestor_path(self):
+        # "$5" is the dobj of "worth", an amod of the subject "Acme": the
+        # subject is itself a left ancestor of the money, not a child of one
+        row = _row(
+            "subject-ancestor",
+            _word_rows([("Acme", "PROPN", "nsubj", 4), (",", "PUNCT", "punct", 0), ("worth", "ADJ", "amod", 0),
+                        ("$5", "NUM", "dobj", 2), ("closed", "VERB", "ROOT", 4)], 0, 0),
+            [_dump(corpus._ENTITY, e) for e in ((0, 1, "ORG"), (3, 4, "MONEY"))],
+            [_dump(corpus._CHUNK, (3, 4, 3))],
+        )
+        relations = relate_money_company(TreeView.build(_document(row)))
+        assert [relex.describe(r) for r in relations] == ["company-money path (a): Acme -> $5 via bridge '$5'"]
+
     def test_money_without_org_yields_nothing(self, doc_by_id):
         assert relate_money_company(view_of(doc_by_id, "startup-unnamed")) == []
 
@@ -218,7 +231,7 @@ class TestRelated:
         n = len(doc.tokens)
         for a in range(n):
             for b in range(n):
-                assert dt.is_ancestor(view, a, b) == (b in dt.subtree(view, a))
+                assert (a in dt.ancestors(view, b)) == (b in dt.subtree(view, a))
                 assert relex._related(view, a, b) == _subtree_related(view, a, b)
 
 

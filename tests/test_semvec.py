@@ -621,6 +621,14 @@ class TestLexiconConfig:
         with pytest.raises(EmbeddingFormatError, match="'threshold' must be a number"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1"])
+    def test_load_lexicon_rejects_threshold_out_of_range(self, tmp_path, value):
+        path = tmp_path / "lexicon.json"
+        path.write_text(f'{{"threshold": {value}}}', encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"{path}: threshold must be in [0, 1], got {value}"
+
     def test_load_lexicon_rejects_unknown_key(self, tmp_path):
         # a misspelt key used to load silently with the default threshold
         path = tmp_path / "lexicon.json"
