@@ -15,10 +15,10 @@ through :func:`sys.intern` as its row is read, so a loaded corpus holds each
 distinct string once.
 
 A record type of the package is a ``NamedTuple`` unless it needs what only a
-dataclass gives: validation at construction (``RelationRecord``,
-``PairwiseRelation``, ``LexiconConfig``, ``EvalConfig``), an equality that is
-not field by field (``EvalReport``, ``EmbeddingTable``), or a weak reference
-(:class:`AnnotatedDocument`).
+dataclass gives: validation at construction of values from outside the
+program (``RelationRecord``, ``LexiconConfig``, ``EvalConfig``), an equality
+that is not field by field (``EvalReport``, ``EmbeddingTable``), or a weak
+reference (:class:`AnnotatedDocument`).
 """
 
 from __future__ import annotations

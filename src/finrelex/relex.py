@@ -35,7 +35,6 @@ turns a paragraph into :class:`Candidate` records in record order;
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import deptree as dt
@@ -69,21 +68,15 @@ DIRECT_OBJECT_DEPS = frozenset({"dobj", "obj"})
 SHARED_GOVERNOR = "shared-governor"
 
 
-@dataclass(frozen=True)
-class PairwiseRelation:
+class PairwiseRelation(NamedTuple):
+    """Two related entity spans.  The spans carry ``KIND_LABELS[kind]``'s
+    labels because each pass picks them by label."""
+
     kind: str
     left: EntitySpan
     right: EntitySpan
     bridge_phrase: str | None = None
     path: str = SHARED_GOVERNOR  # the heuristic that built the relation
-
-    def __post_init__(self) -> None:
-        expected = KIND_LABELS[self.kind]
-        if (self.left.label, self.right.label) != expected:
-            raise ValueError(
-                f"{self.kind} relation requires labels {expected}, "
-                f"got ({self.left.label}, {self.right.label})"
-            )
 
 
 def _spans(view: dt.TreeView, label: str) -> list[EntitySpan]:
