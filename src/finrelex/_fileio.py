@@ -206,19 +206,24 @@ class Fields:
 
 
 def atomic_write_text(path: str | Path, content: str) -> None:
-    """Write ``content`` to ``path`` via a temp file and atomic rename.
+    """Write ``content`` to ``path`` as UTF-8, as :func:`atomic_write_bytes` does."""
+    atomic_write_bytes(path, [content.encode("utf-8")])
 
-    An interrupted run never leaves a truncated file at the destination.  The
-    file written has mode 0o666 less the umask, as one ``open(path, "w")``
-    creates.
+
+def atomic_write_bytes(path: str | Path, parts: Iterable[bytes]) -> None:
+    """Write ``parts``, in order, to ``path`` via a temp file and atomic rename.
+
+    An interrupted run, or an error while ``parts`` is iterated, never leaves a
+    truncated file at the destination, nor the temp file.  The file written
+    has mode 0o666 less the umask, as one ``open(path, "w")`` creates.
     """
     path = Path(path)
     tmp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL fails on a name already taken rather than write into that file
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -32,12 +32,14 @@ ranges in file order and classifies each distinct bridge phrase and person
 context once.  So the output is byte-identical for every N, the first error
 is the one a single process reports (a table error, then a lexicon error,
 then the first corpus error in the file), and every warning is logged by
-this process in file order.  NumPy is not imported yet at the fork, so its
-BLAS threads have not started, and Python 3.12's warning about forking a
-threaded process does not fire in a ``finrelex extract`` run.  One part
-(``--workers 1``, a corpus of at most one line, a pipe, named or not, which
-cannot be cut, or a corpus that cannot be opened) forks nothing and imports
-no ``multiprocessing``.
+this process in file order.  The table's parse is cached on disk, keyed by
+its exact bytes (see ``semvec.load_embeddings``), so a later run on the same
+table reads it back instead of parsing it.  NumPy is not imported yet at the
+fork, so its BLAS threads have not started, and Python 3.12's warning about
+forking a threaded process does not fire in a ``finrelex extract`` run.  One
+part (``--workers 1``, a corpus of at most one line, a pipe, named or not,
+which cannot be cut, or a corpus that cannot be opened) forks nothing and
+imports no ``multiprocessing``.
 
 ``main`` runs a command with the automatic cyclic garbage collector off and
 puts it back as it found it, so a caller (a test, an in-process tracer)

@@ -12,20 +12,29 @@ lexicon rows of one table and lexicon, with their norms, and the verdict of
 each phrase it has classified; each table builds it at its first
 classification with that lexicon and keeps it for the rest of the run, so a
 run classifies each distinct phrase once.
+
+:func:`load_embeddings` caches the parse of each regular table file on
+disk, under the user's cache directory: a later load of the same bytes reads
+the words and the matrix back instead of parsing the text.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import logging
 import math
+import os
+import stat
+import sys
+import zlib
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from ._fileio import decode_utf8, read_json_object
+from ._fileio import atomic_write_bytes, decode_utf8, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -116,27 +125,135 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     accept whole goes through the per-line rules instead, which alone
     report errors and duplicates.  The table is held as one float64 matrix
     of about ``8 * V * D`` bytes.
+
+    The parse of a regular file is cached in one entry file per table, under
+    ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is unset,
+    empty or relative) and named from the table's size and CRC-32.  A later
+    load reads the words and the matrix back instead of parsing, and returns
+    an equal table, only when the entry's copy of the table is byte for byte
+    the file; otherwise it parses and writes the entry again.  A table whose
+    parse logged a warning or raised is never cached, nor is a pipe, which is
+    parsed as it streams.  A cache that cannot be read or written is a miss,
+    logged at DEBUG.
     """
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return _parse(fh, path, None)[0]
+        entry = None
+        try:
+            entry = _entry_path(fh)
+            return _read_entry(entry, fh)
+        except (OSError, RuntimeError, ValueError) as exc:
+            logger.debug("embedding cache miss for %s: %s", path, exc)
+        fh.seek(0)
+        parsed: list[bytes] = []
+        table, warned = _parse(fh, path, parsed)
+    if entry is not None and not warned:
+        try:
+            _write_entry(entry, parsed, table)
+        except (OSError, ValueError) as exc:
+            logger.debug("embedding cache entry for %s not written: %s", path, exc)
+    return table
+
+
+def _parse(fh, path: str | Path, tee: list[bytes] | None) -> tuple[EmbeddingTable, bool]:
+    """The table the lines of ``fh`` hold, and whether a duplicate was
+    warned about; each chunk's bytes are appended to ``tee`` as parsed."""
     index: dict[str, int] = {}
     blocks: list[np.ndarray] = []
     dimension: int | None = None
     may_be_header = True
+    warned = False
     lineno = 1
-    with open(path, "rb") as fh:
-        while raw := list(islice(fh, CHUNK_LINES)):
-            if lineno == 1 and raw[0].startswith(codecs.BOM_UTF8):
-                raise EmbeddingFormatError("line 1: unexpected UTF-8 byte-order mark")
-            lines = decode_utf8(b"".join(raw), lineno, EmbeddingFormatError).split("\n")
-            block = None if may_be_header else _parse_chunk(lines, index, dimension)
-            if block is None:
-                block, may_be_header = _parse_lines(lines, lineno, index, dimension, may_be_header)
-            if len(block):
-                blocks.append(block)
-                dimension = block.shape[1]
-            lineno += len(raw)
+    while raw := list(islice(fh, CHUNK_LINES)):
+        if lineno == 1 and raw[0].startswith(codecs.BOM_UTF8):
+            raise EmbeddingFormatError("line 1: unexpected UTF-8 byte-order mark")
+        chunk = b"".join(raw)
+        if tee is not None:
+            tee.append(chunk)
+        lines = decode_utf8(chunk, lineno, EmbeddingFormatError).split("\n")
+        block = None if may_be_header else _parse_chunk(lines, index, dimension)
+        if block is None:
+            block, may_be_header, duplicates = _parse_lines(lines, lineno, index, dimension, may_be_header)
+            warned = warned or duplicates
+        if len(block):
+            blocks.append(block)
+            dimension = block.shape[1]
+        lineno += len(raw)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
-    return EmbeddingTable(index, np.concatenate(blocks))
+    return EmbeddingTable(index, np.concatenate(blocks)), warned
+
+
+# An entry of the parse cache is one file: a header line, the table's bytes
+# as parsed, its words in row order joined by "\n" in UTF-8, then its matrix
+# in native float64.  The header is the stamp, which names the layout, the
+# interpreter, NumPy and this module's source (whose rules made the words and
+# the matrix), then the sizes of the three sections: table bytes, word bytes,
+# and rows and columns.  An entry is only ever read after its copy of the
+# table has compared equal to the file being loaded, so its name, taken from
+# a first read of the file, need not match what it holds.
+_ENTRY_VERSION = b"finrelex-embeddings 1"
+_READ_BYTES = 1 << 20
+
+
+@functools.cache
+def _entry_stamp() -> bytes:
+    return b"%s %s numpy-%s %s semvec-%08x" % (
+        _ENTRY_VERSION, str(sys.implementation.cache_tag).encode(), np.__version__.encode(),
+        sys.byteorder.encode(), zlib.crc32(Path(__file__).read_bytes()),
+    )
+
+
+def _entry_path(fh) -> Path:
+    """Where the cache entry of the regular file ``fh`` lives, named from its
+    size and CRC-32 (read to its end): under ``$XDG_CACHE_HOME/finrelex``
+    when that is an absolute path, else under ``~/.cache/finrelex``."""
+    crc = size = 0
+    while chunk := fh.read(_READ_BYTES):
+        crc, size = zlib.crc32(chunk, crc), size + len(chunk)
+    home = os.environ.get("XDG_CACHE_HOME", "")
+    base = Path(home) if os.path.isabs(home) else Path.home() / ".cache"
+    return base / "finrelex" / f"embeddings-{size}-{crc:08x}-{zlib.crc32(_entry_stamp()):08x}"
+
+
+def _read_entry(entry: Path, fh) -> EmbeddingTable:
+    """The table ``entry`` holds, read only when its copy of the table is
+    byte for byte the regular file ``fh``; else an ``OSError`` or a
+    ``ValueError`` that says why not."""
+    stamp = _entry_stamp()
+    with open(entry, "rb") as src:
+        header = src.readline(len(stamp) + 100)
+        fields = header.rsplit(b" ", 4)
+        if len(fields) != 5 or fields[0] != stamp or not header.endswith(b"\n"):
+            raise ValueError("the entry's header is not this version's")
+        size, words_size, rows, dim = sizes = list(map(int, fields[1:]))
+        if min(sizes) < 0 or os.fstat(src.fileno()).st_size != len(header) + size + words_size + 8 * rows * dim:
+            raise ValueError("the entry's size does not match its header")
+        fh.seek(0)
+        for start in range(0, size, _READ_BYTES):
+            stored = src.read(min(_READ_BYTES, size - start))
+            if fh.read(len(stored)) != stored:
+                raise ValueError("the entry holds another table")
+        if fh.read(1):
+            raise ValueError("the entry holds another table")
+        words = src.read(words_size).decode("utf-8").split("\n")
+        index = dict(zip(words, range(rows)))
+        if len(words) != rows or len(index) != rows:
+            raise ValueError("the entry's words do not match its header")
+        vectors = np.empty((rows, dim), dtype=np.float64)
+        if src.readinto(memoryview(vectors).cast("B")) != vectors.nbytes:
+            raise ValueError("the entry ends early")
+    return EmbeddingTable(index, vectors)
+
+
+def _write_entry(entry: Path, parsed: list[bytes], table: EmbeddingTable) -> None:
+    """Cache ``table``, the parse of the bytes ``parsed``, as ``entry``, with one atomic rename."""
+    words = "\n".join(table.index).encode("utf-8")
+    rows, dim = table.vectors.shape
+    header = b"%s %d %d %d %d\n" % (_entry_stamp(), sum(map(len, parsed)), len(words), rows, dim)
+    os.makedirs(entry.parent, mode=0o700, exist_ok=True)
+    atomic_write_bytes(entry, [header, *parsed, words, memoryview(table.vectors).cast("B")])
 
 
 def _parse_chunk(lines: list[str], index: dict[str, int], dimension: int | None) -> np.ndarray | None:
@@ -160,12 +277,14 @@ def _parse_chunk(lines: list[str], index: dict[str, int], dimension: int | None)
 
 def _parse_lines(
     lines: list[str], lineno: int, index: dict[str, int], dimension: int | None, may_be_header: bool
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool, bool]:
     """Apply the per-line rules to ``lines``, the first of which is line
     ``lineno``: raise at the first malformed line, warn on each duplicate,
     and add each new word to ``index``.  Returns the new words' vectors, one
-    row each, and whether a header may still follow."""
+    row each, whether a header may still follow, and whether a duplicate was
+    warned about."""
     rows = []
+    duplicates = False
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split()
         if not parts:
@@ -195,10 +314,11 @@ def _parse_lines(
             )
         if word in index:
             logger.warning("duplicate embedding for %r at line %d; keeping first", word, lineno)
+            duplicates = True
             continue
         index[word] = len(index)
         rows.append(vec)
-    return np.array(rows, dtype=np.float64), may_be_header
+    return np.array(rows, dtype=np.float64), may_be_header, duplicates
 
 
 def load_lexicon(path: str | Path) -> LexiconConfig:

@@ -21,6 +21,16 @@ def table_of(vectors):
     )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def cache_home(tmp_path_factory):
+    """The session's own ``XDG_CACHE_HOME``, so that neither the tests nor the
+    commands they start read or write the user's embedding cache."""
+    home = tmp_path_factory.mktemp("xdg-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(home))
+        yield home
+
+
 @pytest.fixture(scope="session")
 def documents():
     return corpus.load_documents(FIXTURE_CORPUS)

@@ -483,6 +483,33 @@ class TestShardedExtract:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.count("lexicon word 'proceeds' has a zero vector") == 1, proc.stderr
 
+    def test_cached_table_gives_the_same_run(self, tmp_path):
+        # fresh interpreters under one cache home: the first run at each
+        # --workers parses the table and caches it, the second reads it back;
+        # a zero lexicon vector makes each run log one warning
+        rows = TOY_EMBEDDINGS.read_text(encoding="utf-8").splitlines()
+        dim = len(rows[0].split()) - 1
+        table, out = tmp_path / "vectors.txt", tmp_path / "pred.jsonl"
+        table.write_text("\n".join(rows + ["proceeds" + " 0" * dim]) + "\n", encoding="utf-8")
+        script = ("import sys\nfrom finrelex import cli\n"
+                  "cli._part_count = lambda workers: workers\nsys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        runs = []
+        for workers in ("1", "2"):
+            cache = tmp_path / f"cache-{workers}"
+            for _ in range(2):
+                proc = subprocess.run(
+                    [sys.executable, "-c", script, "extract", "--corpus", str(FIXTURE_CORPUS),
+                     "--embeddings", str(table), "--out", str(out), "--workers", workers],
+                    capture_output=True, text=True,
+                    env=dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache)),
+                )
+                assert proc.returncode == 0, proc.stderr
+                runs.append((proc.stderr, out.read_bytes()))
+            assert len(list((cache / "finrelex").iterdir())) == 1
+        assert runs[1:] == runs[:1] * 3
+        assert runs[0][0].count("lexicon word 'proceeds' has a zero vector") == 1, runs[0][0]
+
 
 class TestEvaluate:
     def test_perfect_predictions_score_one(self, tmp_path, predictions_path):

@@ -10,6 +10,7 @@ from finrelex._fileio import (
     Fields,
     LineRange,
     _reject_lone_surrogates,
+    atomic_write_bytes,
     atomic_write_text,
     decode_utf8,
     iter_jsonl,
@@ -162,3 +163,23 @@ def test_failed_atomic_write_keeps_the_old_file_and_no_temp_file(tmp_path):
         atomic_write_text(path, "new \ud800\n")  # a lone surrogate, which UTF-8 cannot write
     assert path.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_atomic_write_bytes_writes_its_parts_in_order(tmp_path):
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, iter([b"ab", memoryview(b"\x00cd"), bytearray(b"\xff"), b""]))
+    assert path.read_bytes() == b"ab\x00cd\xff"
+
+
+def test_failed_atomic_write_bytes_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, [b"old"])
+
+    def parts():
+        yield b"new"
+        raise OSError("no space left")
+
+    with pytest.raises(OSError, match="no space left"):
+        atomic_write_bytes(path, parts())
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

@@ -1,5 +1,8 @@
 import codecs
 import logging
+import os
+import threading
+import zlib
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -219,16 +222,159 @@ def test_loader_matches_per_line_reference(tmp_path_factory, text, chunk_lines):
     path.write_text(text, encoding="utf-8")
     want = _outcome(_reference_load, path)
     with mock.patch.object(semvec, "CHUNK_LINES", chunk_lines):
+        # the second load of a table that loads without a warning reads the cache entry back
+        assert _outcome(load_embeddings, path) == want
         assert _outcome(load_embeddings, path) == want
 
 
-def test_table_rows_share_one_matrix(tmp_path):
+@pytest.fixture()
+def cache_dir(tmp_path, monkeypatch):
+    """An empty cache home; returns the directory that holds the entries."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "finrelex"
+
+
+def _entries(cache_dir):
+    return sorted(cache_dir.iterdir()) if cache_dir.exists() else []
+
+
+def test_table_rows_share_one_matrix(tmp_path, cache_dir):
     path = tmp_path / "vectors.txt"
     path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
-    table = load_embeddings(path)
-    assert table.lookup("B").base is table.lookup("a").base is table.vectors
-    assert table.lookup("c") is None
-    assert sorted(table.index.values()) == list(range(len(table.vectors)))
+    for _ in range(2):  # the parse, then the cache entry read back
+        table = load_embeddings(path)
+        assert table.lookup("B").base is table.lookup("a").base is table.vectors
+        assert table.lookup("c") is None
+        assert sorted(table.index.values()) == list(range(len(table.vectors)))
+    assert len(_entries(cache_dir)) == 1
+
+
+class TestEmbeddingCache:
+    def test_hit_equals_the_parse(self, tmp_path, cache_dir):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"2 4\n" + TOY_EMBEDDINGS.read_bytes() + b"\nStra\xc3\x9fe -0 1e-320 2.5 3\n")
+        parsed = load_embeddings(path)
+        [entry] = _entries(cache_dir)
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            hit = load_embeddings(path)
+        assert list(hit.index.items()) == list(parsed.index.items())
+        assert np.array_equal(hit.vectors, parsed.vectors)
+        assert hit.vectors.tobytes() == parsed.vectors.tobytes()  # -0.0 stays -0.0
+        assert hit.vectors.dtype == np.float64
+        assert hit.vectors.flags.c_contiguous and hit.vectors.flags.writeable
+        assert hit.lookup("strasse") is not None
+        assert _entries(cache_dir) == [entry]
+
+    @pytest.mark.parametrize("edited", ["a 1.6 0\nb 0 1\n", "a 1.5 0\nb 0 1\nc 1 1\n"], ids=["digit", "appended"])
+    def test_edited_table_misses(self, tmp_path, cache_dir, edited):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1.5 0\nb 0 1\n", encoding="utf-8")
+        load_embeddings(path)
+        [old_entry] = _entries(cache_dir)
+        path.write_text(edited, encoding="utf-8")
+        assert list(load_embeddings(path).lookup("a")) == [float(edited.split()[1]), 0.0]
+        assert len(_entries(cache_dir)) == 2
+        # an entry under the edited table's name that holds the old table,
+        # as a CRC-32 collision would, is a miss too, and is rewritten
+        new_entry = next(p for p in _entries(cache_dir) if p != old_entry)
+        rewritten = new_entry.read_bytes()
+        new_entry.write_bytes(old_entry.read_bytes())
+        table = load_embeddings(path)
+        assert list(table.index) == [line.split()[0] for line in edited.splitlines()]
+        assert list(table.lookup("a")) == [float(edited.split()[1]), 0.0]
+        assert new_entry.read_bytes() == rewritten
+
+    def test_duplicate_word_warns_on_each_load_and_is_not_cached(self, tmp_path, cache_dir, caplog):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\na 0 1\n", encoding="utf-8")
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
+                assert list(load_embeddings(path).lookup("a")) == [1.0, 0.0]
+            assert [r.getMessage() for r in caplog.records] == [
+                "duplicate embedding for 'a' at line 2; keeping first"]
+        assert _entries(cache_dir) == []
+
+    @pytest.mark.parametrize("data", [b"a 1 0\nb 1\n", b"a 1\nb x\n", b"", codecs.BOM_UTF8 + b"a 1\n",
+                                      b"a \xff\n"], ids=["width", "unparsable", "empty", "bom", "not-utf8"])
+    def test_malformed_table_raises_the_same_error_again(self, tmp_path, cache_dir, data):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(data)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError) as raised:
+                load_embeddings(path)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert _entries(cache_dir) == []
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:-1], lambda b: b[: len(b) // 2], lambda b: b"garbage\n", lambda b: b"",
+        lambda b: b.replace(b"finrelex-embeddings 1", b"finrelex-embeddings 0"),
+        # a header whose sizes do not add up is refused before any allocation
+        lambda b: b.replace(b" 2 2\n", b" 2 %d\n" % 2**57, 1),
+    ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width"])
+    def test_damaged_entry_is_a_miss_that_is_rewritten(self, tmp_path, cache_dir, damage):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        parsed = load_embeddings(path)
+        [entry] = _entries(cache_dir)
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        again = load_embeddings(path)
+        assert list(again.index.items()) == list(parsed.index.items())
+        assert again.vectors.tobytes() == parsed.vectors.tobytes()
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unusable_cache_home_logs_nothing_above_debug(self, tmp_path, monkeypatch, caplog, under):
+        home = tmp_path / "file"
+        home.write_text("kept\n", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home / "x" if under else home))
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        with caplog.at_level(logging.DEBUG, logger="finrelex.semvec"):
+            for _ in range(2):
+                assert list(load_embeddings(path).lookup("b")) == [0.0, 1.0]
+        assert caplog.records and {r.levelno for r in caplog.records} == {logging.DEBUG}
+        assert home.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("value", ["", "relative/cache"], ids=["empty", "relative"])
+    def test_cache_home_must_be_absolute(self, tmp_path, monkeypatch, value):
+        # the XDG rule: an empty or relative XDG_CACHE_HOME is ignored for ~/.cache
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\n", encoding="utf-8")
+        load_embeddings(path)
+        assert len(_entries(tmp_path / "home" / ".cache" / "finrelex")) == 1
+        assert not (tmp_path / "relative").exists()
+
+    def test_fifo_table_is_read_once_and_not_cached(self, tmp_path, cache_dir):
+        fifo = tmp_path / "vectors.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(b"a 1 0\nb 0 1\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        table = load_embeddings(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert list(table.index.items()) == [("a", 0), ("b", 1)]
+        assert table.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert _entries(cache_dir) == []
+
+    def test_entry_is_named_from_the_size_and_crc(self, tmp_path, cache_dir):
+        data = b"a 1 0\nb 0 1\n"
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(data)
+        load_embeddings(path)
+        [entry] = _entries(cache_dir)
+        assert entry.name.startswith(f"embeddings-{len(data)}-{zlib.crc32(data):08x}-")
 
 
 class TestPhraseVector:
