@@ -32,9 +32,9 @@ ranges in file order and classifies each distinct bridge phrase and person
 context once.  So the output is byte-identical for every N, the first error
 is the one a single process reports (a table error, then a lexicon error,
 then the first corpus error in the file), and every warning is logged by
-this process in file order.  The table's parse is cached on disk, keyed by
-its exact bytes (see ``semvec.load_embeddings``), so a later run on the same
-table reads it back instead of parsing it.  NumPy is not imported yet at the
+this process in file order.  The table's parse is cached on disk, one entry
+per table path (see ``semvec.load_embeddings``), so a later run on the same
+bytes reads it back instead of parsing it.  NumPy is not imported yet at the
 fork, so its BLAS threads have not started, and Python 3.12's warning about
 forking a threaded process does not fire in a ``finrelex extract`` run.  One
 part (``--workers 1``, a corpus of at most one line, a pipe, named or not,
@@ -97,7 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="run the heuristics over a document file")
     p_extract.add_argument("--corpus", help="annotated document file (JSON lines)")
-    p_extract.add_argument("--embeddings", help="word embedding text file")
+    p_extract.add_argument("--embeddings",
+                           help="word embedding text file; the parse of a regular file is cached, one "
+                           "entry per table path, in $XDG_CACHE_HOME/finrelex (else ~/.cache/finrelex), "
+                           "which keeps four entries of about twice their table's size on disk and is "
+                           "cleared by removing it")
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")
     p_extract.add_argument("--workers", type=int, default=1,

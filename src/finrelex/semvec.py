@@ -14,13 +14,15 @@ classification with that lexicon and keeps it for the rest of the run, so a
 run classifies each distinct phrase once.
 
 :func:`load_embeddings` caches the parse of each regular table file on
-disk, under the user's cache directory: a later load of the same bytes reads
-the words and the matrix back instead of parsing the text.
+disk, one entry per table path under the user's cache directory: a later
+load of the same bytes reads the words and the matrix back instead of
+parsing the text.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import functools
 import logging
 import math
@@ -126,51 +128,51 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     report errors and duplicates.  The table is held as one float64 matrix
     of about ``8 * V * D`` bytes.
 
-    The parse of a regular file is cached in one entry file per table, under
-    ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is unset,
-    empty or relative) and named from the table's size and CRC-32.  A later
-    load reads the words and the matrix back instead of parsing, and returns
-    an equal table, only when the entry's copy of the table is byte for byte
-    the file; otherwise it parses and writes the entry again.  A table whose
-    parse logged a warning or raised is never cached, nor is a pipe, which is
-    parsed as it streams.  A cache that cannot be read or written is a miss,
-    logged at DEBUG.
+    The parse of a regular file is cached in one entry file per table path,
+    under ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is
+    unset, empty or relative).  A later load reads the words and the matrix
+    back instead of parsing, and returns an equal table, only when the
+    entry's copy of the table is byte for byte the file; otherwise it parses
+    and overwrites the entry, which takes about twice the table on disk;
+    only the four most recently written entries are kept.  A table whose
+    parse logged a warning or raised is never cached, nor is a pipe, which
+    is parsed as it streams.  A cache that cannot be read or
+    written is a miss, logged at DEBUG.
     """
     with open(path, "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return _parse(fh, path, None)[0]
+            return _parse(fh, path)[0]
         entry = None
         try:
-            entry = _entry_path(fh)
+            entry = _entry_path(path)
             return _read_entry(entry, fh)
         except (OSError, RuntimeError, ValueError) as exc:
             logger.debug("embedding cache miss for %s: %s", path, exc)
         fh.seek(0)
-        parsed: list[bytes] = []
-        table, warned = _parse(fh, path, parsed)
-    if entry is not None and not warned:
-        try:
-            _write_entry(entry, parsed, table)
-        except (OSError, ValueError) as exc:
-            logger.debug("embedding cache entry for %s not written: %s", path, exc)
+        table, warned, crc = _parse(fh, path)
+        if entry is not None and not warned:
+            try:
+                _write_entry(entry, fh, crc, table)
+            except (OSError, ValueError) as exc:
+                logger.debug("embedding cache not updated for %s: %s", path, exc)
     return table
 
 
-def _parse(fh, path: str | Path, tee: list[bytes] | None) -> tuple[EmbeddingTable, bool]:
-    """The table the lines of ``fh`` hold, and whether a duplicate was
-    warned about; each chunk's bytes are appended to ``tee`` as parsed."""
+def _parse(fh, path: str | Path) -> tuple[EmbeddingTable, bool, int]:
+    """The table the lines of ``fh`` hold, whether a duplicate was warned
+    about, and the CRC-32 of the bytes parsed."""
     index: dict[str, int] = {}
     blocks: list[np.ndarray] = []
     dimension: int | None = None
     may_be_header = True
     warned = False
+    crc = 0
     lineno = 1
     while raw := list(islice(fh, CHUNK_LINES)):
         if lineno == 1 and raw[0].startswith(codecs.BOM_UTF8):
             raise EmbeddingFormatError("line 1: unexpected UTF-8 byte-order mark")
         chunk = b"".join(raw)
-        if tee is not None:
-            tee.append(chunk)
+        crc = zlib.crc32(chunk, crc)
         lines = decode_utf8(chunk, lineno, EmbeddingFormatError).split("\n")
         block = None if may_be_header else _parse_chunk(lines, index, dimension)
         if block is None:
@@ -182,39 +184,43 @@ def _parse(fh, path: str | Path, tee: list[bytes] | None) -> tuple[EmbeddingTabl
         lineno += len(raw)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
-    return EmbeddingTable(index, np.concatenate(blocks)), warned
+    return EmbeddingTable(index, np.concatenate(blocks)), warned, crc
 
 
-# An entry of the parse cache is one file: a header line, the table's bytes
-# as parsed, its words in row order joined by "\n" in UTF-8, then its matrix
-# in native float64.  The header is the stamp, which names the layout, the
-# interpreter, NumPy and this module's source (whose rules made the words and
-# the matrix), then the sizes of the three sections: table bytes, word bytes,
-# and rows and columns.  An entry is only ever read after its copy of the
-# table has compared equal to the file being loaded, so its name, taken from
-# a first read of the file, need not match what it holds.
-_ENTRY_VERSION = b"finrelex-embeddings 1"
-_READ_BYTES = 1 << 20
+# An entry of the parse cache is one file: a header line, the table's bytes,
+# its matrix in native float64, then its words in row order, each ended by
+# "\n", in UTF-8.  The header is the stamp, which names the layout, the
+# interpreter, NumPy and the source of this module and ``_fileio`` (whose
+# rules made the words and the matrix), then the table's size in bytes and
+# the matrix's rows and columns.  The entry is named from the table's real
+# path, so a table has one entry, which a changed table or another stamp
+# overwrites; it is read only after its copy of the table has compared equal
+# to the file being loaded.  Writing an entry deletes all but the
+# ``_KEPT_ENTRIES`` most recently written, so tables at passing paths (a
+# temporary directory per run) do not pile up.
+_ENTRY_VERSION = b"finrelex-embeddings 2"
+_KEPT_ENTRIES = 4
+_READ_BYTES = 1 << 16
+_WORDS_PER_WRITE = 1 << 12
 
 
 @functools.cache
 def _entry_stamp() -> bytes:
-    return b"%s %s numpy-%s %s semvec-%08x" % (
+    here = Path(__file__)
+    sources = zlib.crc32(here.with_name("_fileio.py").read_bytes(), zlib.crc32(here.read_bytes()))
+    return b"%s %s numpy-%s %s src-%08x" % (
         _ENTRY_VERSION, str(sys.implementation.cache_tag).encode(), np.__version__.encode(),
-        sys.byteorder.encode(), zlib.crc32(Path(__file__).read_bytes()),
+        sys.byteorder.encode(), sources,
     )
 
 
-def _entry_path(fh) -> Path:
-    """Where the cache entry of the regular file ``fh`` lives, named from its
-    size and CRC-32 (read to its end): under ``$XDG_CACHE_HOME/finrelex``
-    when that is an absolute path, else under ``~/.cache/finrelex``."""
-    crc = size = 0
-    while chunk := fh.read(_READ_BYTES):
-        crc, size = zlib.crc32(chunk, crc), size + len(chunk)
+def _entry_path(path: str | Path) -> Path:
+    """Where the cache entry of the table at ``path`` lives, named from the
+    CRC-32 of its real path: under ``$XDG_CACHE_HOME/finrelex`` when that is
+    an absolute path, else under ``~/.cache/finrelex``."""
     home = os.environ.get("XDG_CACHE_HOME", "")
     base = Path(home) if os.path.isabs(home) else Path.home() / ".cache"
-    return base / "finrelex" / f"embeddings-{size}-{crc:08x}-{zlib.crc32(_entry_stamp()):08x}"
+    return base / "finrelex" / f"embeddings-{zlib.crc32(os.fsencode(os.path.realpath(path))):08x}"
 
 
 def _read_entry(entry: Path, fh) -> EmbeddingTable:
@@ -224,11 +230,11 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
     stamp = _entry_stamp()
     with open(entry, "rb") as src:
         header = src.readline(len(stamp) + 100)
-        fields = header.rsplit(b" ", 4)
-        if len(fields) != 5 or fields[0] != stamp or not header.endswith(b"\n"):
+        fields = header.rsplit(b" ", 3)
+        if len(fields) != 4 or fields[0] != stamp or not header.endswith(b"\n"):
             raise ValueError("the entry's header is not this version's")
-        size, words_size, rows, dim = sizes = list(map(int, fields[1:]))
-        if min(sizes) < 0 or os.fstat(src.fileno()).st_size != len(header) + size + words_size + 8 * rows * dim:
+        size, rows, dim = sizes = list(map(int, fields[1:]))
+        if min(sizes) < 0 or os.fstat(src.fileno()).st_size < len(header) + size + 8 * rows * dim:
             raise ValueError("the entry's size does not match its header")
         fh.seek(0)
         for start in range(0, size, _READ_BYTES):
@@ -237,23 +243,46 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
                 raise ValueError("the entry holds another table")
         if fh.read(1):
             raise ValueError("the entry holds another table")
-        words = src.read(words_size).decode("utf-8").split("\n")
-        index = dict(zip(words, range(rows)))
-        if len(words) != rows or len(index) != rows:
-            raise ValueError("the entry's words do not match its header")
         vectors = np.empty((rows, dim), dtype=np.float64)
         if src.readinto(memoryview(vectors).cast("B")) != vectors.nbytes:
             raise ValueError("the entry ends early")
+        words = src.read().decode("utf-8").split("\n")
+    if words.pop() != "" or len(words) != rows or len(index := dict(zip(words, range(rows)))) != rows:
+        raise ValueError("the entry's words do not match its header")
     return EmbeddingTable(index, vectors)
 
 
-def _write_entry(entry: Path, parsed: list[bytes], table: EmbeddingTable) -> None:
-    """Cache ``table``, the parse of the bytes ``parsed``, as ``entry``, with one atomic rename."""
-    words = "\n".join(table.index).encode("utf-8")
+def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
+    """Cache ``table``, the parse of the regular file ``fh`` up to where it
+    stands, whose bytes had CRC-32 ``crc``, as ``entry`` with one atomic
+    rename.  The bytes are copied from ``fh`` a chunk at a time and checked
+    against ``crc``, so a table rewritten during its parse is not cached."""
+    size = fh.tell()
     rows, dim = table.vectors.shape
-    header = b"%s %d %d %d %d\n" % (_entry_stamp(), sum(map(len, parsed)), len(words), rows, dim)
+
+    def parts():
+        yield b"%s %d %d %d\n" % (_entry_stamp(), size, rows, dim)
+        fh.seek(0)
+        copied = 0
+        for _ in range(0, size, _READ_BYTES):
+            chunk = fh.read(_READ_BYTES)
+            copied = zlib.crc32(chunk, copied)
+            yield chunk
+        if copied != crc or fh.tell() != size or fh.read(1):
+            raise ValueError("the table changed while it was parsed")
+        yield memoryview(table.vectors).cast("B")
+        words = iter(table.index)
+        while batch := list(islice(words, _WORDS_PER_WRITE)):
+            yield ("\n".join(batch) + "\n").encode("utf-8")
+
     os.makedirs(entry.parent, mode=0o700, exist_ok=True)
-    atomic_write_bytes(entry, [header, *parsed, words, memoryview(table.vectors).cast("B")])
+    atomic_write_bytes(entry, parts())
+    written = []
+    for other in entry.parent.glob("embeddings-*"):
+        with contextlib.suppress(FileNotFoundError):  # another run deleted it
+            written.append((other.stat().st_mtime_ns, other))
+    for _, other in sorted(written, reverse=True)[_KEPT_ENTRIES:]:
+        other.unlink(missing_ok=True)
 
 
 def _parse_chunk(lines: list[str], index: dict[str, int], dimension: int | None) -> np.ndarray | None:

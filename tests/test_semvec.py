@@ -1,10 +1,12 @@
 import codecs
 import logging
 import os
+import tempfile
 import threading
 import zlib
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -221,9 +223,15 @@ def test_loader_matches_per_line_reference(tmp_path_factory, text, chunk_lines):
     path = tmp_path_factory.getbasetemp() / "differential-vectors.txt"
     path.write_text(text, encoding="utf-8")
     want = _outcome(_reference_load, path)
-    with mock.patch.object(semvec, "CHUNK_LINES", chunk_lines):
-        # the second load of a table that loads without a warning reads the cache entry back
+    # a cache home of this example's own: Hypothesis replays and shrinks
+    # reuse texts, and the first load must parse at this chunk size
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as home, \
+            mock.patch.dict(os.environ, XDG_CACHE_HOME=home), \
+            mock.patch.object(semvec, "CHUNK_LINES", chunk_lines):
         assert _outcome(load_embeddings, path) == want
+        # only a table that loaded without a warning is cached; its second load reads the entry back
+        cached = want[0][0] != "error" and not want[1]
+        assert len(list(Path(home).glob("finrelex/*"))) == int(cached)
         assert _outcome(load_embeddings, path) == want
 
 
@@ -270,19 +278,20 @@ class TestEmbeddingCache:
         path = tmp_path / "vectors.txt"
         path.write_text("a 1.5 0\nb 0 1\n", encoding="utf-8")
         load_embeddings(path)
-        [old_entry] = _entries(cache_dir)
+        [entry] = _entries(cache_dir)
+        old = entry.read_bytes()
         path.write_text(edited, encoding="utf-8")
         assert list(load_embeddings(path).lookup("a")) == [float(edited.split()[1]), 0.0]
-        assert len(_entries(cache_dir)) == 2
-        # an entry under the edited table's name that holds the old table,
-        # as a CRC-32 collision would, is a miss too, and is rewritten
-        new_entry = next(p for p in _entries(cache_dir) if p != old_entry)
-        rewritten = new_entry.read_bytes()
-        new_entry.write_bytes(old_entry.read_bytes())
+        # the edited table's entry takes the old one's place
+        assert _entries(cache_dir) == [entry]
+        rewritten = entry.read_bytes()
+        assert rewritten != old
+        # the old table's entry put back is a miss again, and is rewritten
+        entry.write_bytes(old)
         table = load_embeddings(path)
         assert list(table.index) == [line.split()[0] for line in edited.splitlines()]
         assert list(table.lookup("a")) == [float(edited.split()[1]), 0.0]
-        assert new_entry.read_bytes() == rewritten
+        assert entry.read_bytes() == rewritten
 
     def test_duplicate_word_warns_on_each_load_and_is_not_cached(self, tmp_path, cache_dir, caplog):
         path = tmp_path / "vectors.txt"
@@ -310,10 +319,13 @@ class TestEmbeddingCache:
 
     @pytest.mark.parametrize("damage", [
         lambda b: b[:-1], lambda b: b[: len(b) // 2], lambda b: b"garbage\n", lambda b: b"",
-        lambda b: b.replace(b"finrelex-embeddings 1", b"finrelex-embeddings 0"),
+        lambda b: b.replace(semvec._ENTRY_VERSION, b"finrelex-embeddings 0"),
         # a header whose sizes do not add up is refused before any allocation
         lambda b: b.replace(b" 2 2\n", b" 2 %d\n" % 2**57, 1),
-    ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width"])
+        # the words section must hold one distinct word per row, each ended by a newline
+        lambda b: b[: b.rindex(b"b\n")], lambda b: b.replace(b"\nb\n", b"\na\n"), lambda b: b + b"c\n",
+    ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width",
+            "missing-word", "repeated-word", "extra-word"])
     def test_damaged_entry_is_a_miss_that_is_rewritten(self, tmp_path, cache_dir, damage):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
@@ -368,13 +380,53 @@ class TestEmbeddingCache:
         assert table.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert _entries(cache_dir) == []
 
-    def test_entry_is_named_from_the_size_and_crc(self, tmp_path, cache_dir):
-        data = b"a 1 0\nb 0 1\n"
-        path = tmp_path / "vectors.txt"
-        path.write_bytes(data)
+    def test_one_entry_per_table_path(self, tmp_path, cache_dir):
+        path, link, copy = tmp_path / "vectors.txt", tmp_path / "link.txt", tmp_path / "copy.txt"
+        path.write_bytes(b"a 1 0\nb 0 1\n")
+        link.symlink_to(path)
+        copy.write_bytes(path.read_bytes())
         load_embeddings(path)
         [entry] = _entries(cache_dir)
-        assert entry.name.startswith(f"embeddings-{len(data)}-{zlib.crc32(data):08x}-")
+        assert entry.name == f"embeddings-{zlib.crc32(os.fsencode(path.resolve())):08x}"
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            load_embeddings(link)  # a symlink reads its target's entry
+        load_embeddings(copy)
+        assert len(_entries(cache_dir)) == 2
+
+    def test_only_the_newest_entries_are_kept(self, tmp_path, cache_dir):
+        written = []
+        for i in range(semvec._KEPT_ENTRIES + 1):
+            path = tmp_path / f"vectors-{i}.txt"
+            path.write_text(f"a {i} 1\n", encoding="utf-8")
+            load_embeddings(path)
+            entry = semvec._entry_path(path)
+            os.utime(entry, ns=(i * 10**9, i * 10**9))  # an older entry for each earlier table
+            written.append(entry)
+        # writing the last entry deleted the oldest one
+        assert _entries(cache_dir) == sorted(written[1:])
+
+    def test_table_rewritten_during_its_parse_is_not_cached(self, tmp_path, cache_dir, caplog):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        parse = semvec._parse
+
+        def parse_then_rewrite(fh, name):
+            parsed = parse(fh, name)
+            path.write_text("a 7 0\nb 0 7\n", encoding="utf-8")  # same size, other bytes
+            return parsed
+
+        with mock.patch.object(semvec, "_parse", parse_then_rewrite), \
+                caplog.at_level(logging.DEBUG, logger="finrelex.semvec"):
+            assert list(load_embeddings(path).lookup("a")) == [1.0, 0.0]
+        assert _entries(cache_dir) == []
+        assert "the table changed while it was parsed" in caplog.text
+        assert list(load_embeddings(path).lookup("a")) == [7.0, 0.0]
+        assert len(_entries(cache_dir)) == 1
+
+    def test_stamp_covers_both_parsing_modules(self):
+        src = Path(semvec.__file__)
+        crc = zlib.crc32(src.with_name("_fileio.py").read_bytes(), zlib.crc32(src.read_bytes()))
+        assert semvec._entry_stamp().endswith(b" src-%08x" % crc)
 
 
 class TestPhraseVector:
