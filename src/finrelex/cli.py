@@ -24,22 +24,19 @@ refused before anything is read.
 ``extract --workers N`` cuts the corpus file into at most N ranges of whole
 lines, no more than the CPUs the process may run on.  Each range runs in a
 child forked from this process (the ``fork`` start method, so Linux) before
-it imports NumPy or loads the table; the child reads, validates and relates
-its own lines one document at a time, and sends back only (line, id) pairs
-and unclassified candidate records.  This process runs no range: meanwhile
-it loads the table and lexicon and builds the classifier, then joins the
-ranges in file order and classifies each distinct bridge phrase and person
-context once.  So the output is byte-identical for every N, the first error
-is the one a single process reports (a table error, then a lexicon error,
-then the first corpus error in the file), and every warning is logged by
-this process in file order.  The table's parse is cached on disk, one entry
-per table path (see ``semvec.load_embeddings``), so a later run on the same
-bytes reads it back instead of parsing it.  NumPy is not imported yet at the
-fork, so its BLAS threads have not started, and Python 3.12's warning about
-forking a threaded process does not fire in a ``finrelex extract`` run.  One
-part (``--workers 1``, a corpus of at most one line, a pipe, named or not,
-which cannot be cut, or a corpus that cannot be opened) forks nothing and
-imports no ``multiprocessing``.
+it loads the table; the child reads, validates and relates its own lines one
+document at a time, and sends back only (line, id) pairs and unclassified
+candidate records.  This process runs no range: meanwhile it loads the table
+and lexicon and builds the classifier, then joins the ranges in file order
+and classifies each distinct bridge phrase and person context once.  So the
+output is byte-identical for every N, the first error is the one a single
+process reports (a table error, then a lexicon error, then the first corpus
+error in the file), and every warning is logged by this process in file
+order.  The table's parse is cached on disk, one entry per table path (see
+``semvec.load_embeddings``), so a later run on the same bytes reads it back
+instead of parsing it.  One part (``--workers 1``, a corpus of at most one
+line, a pipe, named or not, which cannot be cut, or a corpus that cannot be
+opened) forks nothing and imports no ``multiprocessing``.
 
 ``main`` runs a command with the automatic cyclic garbage collector off and
 puts it back as it found it, so a caller (a test, an in-process tracer)
@@ -49,8 +46,7 @@ relation records, gold examples) hold no reference cycles: reference
 counting frees each as soon as it is dropped, and a run's only cycles are a
 fixed handful (the argument parser, the table's classifier cache), whatever
 the size of the input.  The collector would find nothing else, yet it
-would traverse every record, again and again as they pile up.  It stays on
-through NumPy's import, which leaves cyclic garbage behind.  At exit the
+would traverse every record, again and again as they pile up.  At exit the
 heap is frozen (``gc.freeze``, registered once per process), so the
 interpreter's last collection traverses none of it; nothing is lost, since
 every output file is closed by then and finalization still flushes the
@@ -239,12 +235,7 @@ def _load_table(args: argparse.Namespace):
     """``extract``'s table and lexicon, the table first, so a malformed one
     fails before the corpus; their classifier is built here, so its
     warnings are logged once per run, also when nothing is classified."""
-    # NumPy (only extract imports it) leaves cyclic garbage as it imports.
-    # Freed by the collector as it is made, not by one collection after,
-    # it leaves the run's peak memory about 0.4 MB lower (4 long documents).
-    gc.enable()
     from . import semvec
-    gc.disable()
 
     table = semvec.load_embeddings(args.embeddings)
     lex = semvec.load_lexicon(args.lexicon) if args.lexicon else semvec.LexiconConfig()

@@ -6,12 +6,15 @@ lexicons and taking the single most similar word; person mentions get the
 same treatment against a founder lexicon.  A classification only sticks when
 the winning similarity strictly exceeds the configured threshold.
 
-An :class:`EmbeddingTable` is one float64 matrix, ``vectors``, and the
-``index`` of each case-folded word's row.  A :class:`Classifier` holds the
-lexicon rows of one table and lexicon, with their norms, and the verdict of
-each phrase it has classified; each table builds it at its first
-classification with that lexicon and keeps it for the rest of the run, so a
-run classifies each distinct phrase once.
+An :class:`EmbeddingTable` is one float64 matrix, ``vectors``, over one
+flat ``array('d')``, and the ``index`` of each case-folded word's row.  A
+:class:`Classifier` holds the lexicon rows of one table and lexicon, with
+their norms, and the verdict of each phrase it has classified; each table
+builds it at its first classification with that lexicon and keeps it for the
+rest of the run, so a run classifies each distinct phrase once.  Phrase
+means, norms and dot products are worked out in Python floats, each sum
+added left to right, so a similarity, and so a verdict, is the same on every
+machine and Python version.
 
 :func:`load_embeddings` caches the parse of each regular table file on
 disk, one entry per table path under the user's cache directory: a later
@@ -26,15 +29,16 @@ import contextlib
 import functools
 import logging
 import math
+import operator
 import os
 import stat
 import sys
 import zlib
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
-
-import numpy as np
 
 from ._fileio import atomic_write_bytes, decode_utf8, read_json_object
 
@@ -50,8 +54,8 @@ DEFAULT_REVENUE_WORDS = ("revenue", "income", "earnings", "proceeds", "returns",
 DEFAULT_INVESTMENT_WORDS = ("raised", "investment", "received", "equity")
 DEFAULT_FOUNDER_WORDS = ("founder", "co-founder", "cofounder", "founded", "started", "created")
 
-# Lines parsed per NumPy conversion in ``load_embeddings``: large enough to
-# amortise the call, small enough that the split strings of one chunk stay
+# Lines read and decoded at a time by ``load_embeddings``: large enough to
+# amortise the decode, small enough that the split strings of one chunk stay
 # a few hundred kilobytes.
 CHUNK_LINES = 1024
 
@@ -62,21 +66,30 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Case-folded word -> row ``index`` into one (V, D) float64 matrix, ``vectors``.
+    """Case-folded word -> row ``index`` into ``vectors``, a (V, D) float64
+    matrix: a ``memoryview`` cast over one flat ``array('d')``.
 
-    A table compares by identity.  It keeps the :class:`Classifier` of each
+    A table compares by identity.  ``lookup`` returns a row as a 1-D slice
+    of that same buffer.  The table keeps the :class:`Classifier` of each
     lexicon it classifies with, built at the first classification; the
-    lexicon rows it holds are views of ``vectors``, so the matrix must not
-    change after the table's first classification.
+    lexicon rows it holds are such slices, so the matrix must not change
+    after the table's first classification.
     """
 
     index: dict[str, int]
-    vectors: np.ndarray
+    vectors: memoryview
     _classifiers: dict[LexiconConfig, Classifier] = field(default_factory=dict, init=False, repr=False)
+    _flat: memoryview = field(init=False, repr=False)
 
-    def lookup(self, word: str) -> np.ndarray | None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_flat", self.vectors.cast("B").cast("d"))
+
+    def lookup(self, word: str) -> memoryview | None:
         row = self.index.get(word.casefold())
-        return None if row is None else self.vectors[row]
+        if row is None:
+            return None
+        dim = self.vectors.shape[1]
+        return self._flat[row * dim:(row + 1) * dim]
 
     def classifier(self, lex: LexiconConfig) -> Classifier:
         """The classifier of ``lex`` over this table, built at its first use."""
@@ -122,11 +135,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     mark at the start of the file.
 
     The file is read ``CHUNK_LINES`` lines at a time; each chunk is decoded
-    once (bytes that are not UTF-8 are an error naming their line) and
-    parsed with one NumPy conversion; a chunk that conversion does not
-    accept whole goes through the per-line rules instead, which alone
-    report errors and duplicates.  The table is held as one float64 matrix
-    of about ``8 * V * D`` bytes.
+    once (bytes that are not UTF-8 are an error naming their line), and each
+    line's components are read with ``float`` and appended to one flat
+    ``array('d')`` of ``8 * V * D`` bytes, which ``vectors`` views.
 
     The parse of a regular file is cached in one entry file per table path,
     under ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is
@@ -146,7 +157,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         try:
             entry = _entry_path(path)
             return _read_entry(entry, fh)
-        except (OSError, RuntimeError, ValueError) as exc:
+        except (EOFError, OSError, RuntimeError, ValueError) as exc:
             logger.debug("embedding cache miss for %s: %s", path, exc)
         fh.seek(0)
         table, warned, crc = _parse(fh, path)
@@ -160,37 +171,67 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 def _parse(fh, path: str | Path) -> tuple[EmbeddingTable, bool, int]:
     """The table the lines of ``fh`` hold, whether a duplicate was warned
-    about, and the CRC-32 of the bytes parsed."""
+    about, and the CRC-32 of the bytes parsed.  Raises at the first
+    malformed line, warns on each duplicate word and keeps its first vector."""
     index: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
+    flat = array("d")
     dimension: int | None = None
     may_be_header = True
     warned = False
     crc = 0
-    lineno = 1
+    first = 1
     while raw := list(islice(fh, CHUNK_LINES)):
-        if lineno == 1 and raw[0].startswith(codecs.BOM_UTF8):
+        if first == 1 and raw[0].startswith(codecs.BOM_UTF8):
             raise EmbeddingFormatError("line 1: unexpected UTF-8 byte-order mark")
         chunk = b"".join(raw)
         crc = zlib.crc32(chunk, crc)
-        lines = decode_utf8(chunk, lineno, EmbeddingFormatError).split("\n")
-        block = None if may_be_header else _parse_chunk(lines, index, dimension)
-        if block is None:
-            block, may_be_header, duplicates = _parse_lines(lines, lineno, index, dimension, may_be_header)
-            warned = warned or duplicates
-        if len(block):
-            blocks.append(block)
-            dimension = block.shape[1]
-        lineno += len(raw)
+        for lineno, line in enumerate(decode_utf8(chunk, first, EmbeddingFormatError).split("\n"), start=first):
+            parts = line.split()
+            if not parts:
+                continue
+            if may_be_header:
+                may_be_header = False
+                if len(parts) == 2:
+                    try:
+                        int(parts[0]), int(parts[1])
+                    except ValueError:
+                        pass
+                    else:
+                        continue
+            word = parts[0].casefold()
+            try:
+                vec = list(map(float, parts[1:]))
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"line {lineno}: unparsable vector component ({exc})") from exc
+            if not vec:
+                raise EmbeddingFormatError(f"line {lineno}: entry {word!r} has no vector components")
+            if not all(map(math.isfinite, vec)):
+                raise EmbeddingFormatError(f"line {lineno}: non-finite vector component")
+            if dimension is None:
+                dimension = len(vec)
+            elif len(vec) != dimension:
+                raise EmbeddingFormatError(f"line {lineno}: expected {dimension} components, found {len(vec)}")
+            if word in index:
+                logger.warning("duplicate embedding for %r at line %d; keeping first", word, lineno)
+                warned = True
+                continue
+            index[word] = len(index)
+            flat.fromlist(vec)
+        first += len(raw)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries, dimension undeterminable")
-    return EmbeddingTable(index, np.concatenate(blocks)), warned, crc
+    return EmbeddingTable(index, _matrix(flat, dimension)), warned, crc
+
+
+def _matrix(flat: array, dim: int) -> memoryview:
+    """The (V, D) float64 matrix view of ``flat``, V rows of ``dim`` components."""
+    return memoryview(flat).cast("B").cast("d", (len(flat) // dim, dim))
 
 
 # An entry of the parse cache is one file: a header line, the table's bytes,
 # its matrix in native float64, then its words in row order, each ended by
 # "\n", in UTF-8.  The header is the stamp, which names the layout, the
-# interpreter, NumPy and the source of this module and ``_fileio`` (whose
+# interpreter and the source of this module and ``_fileio`` (whose
 # rules made the words and the matrix), then the table's size in bytes and
 # the matrix's rows and columns.  The entry is named from the table's real
 # path, so a table has one entry, which a changed table or another stamp
@@ -198,7 +239,7 @@ def _parse(fh, path: str | Path) -> tuple[EmbeddingTable, bool, int]:
 # to the file being loaded.  Writing an entry deletes all but the
 # ``_KEPT_ENTRIES`` most recently written, so tables at passing paths (a
 # temporary directory per run) do not pile up.
-_ENTRY_VERSION = b"finrelex-embeddings 2"
+_ENTRY_VERSION = b"finrelex-embeddings 3"
 _KEPT_ENTRIES = 4
 _READ_BYTES = 1 << 16
 _WORDS_PER_WRITE = 1 << 12
@@ -208,9 +249,8 @@ _WORDS_PER_WRITE = 1 << 12
 def _entry_stamp() -> bytes:
     here = Path(__file__)
     sources = zlib.crc32(here.with_name("_fileio.py").read_bytes(), zlib.crc32(here.read_bytes()))
-    return b"%s %s numpy-%s %s src-%08x" % (
-        _ENTRY_VERSION, str(sys.implementation.cache_tag).encode(), np.__version__.encode(),
-        sys.byteorder.encode(), sources,
+    return b"%s %s %s src-%08x" % (
+        _ENTRY_VERSION, str(sys.implementation.cache_tag).encode(), sys.byteorder.encode(), sources,
     )
 
 
@@ -225,8 +265,8 @@ def _entry_path(path: str | Path) -> Path:
 
 def _read_entry(entry: Path, fh) -> EmbeddingTable:
     """The table ``entry`` holds, read only when its copy of the table is
-    byte for byte the regular file ``fh``; else an ``OSError`` or a
-    ``ValueError`` that says why not."""
+    byte for byte the regular file ``fh``; else an ``EOFError``, an
+    ``OSError`` or a ``ValueError`` that says why not."""
     stamp = _entry_stamp()
     with open(entry, "rb") as src:
         header = src.readline(len(stamp) + 100)
@@ -234,7 +274,7 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
         if len(fields) != 4 or fields[0] != stamp or not header.endswith(b"\n"):
             raise ValueError("the entry's header is not this version's")
         size, rows, dim = sizes = list(map(int, fields[1:]))
-        if min(sizes) < 0 or os.fstat(src.fileno()).st_size < len(header) + size + 8 * rows * dim:
+        if min(sizes) < 1 or os.fstat(src.fileno()).st_size < len(header) + size + 8 * rows * dim:
             raise ValueError("the entry's size does not match its header")
         fh.seek(0)
         for start in range(0, size, _READ_BYTES):
@@ -243,13 +283,12 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
                 raise ValueError("the entry holds another table")
         if fh.read(1):
             raise ValueError("the entry holds another table")
-        vectors = np.empty((rows, dim), dtype=np.float64)
-        if src.readinto(memoryview(vectors).cast("B")) != vectors.nbytes:
-            raise ValueError("the entry ends early")
+        vectors = array("d")
+        vectors.fromfile(src, rows * dim)
         words = src.read().decode("utf-8").split("\n")
     if words.pop() != "" or len(words) != rows or len(index := dict(zip(words, range(rows)))) != rows:
         raise ValueError("the entry's words do not match its header")
-    return EmbeddingTable(index, vectors)
+    return EmbeddingTable(index, _matrix(vectors, dim))
 
 
 def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
@@ -270,7 +309,7 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             yield chunk
         if copied != crc or fh.tell() != size or fh.read(1):
             raise ValueError("the table changed while it was parsed")
-        yield memoryview(table.vectors).cast("B")
+        yield table.vectors.cast("B")
         words = iter(table.index)
         while batch := list(islice(words, _WORDS_PER_WRITE)):
             yield ("\n".join(batch) + "\n").encode("utf-8")
@@ -283,71 +322,6 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             written.append((other.stat().st_mtime_ns, other))
     for _, other in sorted(written, reverse=True)[_KEPT_ENTRIES:]:
         other.unlink(missing_ok=True)
-
-
-def _parse_chunk(lines: list[str], index: dict[str, int], dimension: int | None) -> np.ndarray | None:
-    """The matrix of ``lines`` when every non-blank one is a new word with a
-    finite vector of the table's width (the first width seen, if none is
-    fixed yet), its words then added to ``index``; otherwise ``None`` and
-    ``index`` is untouched."""
-    entries = [parts for parts in map(str.split, lines) if parts]
-    try:
-        block = np.array([parts[1:] for parts in entries], dtype=np.float64)
-    except ValueError:
-        return None
-    if block.ndim != 2 or not block.shape[1] or dimension not in (None, block.shape[1]):
-        return None
-    words = [parts[0].casefold() for parts in entries]
-    if not np.isfinite(block).all() or len(set(words)) != len(words) or not index.keys().isdisjoint(words):
-        return None
-    index.update(zip(words, range(len(index), len(index) + len(words))))
-    return block
-
-
-def _parse_lines(
-    lines: list[str], lineno: int, index: dict[str, int], dimension: int | None, may_be_header: bool
-) -> tuple[np.ndarray, bool, bool]:
-    """Apply the per-line rules to ``lines``, the first of which is line
-    ``lineno``: raise at the first malformed line, warn on each duplicate,
-    and add each new word to ``index``.  Returns the new words' vectors, one
-    row each, whether a header may still follow, and whether a duplicate was
-    warned about."""
-    rows = []
-    duplicates = False
-    for lineno, line in enumerate(lines, start=lineno):
-        parts = line.split()
-        if not parts:
-            continue
-        first, may_be_header = may_be_header, False
-        if first and len(parts) == 2:
-            try:
-                int(parts[0]), int(parts[1])
-            except ValueError:
-                pass
-            else:
-                continue
-        word, values = parts[0].casefold(), parts[1:]
-        if not values:
-            raise EmbeddingFormatError(f"line {lineno}: entry {word!r} has no vector components")
-        try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"line {lineno}: unparsable vector component ({exc})") from exc
-        if not np.all(np.isfinite(vec)):
-            raise EmbeddingFormatError(f"line {lineno}: non-finite vector component")
-        if dimension is None:
-            dimension = len(vec)
-        elif len(vec) != dimension:
-            raise EmbeddingFormatError(
-                f"line {lineno}: expected {dimension} components, found {len(vec)}"
-            )
-        if word in index:
-            logger.warning("duplicate embedding for %r at line %d; keeping first", word, lineno)
-            duplicates = True
-            continue
-        index[word] = len(index)
-        rows.append(vec)
-    return np.array(rows, dtype=np.float64), may_be_header, duplicates
 
 
 def load_lexicon(path: str | Path) -> LexiconConfig:
@@ -376,19 +350,31 @@ def load_lexicon(path: str | Path) -> LexiconConfig:
         raise EmbeddingFormatError(f"{path}: {exc}") from exc
 
 
-def phrase_vector(table: EmbeddingTable, phrase: str) -> np.ndarray | None:
+def phrase_vector(table: EmbeddingTable, phrase: str) -> list[float] | None:
     """Mean vector of the phrase's in-vocabulary tokens, or ``None`` if all
-    tokens are out of vocabulary."""
+    tokens are out of vocabulary.  The token vectors are added one after
+    another, left to right, and the sum divided by their count."""
     found = [v for v in map(table.lookup, phrase.split()) if v is not None]
     if not found:
         return None
-    # the sum and division ``np.mean`` performs, without its dispatch
-    return np.add.reduce(np.array(found), axis=0) / len(found)
+    total = found[0].tolist()
+    for vec in found[1:]:
+        total = list(map(operator.add, total, vec))
+    return [x / len(found) for x in total]
 
 
-def _norm(v: np.ndarray) -> float:
-    # how ``np.linalg.norm`` computes the norm of a real 1-D vector
-    return math.sqrt(v.dot(v))
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """The sum of the products of ``u`` and ``v``, added left to right.
+
+    Not ``sum``, which compensates from Python 3.12 on, so its result
+    depends on the Python version; nor ``math.fsum``, which raises on a
+    product that overflows, as a finite table's can.
+    """
+    return functools.reduce(operator.add, map(operator.mul, u, v))
+
+
+def _norm(v: Sequence[float]) -> float:
+    return math.sqrt(_dot(v, v))
 
 
 class Classifier:
@@ -435,7 +421,7 @@ class Classifier:
         for group in groups:
             best_sim = -2.0
             for row, nv in self.groups[group]:
-                sim = 0.0 if nu == 0.0 or nv == 0.0 else float(vec.dot(row) / (nu * nv))
+                sim = 0.0 if nu == 0.0 or nv == 0.0 else _dot(vec, row) / (nu * nv)
                 if sim > best_sim:
                     best_sim = sim
             best_sims.append(best_sim)
@@ -473,7 +459,7 @@ class Classifier:
 
 def _lexicon_rows(
     table: EmbeddingTable, group: str, words: tuple[str, ...]
-) -> tuple[tuple[np.ndarray, float], ...]:
+) -> tuple[tuple[memoryview, float], ...]:
     """``(vector, norm)`` of each in-vocabulary word of ``group``, in lexicon order."""
     rows = []
     for word in words:

@@ -1,6 +1,6 @@
+from array import array
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from finrelex import corpus, semvec
@@ -16,9 +16,10 @@ TOY_EMBEDDINGS = DATA_DIR / "toy_embeddings.txt"
 def table_of(vectors):
     """The table of ``{word: vector}``, its words taken as already case-folded,
     one matrix row each in the dict's order."""
-    return semvec.EmbeddingTable(
-        {word: row for row, word in enumerate(vectors)}, np.array(list(vectors.values()), dtype=np.float64)
-    )
+    rows = list(vectors.values())
+    flat = array("d", [x for row in rows for x in row])
+    matrix = memoryview(flat).cast("B").cast("d", (len(rows), len(rows[0])))
+    return semvec.EmbeddingTable({word: row for row, word in enumerate(vectors)}, matrix)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -267,7 +267,7 @@ def test_criterion_08_classifier_properties(toy_table, lexicon):
 
         probes = ("income", "a net income", "raised", "$10 million", "zzz", "the founder of")
         for scale in (0.001, 2.5, 1000.0):
-            scaled = table_of({w: scale * toy_table.vectors[i] for w, i in toy_table.index.items()})
+            scaled = table_of({w: [scale * x for x in toy_table.lookup(w)] for w in toy_table.index})
             for phrase in probes:
                 assert semvec.classify_money_phrase(scaled, lexicon, phrase) == (
                     semvec.classify_money_phrase(toy_table, lexicon, phrase)

@@ -1159,7 +1159,7 @@ assert "multiprocessing" not in sys.modules, "evaluate, prepare or inspect impor
 
 
 def test_evaluate_and_prepare_do_not_import_numpy(tmp_path, gold_examples):
-    # a fresh interpreter: this test process has NumPy loaded already
+    # a fresh interpreter, which holds only the modules the commands import
     pred = tmp_path / "pred.jsonl"
     records.save_predictions([(g.id, g.target_text) for g in gold_examples], pred)
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1171,3 +1171,27 @@ def test_evaluate_and_prepare_do_not_import_numpy(tmp_path, gold_examples):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").is_file()
     assert (tmp_path / "split" / "balanced-train.jsonl").is_file()
+
+
+_EXTRACT_WITHOUT_NUMPY = """
+import sys
+src, docs, table, out, workers = sys.argv[1:]
+sys.path.insert(0, src)
+from finrelex.cli import main
+assert main(["extract", "--corpus", docs, "--embeddings", table, "--out", out, "--workers", workers]) == 0
+assert "numpy" not in sys.modules, "extract imported numpy"
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_extract_does_not_import_numpy(tmp_path, workers):
+    # a fresh interpreter, which holds only the modules the command imports
+    out = tmp_path / "pred.jsonl"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXTRACT_WITHOUT_NUMPY, str(src), str(FIXTURE_CORPUS), str(TOY_EMBEDDINGS),
+         str(out), workers],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_bytes().splitlines()) == len(FIXTURE_CORPUS.read_bytes().splitlines())

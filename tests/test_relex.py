@@ -789,7 +789,7 @@ class TestExtract:
         assert [c.args[1:] for c in person_work.call_args_list] == list(dict.fromkeys(person_keys))
 
 def test_relate_imports_no_numpy():
-    # a fresh interpreter: this test process has NumPy loaded already
+    # a fresh interpreter, which holds only the modules relate imports
     script = (
         "import sys\n"
         "from finrelex import corpus, relex\n"

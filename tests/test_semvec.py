@@ -1,15 +1,18 @@
 import codecs
 import logging
+import math
 import os
+import random
 import tempfile
 import threading
+import warnings
 import zlib
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -105,7 +108,7 @@ class TestLoadEmbeddings:
 
 
 def _reference_load(path):
-    """The per-line loader: one float list and one array per entry."""
+    """The per-line loader: one float list per entry."""
     vectors = {}
     dimension = None
     may_be_header = True
@@ -126,10 +129,10 @@ def _reference_load(path):
             if not values:
                 raise EmbeddingFormatError(f"line {lineno}: entry {word!r} has no vector components")
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = [float(v) for v in values]
             except ValueError as exc:
                 raise EmbeddingFormatError(f"line {lineno}: unparsable vector component ({exc})") from exc
-            if not np.all(np.isfinite(vec)):
+            if not all(math.isfinite(x) for x in vec):
                 raise EmbeddingFormatError(f"line {lineno}: non-finite vector component")
             if dimension is None:
                 dimension = len(vec)
@@ -208,7 +211,7 @@ def _outcome(load, path):
             table = load(path)
         except EmbeddingFormatError as exc:
             return ("error", str(exc)), messages
-    return (table.vectors.shape[1], [(w, table.vectors[i].tobytes()) for w, i in table.index.items()]), messages
+    return (table.vectors.shape, list(table.index.items()), table.vectors.tobytes()), messages
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,10 +254,18 @@ def test_table_rows_share_one_matrix(tmp_path, cache_dir):
     path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
     for _ in range(2):  # the parse, then the cache entry read back
         table = load_embeddings(path)
-        assert table.lookup("B").base is table.lookup("a").base is table.vectors
+        assert table.lookup("B").obj is table.lookup("a").obj is table.vectors.obj
+        assert table.lookup("B").tolist() == [0.0, 1.0]
         assert table.lookup("c") is None
         assert sorted(table.index.values()) == list(range(len(table.vectors)))
     assert len(_entries(cache_dir)) == 1
+
+
+def _without_columns(entry):
+    """``entry``, of a 2 x 2 table, with its header saying 0 columns and its matrix left out."""
+    header, rest = entry.split(b"\n", 1)
+    size = int(header.split()[-3])
+    return header[:-len(b" 2 2")] + b" 2 0\n" + rest[:size] + rest[size + 32:]
 
 
 class TestEmbeddingCache:
@@ -266,10 +277,10 @@ class TestEmbeddingCache:
         with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
             hit = load_embeddings(path)
         assert list(hit.index.items()) == list(parsed.index.items())
-        assert np.array_equal(hit.vectors, parsed.vectors)
+        assert hit.vectors.tolist() == parsed.vectors.tolist()
         assert hit.vectors.tobytes() == parsed.vectors.tobytes()  # -0.0 stays -0.0
-        assert hit.vectors.dtype == np.float64
-        assert hit.vectors.flags.c_contiguous and hit.vectors.flags.writeable
+        assert hit.vectors.format == "d" and hit.vectors.shape == parsed.vectors.shape == (18, 4)
+        assert hit.vectors.c_contiguous
         assert hit.lookup("strasse") is not None
         assert _entries(cache_dir) == [entry]
 
@@ -322,9 +333,11 @@ class TestEmbeddingCache:
         lambda b: b.replace(semvec._ENTRY_VERSION, b"finrelex-embeddings 0"),
         # a header whose sizes do not add up is refused before any allocation
         lambda b: b.replace(b" 2 2\n", b" 2 %d\n" % 2**57, 1),
+        # a matrix of no columns, its words right after the table's bytes
+        _without_columns,
         # the words section must hold one distinct word per row, each ended by a newline
         lambda b: b[: b.rindex(b"b\n")], lambda b: b.replace(b"\nb\n", b"\na\n"), lambda b: b + b"c\n",
-    ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width",
+    ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width", "no-width",
             "missing-word", "repeated-word", "extra-word"])
     def test_damaged_entry_is_a_miss_that_is_rewritten(self, tmp_path, cache_dir, damage):
         path = tmp_path / "vectors.txt"
@@ -445,11 +458,25 @@ class TestPhraseVector:
         vec = phrase_vector(tiny_table, "a net income")
         assert list(vec) == [1.0, 0.0]
 
+    def test_components_are_added_left_to_right(self, tmp_path):
+        # (1e16 + 1.0) rounds to 1e16, so the 1.0 is lost; a compensated sum keeps it
+        path = tmp_path / "vectors.txt"
+        path.write_text("big 1e16 1\none 1.0 1\nminus -1e16 1\n", encoding="utf-8")
+        assert list(phrase_vector(load_embeddings(path), "big one minus")) == [0.0, 1.0]
+
 
 # The classifier path before the table built one classifier per lexicon:
 # every classification looked up each lexicon word again and computed both
 # norms once per word.  ``Classifier`` must give the same similarities and
-# verdicts, bit for bit.
+# verdicts, bit for bit.  Every sum below adds its terms one at a time, left
+# to right, as the classifier's do.
+
+
+def _left_to_right_sum(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _reference_phrase_vector(table, phrase):
@@ -457,15 +484,19 @@ def _reference_phrase_vector(table, phrase):
     found = [v for v in found if v is not None]
     if not found:
         return None
-    return np.mean(found, axis=0)
+    return [_left_to_right_sum([v[j] for v in found]) / len(found) for j in range(len(found[0]))]
+
+
+def _reference_dot(u, v):
+    return _left_to_right_sum([a * b for a, b in zip(u, v)])
 
 
 def _reference_cosine(u, v):
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    nu, nv = math.sqrt(_reference_dot(u, u)), math.sqrt(_reference_dot(v, v))
     if nu == 0.0 or nv == 0.0:
         semvec.logger.warning("cosine of a zero vector is undefined; returning 0.0")
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return _reference_dot(u, v) / (nu * nv)
 
 
 def _reference_best_match(table, vec, words):
@@ -505,26 +536,26 @@ class TestCosine:
     """The reference's cosine, which ``Classifier.best_similarities`` inlines."""
 
     def test_identical(self):
-        assert _reference_cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert _reference_cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert _reference_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+        assert _reference_cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
     def test_forty_five_degrees(self):
-        value = _reference_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        value = _reference_cosine([1.0, 1.0], [1.0, 0.0])
         assert value == pytest.approx(2 ** -0.5, abs=1e-6)
         assert value == pytest.approx(0.7071, abs=1e-4)
 
     def test_zero_vector_warns_and_returns_zero(self, caplog):
         with caplog.at_level(logging.WARNING, logger="finrelex.semvec"):
-            value = _reference_cosine(np.zeros(2), np.array([1.0, 0.0]))
+            value = _reference_cosine([0.0, 0.0], [1.0, 0.0])
         assert value == 0.0
         assert any("zero vector" in r.message for r in caplog.records)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(100):
-            u, v = rng.normal(size=3), rng.normal(size=3)
+            u, v = [rng.gauss(0.0, 1.0) for _ in range(3)], [rng.gauss(0.0, 1.0) for _ in range(3)]
             assert _reference_cosine(u, v) == pytest.approx(_reference_cosine(v, u))
 
 
@@ -534,7 +565,7 @@ def _assert_matches_reference(table, lex, phrase, context):
     got_vec = phrase_vector(table, phrase)
     assert (got_vec is None) == (want_vec is None), phrase
     if want_vec is not None:
-        assert got_vec.tobytes() == want_vec.tobytes(), phrase
+        assert array("d", got_vec).tobytes() == array("d", want_vec).tobytes(), phrase
     sims, verdict = _reference_money(table, lex, phrase)
     assert clf.best_similarities(phrase, "revenue", "investment") == sims, phrase
     assert classify_money_phrase(table, lex, phrase) == verdict, phrase
@@ -562,9 +593,10 @@ def _tables(draw):
     for _ in words:
         kind = draw(st.sampled_from(["drawn", "drawn", "copy", "scaled"])) if rows else "drawn"
         if kind == "drawn":
-            row = np.array(draw(st.lists(st.sampled_from(_COMPONENTS), min_size=d, max_size=d)))
+            row = draw(st.lists(st.sampled_from(_COMPONENTS), min_size=d, max_size=d))
         else:
-            row = draw(st.sampled_from(rows)) * (1.0 if kind == "copy" else draw(st.sampled_from([2.0, 0.5, 3.7])))
+            scale = 1.0 if kind == "copy" else draw(st.sampled_from([2.0, 0.5, 3.7]))
+            row = [scale * x for x in draw(st.sampled_from(rows))]
         rows.append(row)
     return table_of(dict(zip((w.casefold() for w in words), rows)))
 
@@ -738,11 +770,24 @@ class TestClassifyMoneyPhrase:
 
     def test_scale_invariance(self, toy_table, lexicon):
         phrases = ["a net income", "raised", "$10 million", "the founder of", "zzz"]
-        scaled = table_of({w: 3.7 * toy_table.vectors[i] for w, i in toy_table.index.items()})
+        scaled = table_of({w: [3.7 * x for x in toy_table.lookup(w)] for w in toy_table.index})
         for phrase in phrases:
             assert classify_money_phrase(toy_table, lexicon, phrase) == classify_money_phrase(
                 scaled, lexicon, phrase
             )
+
+
+def test_finite_table_whose_squares_overflow_classifies_without_a_warning(tmp_path, lexicon):
+    # each component is finite, yet the sum of two squares overflows to inf:
+    # each similarity is then NaN (never wins) or 0.0 (not above the threshold)
+    path = tmp_path / "vectors.txt"
+    path.write_text("income 1.3e154 1.3e154\nraised 1.3e154 -1.3e154\nfounder 1.3e154 1.2e154\n"
+                    "huge 1.3e154 1.3e154\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_embeddings(path)
+        assert classify_money_phrase(table, lexicon, "huge") == "unknown"
+        assert classify_person_phrase(table, lexicon, "huge", "") == "other"
 
 
 class TestClassifyPersonPhrase:
@@ -871,6 +916,8 @@ class TestCommittedToyTable:
                 assert classify_money_phrase(toy_table, lexicon, word) == "investment", word
 
     def test_no_nan_or_inf(self, toy_table):
-        for vec in toy_table.vectors:
-            assert np.all(np.isfinite(vec))
+        rows = toy_table.vectors.tolist()
+        assert len(rows) == len(toy_table.index)
+        for vec in rows:
+            assert all(math.isfinite(x) for x in vec)
             assert len(vec) == toy_table.vectors.shape[1]
