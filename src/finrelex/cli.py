@@ -33,7 +33,7 @@ output is byte-identical for every N, the first error is the one a single
 process reports (a table error, then a lexicon error, then the first corpus
 error in the file), and every warning is logged by this process in file
 order.  The table's parse is cached on disk, one entry per table path (see
-``semvec.load_embeddings``), so a later run on the same bytes reads it back
+``semvec.load_embeddings``), so a later run on the same bytes maps it
 instead of parsing it.  One part (``--workers 1``, a corpus of at most one
 line, a pipe, named or not, which cannot be cut, or a corpus that cannot be
 opened) forks nothing and imports no ``multiprocessing``.
@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--embeddings",
                            help="word embedding text file; the parse of a regular file is cached, one "
                            "entry per table path, in $XDG_CACHE_HOME/finrelex (else ~/.cache/finrelex), "
-                           "which keeps four entries of about twice their table's size on disk and is "
-                           "cleared by removing it")
+                           "which keeps four entries of about twice their table's size on disk; a later "
+                           "run maps the entry's matrix read-only. Clear the cache by removing its "
+                           "entries, never by truncating or editing one in place")
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")
     p_extract.add_argument("--workers", type=int, default=1,
@@ -300,9 +301,9 @@ def _receive_part(lines: LineRange, receiver, child) -> _Part:
 def _extract_parts(args: argparse.Namespace, ranges: list[LineRange]) -> list[tuple[str, str]]:
     """(id, predicted text) of every document on ``ranges`` of the corpus, in file order.
 
-    Each part runs in a child forked before this process imports NumPy or
-    loads the table; the child loads, builds and relates its documents and
-    sends back only their (line, id) pairs and candidates.  Meanwhile this
+    Each part runs in a child forked before this process loads the table;
+    the child loads, builds and relates its documents and sends back only
+    their (line, id) pairs and candidates.  Meanwhile this
     process loads the table and lexicon, and it reads no result before they
     have loaded, so a table error, then a lexicon error, comes first, as in
     one process.  Parts are then joined in file order, so the error is the

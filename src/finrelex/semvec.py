@@ -6,8 +6,9 @@ lexicons and taking the single most similar word; person mentions get the
 same treatment against a founder lexicon.  A classification only sticks when
 the winning similarity strictly exceeds the configured threshold.
 
-An :class:`EmbeddingTable` is one float64 matrix, ``vectors``, over one
-flat ``array('d')``, and the ``index`` of each case-folded word's row.  A
+An :class:`EmbeddingTable` is one read-only float64 matrix, ``vectors``,
+over one flat ``array('d')`` or a read-only map of a cache entry, and the
+``index`` of each case-folded word's row.  A
 :class:`Classifier` holds the lexicon rows of one table and lexicon, with
 their norms, and the verdict of each phrase it has classified; each table
 builds it at its first classification with that lexicon and keeps it for the
@@ -18,8 +19,8 @@ machine and Python version.
 
 :func:`load_embeddings` caches the parse of each regular table file on
 disk, one entry per table path under the user's cache directory: a later
-load of the same bytes reads the words and the matrix back instead of
-parsing the text.
+load of the same bytes reads the words back and maps the matrix instead of
+parsing the text, so only the pages of the rows it looks up are read.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import contextlib
 import functools
 import logging
 import math
+import mmap
 import operator
 import os
 import stat
@@ -67,7 +69,8 @@ class EmbeddingFormatError(ValueError):
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Case-folded word -> row ``index`` into ``vectors``, a (V, D) float64
-    matrix: a ``memoryview`` cast over one flat ``array('d')``.
+    matrix: a read-only ``memoryview`` cast over one flat ``array('d')``
+    (a parse) or over a read-only map of the cache entry's matrix (a hit).
 
     A table compares by identity.  ``lookup`` returns a row as a 1-D slice
     of that same buffer.  The table keeps the :class:`Classifier` of each
@@ -141,11 +144,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     The parse of a regular file is cached in one entry file per table path,
     under ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is
-    unset, empty or relative).  A later load reads the words and the matrix
-    back instead of parsing, and returns an equal table, only when the
-    entry's copy of the table is byte for byte the file; otherwise it parses
-    and overwrites the entry, which takes about twice the table on disk;
-    only the four most recently written entries are kept.  A table whose
+    unset, empty or relative).  A later load reads the words back and maps
+    the entry's matrix read-only instead of parsing, and returns an equal
+    table, only when the entry's copy of the table is byte for byte the
+    file; otherwise it parses and overwrites the entry, which takes about
+    twice the table on disk; only the four most recently written entries
+    are kept.  An entry is only ever replaced by a rename or deleted, which
+    leaves a table mapped from it intact; an entry truncated in place while
+    a run maps it kills that run with ``SIGBUS``.  A table whose
     parse logged a warning or raised is never cached, nor is a pipe, which
     is parsed as it streams.  A cache that cannot be read or
     written is a miss, logged at DEBUG.
@@ -223,9 +229,10 @@ def _parse(fh, path: str | Path) -> tuple[EmbeddingTable, bool, int]:
     return EmbeddingTable(index, _matrix(flat, dimension)), warned, crc
 
 
-def _matrix(flat: array, dim: int) -> memoryview:
-    """The (V, D) float64 matrix view of ``flat``, V rows of ``dim`` components."""
-    return memoryview(flat).cast("B").cast("d", (len(flat) // dim, dim))
+def _matrix(buffer: array | memoryview, dim: int) -> memoryview:
+    """The read-only (V, D) float64 matrix view of ``buffer``, V rows of ``dim`` components."""
+    view = memoryview(buffer).cast("B").toreadonly()
+    return view.cast("d", (len(view) // (8 * dim), dim))
 
 
 # An entry of the parse cache is one file: a header line, the table's bytes,
@@ -235,10 +242,12 @@ def _matrix(flat: array, dim: int) -> memoryview:
 # rules made the words and the matrix), then the table's size in bytes and
 # the matrix's rows and columns.  The entry is named from the table's real
 # path, so a table has one entry, which a changed table or another stamp
-# overwrites; it is read only after its copy of the table has compared equal
-# to the file being loaded.  Writing an entry deletes all but the
-# ``_KEPT_ENTRIES`` most recently written, so tables at passing paths (a
-# temporary directory per run) do not pile up.
+# replaces by a rename; it is read only after its copy of the table has
+# compared equal to the file being loaded, and then its matrix is mapped, not
+# read: no padding aligns it, since a memoryview reads each element with
+# memcpy.  Writing an entry deletes all but the ``_KEPT_ENTRIES`` most
+# recently written, so tables at passing paths (a temporary directory per
+# run) do not pile up.
 _ENTRY_VERSION = b"finrelex-embeddings 3"
 _KEPT_ENTRIES = 4
 _READ_BYTES = 1 << 16
@@ -264,9 +273,10 @@ def _entry_path(path: str | Path) -> Path:
 
 
 def _read_entry(entry: Path, fh) -> EmbeddingTable:
-    """The table ``entry`` holds, read only when its copy of the table is
-    byte for byte the regular file ``fh``; else an ``EOFError``, an
-    ``OSError`` or a ``ValueError`` that says why not."""
+    """The table ``entry`` holds, its matrix a read-only map of the entry,
+    read only when its copy of the table is byte for byte the regular file
+    ``fh``; else an ``EOFError``, an ``OSError`` or a ``ValueError`` that
+    says why not."""
     stamp = _entry_stamp()
     with open(entry, "rb") as src:
         header = src.readline(len(stamp) + 100)
@@ -274,7 +284,9 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
         if len(fields) != 4 or fields[0] != stamp or not header.endswith(b"\n"):
             raise ValueError("the entry's header is not this version's")
         size, rows, dim = sizes = list(map(int, fields[1:]))
-        if min(sizes) < 1 or os.fstat(src.fileno()).st_size < len(header) + size + 8 * rows * dim:
+        mapped = mmap.mmap(src.fileno(), 0, access=mmap.ACCESS_READ)
+        matrix = slice(len(header) + size, len(header) + size + 8 * rows * dim)
+        if min(sizes) < 1 or len(mapped) < matrix.stop:
             raise ValueError("the entry's size does not match its header")
         fh.seek(0)
         for start in range(0, size, _READ_BYTES):
@@ -283,12 +295,11 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
                 raise ValueError("the entry holds another table")
         if fh.read(1):
             raise ValueError("the entry holds another table")
-        vectors = array("d")
-        vectors.fromfile(src, rows * dim)
+        src.seek(matrix.stop)  # read, not touched through the map, so no page of the words stays resident
         words = src.read().decode("utf-8").split("\n")
     if words.pop() != "" or len(words) != rows or len(index := dict(zip(words, range(rows)))) != rows:
         raise ValueError("the entry's words do not match its header")
-    return EmbeddingTable(index, _matrix(vectors, dim))
+    return EmbeddingTable(index, _matrix(memoryview(mapped)[matrix], dim))
 
 
 def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:

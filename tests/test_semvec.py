@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 import threading
+import tracemalloc
 import warnings
 import zlib
 from array import array
@@ -435,6 +436,54 @@ class TestEmbeddingCache:
         assert "the table changed while it was parsed" in caplog.text
         assert list(load_embeddings(path).lookup("a")) == [7.0, 0.0]
         assert len(_entries(cache_dir)) == 1
+
+    def test_hit_makes_no_copy_of_the_matrix(self, tmp_path, cache_dir):
+        rng = random.Random(5)
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"w{i} " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(64)) + "\n"
+                                for i in range(2000)), encoding="utf-8")
+        parsed = load_embeddings(path)
+        assert parsed.vectors.nbytes == 1_024_000
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            tracemalloc.start()
+            try:
+                hit = load_embeddings(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert hit.vectors.tobytes() == parsed.vectors.tobytes()
+        assert peak < parsed.vectors.nbytes // 2
+
+    def test_mapped_table_outlives_its_entry(self, tmp_path, cache_dir, lexicon):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(TOY_EMBEDDINGS.read_bytes())
+        parsed = load_embeddings(path)
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            hit = load_embeddings(path)
+        assert parsed.vectors.readonly and hit.vectors.readonly
+        money, person = _classified_phrases(parsed, lexicon)
+
+        def rows_and_verdicts(table):
+            clf = semvec.Classifier(table, lexicon)  # a new one, so every verdict is worked out again
+            rows = {word: table.lookup(word).tolist() for word in table.index}
+            return rows, [clf.money(p) for p in money], [clf.person(p, c) for p, c in person]
+
+        before = rows_and_verdicts(hit)
+        assert before == rows_and_verdicts(parsed)
+        [entry] = _entries(cache_dir)
+        mapped = entry.stat().st_ino
+        # an edited table misses, and its entry replaces the mapped one by rename
+        path.write_bytes(TOY_EMBEDDINGS.read_bytes() + b"extra 1 0 0 0\n")
+        assert load_embeddings(path).lookup("extra").tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert _entries(cache_dir) == [entry] and entry.stat().st_ino != mapped
+        # newer entries evict it
+        os.utime(entry, ns=(0, 0))
+        for i in range(semvec._KEPT_ENTRIES):
+            other = tmp_path / f"other-{i}.txt"
+            other.write_text(f"a {i} 1\n", encoding="utf-8")
+            load_embeddings(other)
+        assert entry not in _entries(cache_dir)
+        assert rows_and_verdicts(hit) == before
 
     def test_stamp_covers_both_parsing_modules(self):
         src = Path(semvec.__file__)
