@@ -33,8 +33,8 @@ output is byte-identical for every N, the first error is the one a single
 process reports (a table error, then a lexicon error, then the first corpus
 error in the file), and every warning is logged by this process in file
 order.  The table's parse is cached on disk, one entry per table path (see
-``semvec.load_embeddings``), so a later run on the same bytes maps it
-instead of parsing it.  One part (``--workers 1``, a corpus of at most one
+``semvec.load_embeddings``), so a later run on the same bytes maps its
+words and matrix instead of parsing it.  One part (``--workers 1``, a corpus of at most one
 line, a pipe, named or not, which cannot be cut, or a corpus that cannot be
 opened) forks nothing and imports no ``multiprocessing``.
 
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="word embedding text file; the parse of a regular file is cached, one "
                            "entry per table path, in $XDG_CACHE_HOME/finrelex (else ~/.cache/finrelex), "
                            "which keeps four entries of about twice their table's size on disk; a later "
-                           "run maps the entry's matrix read-only. Clear the cache by removing its "
+                           "run maps the entry's words and matrix read-only. Clear the cache by removing its "
                            "entries, never by truncating or editing one in place")
     p_extract.add_argument("--lexicon", help="JSON lexicon override file")
     p_extract.add_argument("--out", help="prediction file to write")

@@ -8,19 +8,21 @@ the winning similarity strictly exceeds the configured threshold.
 
 An :class:`EmbeddingTable` is one read-only float64 matrix, ``vectors``,
 over one flat ``array('d')`` or a read-only map of a cache entry, and the
-``index`` of each case-folded word's row.  A
-:class:`Classifier` holds the lexicon rows of one table and lexicon, with
-their norms, and the verdict of each phrase it has classified; each table
-builds it at its first classification with that lexicon and keeps it for the
-rest of the run, so a run classifies each distinct phrase once.  Phrase
+``index`` of each case-folded word's row: a dict after a parse, a mapping
+over the same map after a cache hit.  A :class:`Classifier` holds the
+lexicon rows of one table and lexicon, with their norms, and the verdict of
+each phrase it has classified; each table builds it at its first
+classification with that lexicon and keeps it for the rest of the run, so a
+run classifies each distinct phrase once.  Phrase
 means, norms and dot products are worked out in Python floats, each sum
 added left to right, so a similarity, and so a verdict, is the same on every
 machine and Python version.
 
 :func:`load_embeddings` caches the parse of each regular table file on
 disk, one entry per table path under the user's cache directory: a later
-load of the same bytes reads the words back and maps the matrix instead of
-parsing the text, so only the pages of the rows it looks up are read.
+load of the same bytes maps the entry's words and matrix instead of parsing
+the text, so it builds no object per word, and only the pages of the words
+and rows it looks up are read.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ import stat
 import sys
 import zlib
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 from ._fileio import atomic_write_bytes, decode_utf8, read_json_object
@@ -71,6 +74,9 @@ class EmbeddingTable:
     """Case-folded word -> row ``index`` into ``vectors``, a (V, D) float64
     matrix: a read-only ``memoryview`` cast over one flat ``array('d')``
     (a parse) or over a read-only map of the cache entry's matrix (a hit).
+    ``index`` is a ``Mapping``: a dict after a parse, and after a hit one
+    that binary-searches the entry's mapped words and keeps each word it has
+    looked up, iterating in row order either way.
 
     A table compares by identity.  ``lookup`` returns a row as a 1-D slice
     of that same buffer.  The table keeps the :class:`Classifier` of each
@@ -79,7 +85,7 @@ class EmbeddingTable:
     after the table's first classification.
     """
 
-    index: dict[str, int]
+    index: Mapping[str, int]
     vectors: memoryview
     _classifiers: dict[LexiconConfig, Classifier] = field(default_factory=dict, init=False, repr=False)
     _flat: memoryview = field(init=False, repr=False)
@@ -144,14 +150,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     The parse of a regular file is cached in one entry file per table path,
     under ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is
-    unset, empty or relative).  A later load reads the words back and maps
-    the entry's matrix read-only instead of parsing, and returns an equal
-    table, only when the entry's copy of the table is byte for byte the
-    file; otherwise it parses and overwrites the entry, which takes about
-    twice the table on disk; only the four most recently written entries
-    are kept.  An entry is only ever replaced by a rename or deleted, which
-    leaves a table mapped from it intact; an entry truncated in place while
-    a run maps it kills that run with ``SIGBUS``.  A table whose
+    unset, empty or relative).  A later load maps the entry's words and
+    matrix read-only instead of parsing, and returns an equal table, only
+    when the entry's copy of the table is byte for byte the file and the
+    entry's word index matches its CRC; otherwise it parses and overwrites
+    the entry, which takes about twice the table on disk; only the four most
+    recently written entries are kept.  An entry is only ever replaced by a
+    rename or deleted, which leaves a table mapped from it intact; an entry
+    truncated in place while a run maps it kills that run with ``SIGBUS``.  A table whose
     parse logged a warning or raised is never cached, nor is a pipe, which
     is parsed as it streams.  A cache that cannot be read or
     written is a miss, logged at DEBUG.
@@ -236,22 +242,28 @@ def _matrix(buffer: array | memoryview, dim: int) -> memoryview:
 
 
 # An entry of the parse cache is one file: a header line, the table's bytes,
-# its matrix in native float64, then its words in row order, each ended by
-# "\n", in UTF-8.  The header is the stamp, which names the layout, the
-# interpreter and the source of this module and ``_fileio`` (whose
-# rules made the words and the matrix), then the table's size in bytes and
-# the matrix's rows and columns.  The entry is named from the table's real
-# path, so a table has one entry, which a changed table or another stamp
-# replaces by a rename; it is read only after its copy of the table has
-# compared equal to the file being loaded, and then its matrix is mapped, not
-# read: no padding aligns it, since a memoryview reads each element with
-# memcpy.  Writing an entry deletes all but the ``_KEPT_ENTRIES`` most
-# recently written, so tables at passing paths (a temporary directory per
-# run) do not pile up.
-_ENTRY_VERSION = b"finrelex-embeddings 3"
+# its matrix in native float64, its word index in three sections, and a
+# trailer.  The header is the stamp, which names the layout, the interpreter
+# and the source of this module and ``_fileio`` (whose rules made the words
+# and the matrix), then the table's size in bytes and the matrix's rows and
+# columns.  The sections are the offset of each row's word in the words
+# section, and that section's length (rows + 1 native uint64s); the rows in
+# the UTF-8 byte order of their words (rows native uint64s); and the words in
+# row order, each ended by "\n", in UTF-8.  The trailer is two native uint64s:
+# the words section's length and the CRC-32 of the three sections, which the
+# writer knows only once it has streamed them.  The entry is named from the
+# table's real path, so a table has one entry, which a changed table or
+# another stamp replaces by a rename; it is read only after its copy of the
+# table has compared equal to the file being loaded and its sections match
+# their CRC, and then its matrix and index are mapped, not read: no padding
+# aligns them, since a memoryview reads each element with memcpy.  Writing an
+# entry deletes all but the ``_KEPT_ENTRIES`` most recently written, so tables
+# at passing paths (a temporary directory per run) do not pile up.
+_ENTRY_VERSION = b"finrelex-embeddings 4"
 _KEPT_ENTRIES = 4
 _READ_BYTES = 1 << 16
 _WORDS_PER_WRITE = 1 << 12
+_TRAILER_BYTES = 16
 
 
 @functools.cache
@@ -272,11 +284,58 @@ def _entry_path(path: str | Path) -> Path:
     return base / "finrelex" / f"embeddings-{zlib.crc32(os.fsencode(os.path.realpath(path))):08x}"
 
 
+class _MappedIndex(Mapping):
+    """Word -> row of a table read back from a cache entry, answered from the
+    entry's mapped index sections, with no object per word: ``offsets``,
+    where each row's word starts in the words section at ``base`` in
+    ``mapped``, and ``order``, the rows in the UTF-8 byte order of their
+    words.  A word is found by a binary search of ``order``; each word asked
+    for is kept with its row, or ``None`` when the table does not hold it, so
+    a run searches once per distinct word.  Iteration yields the words in
+    row order."""
+
+    def __init__(self, mapped: mmap.mmap, base: int, offsets: memoryview, order: memoryview) -> None:
+        self._mapped = mapped
+        self._base = base
+        self._offsets = offsets
+        self._order = order
+        self._found: dict[str, int | None] = {}
+
+    def __getitem__(self, word: str) -> int:
+        if word not in self._found:
+            self._found[word] = self._search(word)
+        row = self._found[word]
+        if row is None:
+            raise KeyError(word)
+        return row
+
+    def __iter__(self) -> Iterator[str]:
+        words = self._mapped[self._base:self._base + self._offsets[-1]]
+        return iter(words.decode("utf-8").split("\n")[:-1])
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def _word(self, row: int) -> bytes:
+        """The UTF-8 bytes of row ``row``'s word, the key of the search."""
+        return self._mapped[self._base + self._offsets[row]:self._base + self._offsets[row + 1] - 1]
+
+    def _search(self, word: str) -> int | None:
+        try:
+            key = word.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no decoded table word holds
+            return None
+        at = bisect_left(self._order, key, key=self._word)
+        if at < len(self._order) and self._word(self._order[at]) == key:
+            return self._order[at]
+        return None
+
+
 def _read_entry(entry: Path, fh) -> EmbeddingTable:
-    """The table ``entry`` holds, its matrix a read-only map of the entry,
-    read only when its copy of the table is byte for byte the regular file
-    ``fh``; else an ``EOFError``, an ``OSError`` or a ``ValueError`` that
-    says why not."""
+    """The table ``entry`` holds, its matrix and its word index read-only
+    maps of the entry, read only when its copy of the table is byte for byte
+    the regular file ``fh`` and its index sections match their CRC; else an
+    ``EOFError``, an ``OSError`` or a ``ValueError`` that says why not."""
     stamp = _entry_stamp()
     with open(entry, "rb") as src:
         header = src.readline(len(stamp) + 100)
@@ -285,8 +344,14 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
             raise ValueError("the entry's header is not this version's")
         size, rows, dim = sizes = list(map(int, fields[1:]))
         mapped = mmap.mmap(src.fileno(), 0, access=mmap.ACCESS_READ)
+        view = memoryview(mapped)
         matrix = slice(len(header) + size, len(header) + size + 8 * rows * dim)
-        if min(sizes) < 1 or len(mapped) < matrix.stop:
+        order = slice(matrix.stop + 8 * (rows + 1), matrix.stop + 16 * rows + 8)
+        if min(sizes) < 1 or len(mapped) < order.stop + _TRAILER_BYTES:
+            raise ValueError("the entry's size does not match its header")
+        words_size, index_crc = view[-_TRAILER_BYTES:].cast("Q")
+        sections = slice(matrix.stop, order.stop + words_size)
+        if len(mapped) != sections.stop + _TRAILER_BYTES:
             raise ValueError("the entry's size does not match its header")
         fh.seek(0)
         for start in range(0, size, _READ_BYTES):
@@ -295,11 +360,15 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
                 raise ValueError("the entry holds another table")
         if fh.read(1):
             raise ValueError("the entry holds another table")
-        src.seek(matrix.stop)  # read, not touched through the map, so no page of the words stays resident
-        words = src.read().decode("utf-8").split("\n")
-    if words.pop() != "" or len(words) != rows or len(index := dict(zip(words, range(rows)))) != rows:
-        raise ValueError("the entry's words do not match its header")
-    return EmbeddingTable(index, _matrix(memoryview(mapped)[matrix], dim))
+        # read, not touched through the map, so only the pages that lookups read stay resident
+        src.seek(sections.start)
+        crc = 0
+        for start in range(sections.start, sections.stop, _READ_BYTES):
+            crc = zlib.crc32(src.read(min(_READ_BYTES, sections.stop - start)), crc)
+    if crc != index_crc:
+        raise ValueError("the entry's index does not match its CRC")
+    index = _MappedIndex(mapped, order.stop, view[matrix.stop:order.start].cast("Q"), view[order].cast("Q"))
+    return EmbeddingTable(index, _matrix(view[matrix], dim))
 
 
 def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
@@ -309,6 +378,7 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
     against ``crc``, so a table rewritten during its parse is not cached."""
     size = fh.tell()
     rows, dim = table.vectors.shape
+    index = table.index
 
     def parts():
         yield b"%s %d %d %d\n" % (_entry_stamp(), size, rows, dim)
@@ -321,9 +391,17 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
         if copied != crc or fh.tell() != size or fh.read(1):
             raise ValueError("the table changed while it was parsed")
         yield table.vectors.cast("B")
-        words = iter(table.index)
+        order = array("Q", map(index.__getitem__, sorted(index)))  # code point order is UTF-8 byte order
+        offsets = array("Q", accumulate((len(word.encode("utf-8")) + 1 for word in index), initial=0))
+        sections = zlib.crc32(order, zlib.crc32(offsets))
+        yield offsets
+        yield order
+        words = iter(index)
         while batch := list(islice(words, _WORDS_PER_WRITE)):
-            yield ("\n".join(batch) + "\n").encode("utf-8")
+            chunk = ("\n".join(batch) + "\n").encode("utf-8")
+            sections = zlib.crc32(chunk, sections)
+            yield chunk
+        yield array("Q", [offsets[-1], sections])
 
     os.makedirs(entry.parent, mode=0o700, exist_ok=True)
     atomic_write_bytes(entry, parts())

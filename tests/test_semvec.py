@@ -269,6 +269,20 @@ def _without_columns(entry):
     return header[:-len(b" 2 2")] + b" 2 0\n" + rest[:size] + rest[size + 32:]
 
 
+def _flipped(section):
+    """A damage that flips one bit of ``section`` (the first byte of the
+    offsets or the order array, or the last of the trailer's CRC) of an entry
+    of a 2 x 2 table."""
+
+    def damage(entry):
+        header = entry.index(b"\n") + 1
+        offsets = header + int(entry[:header].split()[-3]) + 32
+        at = {"offsets": offsets, "order": offsets + 24, "crc": len(entry) - 1}[section]
+        return entry[:at] + bytes([entry[at] ^ 1]) + entry[at + 1:]
+
+    return damage
+
+
 class TestEmbeddingCache:
     def test_hit_equals_the_parse(self, tmp_path, cache_dir):
         path = tmp_path / "vectors.txt"
@@ -338,8 +352,10 @@ class TestEmbeddingCache:
         _without_columns,
         # the words section must hold one distinct word per row, each ended by a newline
         lambda b: b[: b.rindex(b"b\n")], lambda b: b.replace(b"\nb\n", b"\na\n"), lambda b: b + b"c\n",
+        # a flipped bit in the word index, or in the CRC the trailer holds for it, fails the CRC check
+        _flipped("offsets"), _flipped("order"), _flipped("crc"),
     ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width", "no-width",
-            "missing-word", "repeated-word", "extra-word"])
+            "missing-word", "repeated-word", "extra-word", "flipped-offset", "flipped-order", "wrong-crc"])
     def test_damaged_entry_is_a_miss_that_is_rewritten(self, tmp_path, cache_dir, damage):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
@@ -454,6 +470,23 @@ class TestEmbeddingCache:
         assert hit.vectors.tobytes() == parsed.vectors.tobytes()
         assert peak < parsed.vectors.nbytes // 2
 
+    def test_hit_builds_no_per_word_objects(self, tmp_path, cache_dir):
+        words = 20_000
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"w{i} {i} -{i}\n" for i in range(words)), encoding="utf-8")
+        parsed = load_embeddings(path)
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            tracemalloc.start()
+            try:
+                hit = load_embeddings(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # under 16 bytes a word, where a str alone takes more than 40
+        assert peak < words * 16
+        assert not isinstance(hit.index, dict) and len(hit.index) == words
+        assert hit.lookup("W19999").tolist() == parsed.lookup("w19999").tolist() == [19999.0, -19999.0]
+
     def test_mapped_table_outlives_its_entry(self, tmp_path, cache_dir, lexicon):
         path = tmp_path / "vectors.txt"
         path.write_bytes(TOY_EMBEDDINGS.read_bytes())
@@ -489,6 +522,42 @@ class TestEmbeddingCache:
         src = Path(semvec.__file__)
         crc = zlib.crc32(src.with_name("_fileio.py").read_bytes(), zlib.crc32(src.read_bytes()))
         assert semvec._entry_stamp().endswith(b" src-%08x" % crc)
+
+
+# Words that sort between others, one a prefix of another, and non-ASCII
+# ones, which sort after every ASCII word; "Straße" folds to "strasse".  The
+# example adds absent words between present ones and a miss asked for twice.
+_VOCABULARY = ["a", "ab", "abc", "b", "c", "z", "é", "éa", "ß", "Straße", "strass", "ω", "日本"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_VOCABULARY), min_size=1, unique_by=str.casefold),
+       st.lists(st.sampled_from(_VOCABULARY) | st.text("abzéß", min_size=1, max_size=3)))
+# a lone surrogate, which no UTF-8 table holds and no UTF-8 key can stand for
+@example(["a", "ab", "c", "é", "Straße"],
+         ["b", "b", "aa", "a", "ab", "abc", "é", "straße", "strasse", "zz", "\ud800"])
+def test_mapped_lookups_equal_dict_lookups(tmp_path_factory, vocabulary, probes):
+    path = tmp_path_factory.getbasetemp() / "mapped-vectors.txt"
+    path.write_text("".join(f"{word} {row} 1\n" for row, word in enumerate(vocabulary)), encoding="utf-8")
+    words = [*vocabulary, *probes, *(word.casefold() for word in vocabulary)]
+    # a cache home of this example's own, so its first load parses
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as home, \
+            mock.patch.dict(os.environ, XDG_CACHE_HOME=home):
+        parsed = load_embeddings(path)
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            hit = load_embeddings(path)
+        with mock.patch.object(semvec._MappedIndex, "_word", autospec=True,
+                               side_effect=semvec._MappedIndex._word) as key:
+            for word in words:
+                before = key.call_count
+                assert hit.index.get(word) == parsed.index.get(word)
+                # a binary search, then one compare; none for a word already looked up
+                assert key.call_count - before <= len(vocabulary).bit_length() + 1
+            key.reset_mock()
+            assert [hit.index.get(word) for word in words] == [parsed.index.get(word) for word in words]
+            assert key.call_count == 0
+        assert list(hit.index.items()) == list(parsed.index.items())
+        assert all(hit.lookup(word) == parsed.lookup(word) for word in words)
 
 
 class TestPhraseVector:
