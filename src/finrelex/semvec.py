@@ -75,8 +75,8 @@ class EmbeddingTable:
     matrix: a read-only ``memoryview`` cast over one flat ``array('d')``
     (a parse) or over a read-only map of the cache entry's matrix (a hit).
     ``index`` is a ``Mapping``: a dict after a parse, and after a hit one
-    that binary-searches the entry's mapped words and keeps each word it has
-    looked up, iterating in row order either way.
+    that binary-searches the entry's mapped words, iterating in row order
+    either way.
 
     A table compares by identity.  ``lookup`` returns a row as a 1-D slice
     of that same buffer.  The table keeps the :class:`Classifier` of each
@@ -246,10 +246,10 @@ def _matrix(buffer: array | memoryview, dim: int) -> memoryview:
 # trailer.  The header is the stamp, which names the layout, the interpreter
 # and the source of this module and ``_fileio`` (whose rules made the words
 # and the matrix), then the table's size in bytes and the matrix's rows and
-# columns.  The sections are the offset of each row's word in the words
-# section, and that section's length (rows + 1 native uint64s); the rows in
-# the UTF-8 byte order of their words (rows native uint64s); and the words in
-# row order, each ended by "\n", in UTF-8.  The trailer is two native uint64s:
+# columns.  The sections are the UTF-8 length of the words of all rows
+# before each row, and of all rows (rows + 1 native uint64s); the rows in the
+# UTF-8 byte order of their words (rows native uint64s); and the words in row
+# order, each ended by "\n", in UTF-8.  The trailer is two native uint64s:
 # the words section's length and the CRC-32 of the three sections, which the
 # writer knows only once it has streamed them.  The entry is named from the
 # table's real path, so a table has one entry, which a changed table or
@@ -286,49 +286,41 @@ def _entry_path(path: str | Path) -> Path:
 
 class _MappedIndex(Mapping):
     """Word -> row of a table read back from a cache entry, answered from the
-    entry's mapped index sections, with no object per word: ``offsets``,
-    where each row's word starts in the words section at ``base`` in
-    ``mapped``, and ``order``, the rows in the UTF-8 byte order of their
-    words.  A word is found by a binary search of ``order``; each word asked
-    for is kept with its row, or ``None`` when the table does not hold it, so
-    a run searches once per distinct word.  Iteration yields the words in
-    row order."""
+    entry's mapped index sections, with no object per word: ``lengths``, the
+    UTF-8 length of the words of all rows before each row, and ``order``, the
+    rows in the UTF-8 byte order of their words, over the words section at
+    ``base`` in ``mapped``, where each word is ended by a newline.  A word is
+    found by a binary search of ``order``; iteration yields the words in row
+    order."""
 
-    def __init__(self, mapped: mmap.mmap, base: int, offsets: memoryview, order: memoryview) -> None:
+    def __init__(self, mapped: mmap.mmap, base: int, lengths: memoryview, order: memoryview) -> None:
         self._mapped = mapped
         self._base = base
-        self._offsets = offsets
+        self._lengths = lengths
         self._order = order
-        self._found: dict[str, int | None] = {}
 
     def __getitem__(self, word: str) -> int:
-        if word not in self._found:
-            self._found[word] = self._search(word)
-        row = self._found[word]
-        if row is None:
+        try:
+            key = word.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no decoded table word holds
+            raise KeyError(word) from None
+        at = bisect_left(self._order, key, key=self._word)
+        if at == len(self._order) or self._word(self._order[at]) != key:
             raise KeyError(word)
-        return row
+        return self._order[at]
 
     def __iter__(self) -> Iterator[str]:
-        words = self._mapped[self._base:self._base + self._offsets[-1]]
+        words = self._mapped[self._base:self._base + self._lengths[-1] + len(self._order)]
         return iter(words.decode("utf-8").split("\n")[:-1])
 
     def __len__(self) -> int:
         return len(self._order)
 
     def _word(self, row: int) -> bytes:
-        """The UTF-8 bytes of row ``row``'s word, the key of the search."""
-        return self._mapped[self._base + self._offsets[row]:self._base + self._offsets[row + 1] - 1]
-
-    def _search(self, word: str) -> int | None:
-        try:
-            key = word.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which no decoded table word holds
-            return None
-        at = bisect_left(self._order, key, key=self._word)
-        if at < len(self._order) and self._word(self._order[at]) == key:
-            return self._order[at]
-        return None
+        """The UTF-8 bytes of row ``row``'s word, the key of the search: the
+        rows before it each add their word's length and a newline."""
+        start = self._base + self._lengths[row] + row
+        return self._mapped[start:start + self._lengths[row + 1] - self._lengths[row]]
 
 
 def _read_entry(entry: Path, fh) -> EmbeddingTable:
@@ -392,16 +384,18 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             raise ValueError("the table changed while it was parsed")
         yield table.vectors.cast("B")
         order = array("Q", map(index.__getitem__, sorted(index)))  # code point order is UTF-8 byte order
-        offsets = array("Q", accumulate((len(word.encode("utf-8")) + 1 for word in index), initial=0))
-        sections = zlib.crc32(order, zlib.crc32(offsets))
-        yield offsets
+        # an ASCII word's length is its UTF-8 length, so words are encoded only when one is not ASCII
+        encoded = index if all(map(str.isascii, index)) else map(str.encode, index)
+        lengths = array("Q", accumulate(map(len, encoded), initial=0))
+        sections = zlib.crc32(order, zlib.crc32(lengths))
+        yield lengths
         yield order
         words = iter(index)
         while batch := list(islice(words, _WORDS_PER_WRITE)):
             chunk = ("\n".join(batch) + "\n").encode("utf-8")
             sections = zlib.crc32(chunk, sections)
             yield chunk
-        yield array("Q", [offsets[-1], sections])
+        yield array("Q", [lengths[-1] + rows, sections])
 
     os.makedirs(entry.parent, mode=0o700, exist_ok=True)
     atomic_write_bytes(entry, parts())
