@@ -23,20 +23,22 @@ refused before anything is read.
 
 ``extract --workers N`` cuts the corpus file into at most N ranges of whole
 lines, no more than the CPUs the process may run on.  Each range runs in a
-child forked from this process (the ``fork`` start method, so Linux) before
-it loads the table; the child reads, validates and relates its own lines one
-document at a time, and sends back only (line, id) pairs and unclassified
-candidate records.  This process runs no range: meanwhile it loads the table
-and lexicon and builds the classifier, then joins the ranges in file order
-and classifies each distinct bridge phrase and person context once.  So the
-output is byte-identical for every N, the first error is the one a single
-process reports (a table error, then a lexicon error, then the first corpus
-error in the file), and every warning is logged by this process in file
-order.  The table's parse is cached on disk, one entry per table path (see
-``semvec.load_embeddings``), so a later run on the same bytes maps its
-words and matrix instead of parsing it.  One part (``--workers 1``, a corpus of at most one
-line, a pipe, named or not, which cannot be cut, or a corpus that cannot be
-opened) forks nothing and imports no ``multiprocessing``.
+child forked from this process (``os.fork``, with one pipe each) before it
+loads the table; the child reads, validates and relates its own lines one
+document at a time, and sends back two pickles: the (line, id) pairs and
+errors, then the unclassified candidate records.  This process runs no
+range: meanwhile it loads the table and lexicon and builds the classifier,
+then joins the ranges in file order, unpickling one range's candidates at a
+time, and classifies each distinct bridge phrase and person context once.
+So the output is byte-identical for every N, the first error is the one a
+single process reports (a table error, then a lexicon error, then the first
+corpus error in the file), and every warning is logged by this process in
+file order.  No run imports ``multiprocessing``.  The table's parse is
+cached on disk, one entry per table path (see ``semvec.load_embeddings``),
+so a later run on the same bytes maps its words and matrix instead of
+parsing it.  One part (``--workers 1``, a corpus of at most one line, a
+pipe, named or not, which cannot be cut, or a corpus that cannot be opened)
+forks nothing and imports no ``pickle``.
 
 ``main`` runs a command with the automatic cyclic garbage collector off and
 puts it back as it found it, so a caller (a test, an in-process tracer)
@@ -63,8 +65,9 @@ import json
 import logging
 import os
 import sys
+import traceback
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO, NoReturn
 
 from . import corpus, evalkit
 from . import records as records_mod
@@ -283,81 +286,126 @@ def _relate_part(path: str, lines: LineRange) -> _Part:
     return loaded, related, None, relate_error
 
 
-def _send_part(sender, path: str, lines: LineRange) -> None:
-    """A forked child's body: run one part and send the parent its result."""
-    with sender:
-        sender.send(_relate_part(path, lines))
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # None, or closed
+            pass
 
 
-def _receive_part(lines: LineRange, receiver, child) -> _Part:
+def _send_part(pipe: int, path: str, lines: LineRange) -> NoReturn:
+    """A forked child's body: run one part and write its result to the
+    ``pipe`` descriptor as two pickles, the (line, id) pairs and errors, then
+    the candidates.  Both are pickled before anything is written, so a result
+    that cannot be pickled sends nothing.  The child always leaves through
+    ``os._exit``, so it never returns into the caller: with status 0 once
+    both are written, else with status 1 and the traceback on stderr."""
+    status = 1
     try:
-        return receiver.recv()
-    except EOFError:
-        child.join()
+        import pickle
+
+        loaded, related, load_error, relate_error = _relate_part(path, lines)
+        head = pickle.dumps((loaded, load_error, relate_error), pickle.HIGHEST_PROTOCOL)
+        candidates = pickle.dumps(related, pickle.HIGHEST_PROTOCOL)
+        with open(pipe, "wb") as sender:
+            sender.write(head)
+            sender.write(candidates)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(status)
+
+
+def _receive_part(lines: LineRange, receiver: BinaryIO, pid: int, unreaped: set[int]):
+    """The next pickle the child ``pid``, which runs part ``lines``, sent.
+    When it sent none whole, the child is reaped and taken out of
+    ``unreaped``, and a ``RuntimeError`` names its lines and exit code."""
+    import pickle
+
+    try:
+        return pickle.load(receiver)
+    except (EOFError, pickle.UnpicklingError):
+        unreaped.remove(pid)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         raise RuntimeError(f"the extract worker for lines {lines.first}-{lines.last} exited "
-                           f"with code {child.exitcode} before sending its result") from None
+                           f"with code {code} before sending its result") from None
 
 
 def _extract_parts(args: argparse.Namespace, ranges: list[LineRange]) -> list[tuple[str, str]]:
     """(id, predicted text) of every document on ``ranges`` of the corpus, in file order.
 
-    Each part runs in a child forked before this process loads the table;
-    the child loads, builds and relates its documents and sends back only
-    their (line, id) pairs and candidates.  Meanwhile this
-    process loads the table and lexicon, and it reads no result before they
-    have loaded, so a table error, then a lexicon error, comes first, as in
-    one process.  Parts are then joined in file order, so the error is the
-    one a single process, which loads every document before it extracts
-    any, reports: part k's ids are checked against every earlier part's, and
-    part k's load error is raised only when every earlier part loaded and
-    none of part k's documents repeats an earlier id.  Once every part has
-    loaded, this process finishes the documents in file order, so the
-    warnings come in file order (the table's classifier works out each
-    distinct phrase once), and raises a part's relating error after
-    finishing that part's documents before it.  Every child is joined
-    before this returns or raises; those still running on an error are
-    terminated first.
+    Each part runs in a child forked (``os.fork``, with one pipe) before
+    this process loads the table; the child loads, builds and relates its
+    documents and sends back two pickles: their (line, id) pairs and errors,
+    then their candidates.  Meanwhile this process loads the table and
+    lexicon, and it reads no result before they have loaded, so a table
+    error, then a lexicon error, comes first, as in one process.  Parts are
+    then joined in file order, so the error is the one a single process,
+    which loads every document before it extracts any, reports: part k's
+    ids are checked against every earlier part's, and part k's load error is
+    raised only when every earlier part loaded and none of part k's
+    documents repeats an earlier id.  Once every part has loaded, this
+    process finishes the documents in file order, so the warnings come in
+    file order (the table's classifier works out each distinct phrase
+    once), and raises a part's relating error after finishing that part's
+    documents before it.  A part's candidates are unpickled only when its
+    documents are finished and dropped before the next part's, so this
+    process holds one part's candidates at a time.  Every child is reaped
+    before this returns or raises; on an error, each one not yet reaped is
+    sent SIGTERM first.
     """
-    import multiprocessing  # only a run of two or more parts forks
+    import pickle  # before the forks, so the parts inherit it; one part pickles nothing
 
     from . import relex
 
-    context = multiprocessing.get_context("fork")
-    children = []
+    receivers: list[BinaryIO] = []
+    parts: list[tuple[LineRange, BinaryIO, int]] = []
+    unreaped: set[int] = set()
     try:
         for lines in ranges:
-            receiver, sender = context.Pipe(duplex=False)
-            with sender:
-                child = context.Process(target=_send_part, args=(sender, args.corpus, lines))
-                children.append((lines, receiver, child))
-                child.start()
+            read_end, write_end = os.pipe()
+            receivers.append(open(read_end, "rb"))
+            try:
+                _flush_std_streams()  # else the child would write again what this process buffered
+                pid = os.fork()
+                if pid == 0:
+                    for receiver in receivers:  # so a child whose parent is gone fails to write and exits
+                        receiver.close()
+                    _send_part(write_end, args.corpus, lines)
+            finally:
+                os.close(write_end)  # before the next fork, so this child alone holds it
+            unreaped.add(pid)
+            parts.append((lines, receivers[-1], pid))
         table, lex = _load_table(args)
         ids: set[str] = set()
-        parts = []
-        for child in children:
-            part = _receive_part(*child)
-            loaded, _, load_error, _ = part
+        heads = []
+        for part in parts:
+            loaded, load_error, relate_error = _receive_part(*part, unreaped)
             for lineno, doc_id in loaded:
                 corpus.add_id(ids, doc_id, lineno)
             if load_error is not None:
                 raise load_error
-            parts.append(part)
+            heads.append((loaded, relate_error))
         results = []
-        for loaded, related, _, relate_error in parts:
+        for (loaded, relate_error), part in zip(heads, parts):
             results += [(doc_id, records_mod.serialize(relex.finish(doc_id, candidates, table, lex)))
-                        for (_, doc_id), candidates in zip(loaded, related)]
+                        for (_, doc_id), candidates in zip(loaded, _receive_part(*part, unreaped))]
             if relate_error is not None:
                 raise relate_error
         return results
     except BaseException:
-        for _, _, child in children:
-            if child.is_alive():
-                child.terminate()
+        import signal
+
+        for pid in unreaped:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for _, receiver, child in children:
-            if child.pid is not None:
-                child.join()
+        for pid in unreaped:
+            os.waitpid(pid, 0)
+        for receiver in receivers:
             receiver.close()
 
 

@@ -1,8 +1,10 @@
 import argparse
 import json
 import logging
-import multiprocessing
+import gc
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -21,6 +23,15 @@ FIXTURE_INSPECT = DATA_DIR / "fixture_inspect.txt"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_no_child_left():
+    # a child still running, or one that exited and was not reaped, fails this
+    try:
+        child = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"this process has a child it has not reaped (waitpid gave {child})")
 
 
 @pytest.fixture()
@@ -173,7 +184,7 @@ class TestShardedExtract:
         assert one[0] == 1 and len(one[1]) == 1
         assert one[1][0].startswith(("CorpusFormatError: line ", "DocumentValidationError: "))
         assert not one[2].exists() and not two[2].exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("part1_defect", [False, True], ids=["extraction-error", "later-load-error"])
     def test_load_error_beats_earlier_extraction_error(self, tmp_path, caplog, monkeypatch, part1_defect):
@@ -196,7 +207,7 @@ class TestShardedExtract:
         one = self.extract(tmp_path, corpus_path, 1, caplog)
         assert one[:2] == self.extract(tmp_path, corpus_path, 2, caplog)[:2]
         assert one[1][0].startswith("DocumentValidationError" if part1_defect else "RuntimeError")
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_load_error_beats_earlier_relating_error_in_the_same_part(self, tmp_path, caplog, monkeypatch):
         # a part relates each document as it loads, so in part 1 a relating
@@ -223,7 +234,7 @@ class TestShardedExtract:
         assert one[0] == 1 and len(one[1]) == 1
         assert one[1][0].startswith("CorpusFormatError: line 21: invalid JSON record")
         assert not one[2].exists() and not two[2].exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_part_holds_one_document_at_a_time(self, monkeypatch):
         # every document built is tracked; when each is related, it is the only one alive
@@ -247,6 +258,35 @@ class TestShardedExtract:
         assert load_error is None and relate_error is None
         assert len(loaded) == len(related) == len(counts) == part0.last
         assert set(counts) == {1}
+
+    def test_parent_holds_one_parts_candidates_at_a_time(self, tmp_path, monkeypatch):
+        # at each document it finishes, the live candidates are those of that document's part
+        def live_candidates():
+            return sum(isinstance(obj, relex.Candidate) for obj in gc.get_objects())
+
+        ranges = line_ranges(FIXTURE_CORPUS, 2)
+        part_of, part_size = {}, []
+        for index, lines in enumerate(ranges):
+            loaded, related, _, _ = cli._relate_part(str(FIXTURE_CORPUS), lines)
+            part_of.update((doc_id, index) for _, doc_id in loaded)
+            part_size.append(sum(map(len, related)))
+        del related
+        assert all(part_size)
+        before = live_candidates()
+        seen = []
+        finish = relex.finish
+
+        def counting(doc_id, candidates, table, lex):
+            seen.append((part_of[doc_id], live_candidates() - before))
+            return finish(doc_id, candidates, table, lex)
+
+        monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
+        monkeypatch.setattr(relex, "finish", counting)
+        assert run("extract", "--corpus", FIXTURE_CORPUS, "--embeddings", TOY_EMBEDDINGS,
+                   "--out", tmp_path / "pred.jsonl", "--workers", 2) == 0
+        assert len(seen) == len(part_of)
+        assert seen == [(part, part_size[part]) for part, _ in seen]
+        assert_no_child_left()
 
     def test_named_pipe_corpus_runs_as_one_part(self, tmp_path):
         # a stat, which never waits, tells a named pipe from a regular file,
@@ -281,24 +321,52 @@ class TestShardedExtract:
         assert writer_status == 0
         assert piped.read_bytes() == regular.read_bytes()
 
-    def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, monkeypatch):
+    @pytest.mark.parametrize("death, code", [("exit-3", 3), ("unpicklable-result", 1), ("sigkill", -9)])
+    def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, capfd, monkeypatch, death, code):
         # the forked child inherits the patch, so part 1 dies before sending a result
         relate_part = cli._relate_part
 
         def dying(path, lines):
             if lines.first > 1:
-                os._exit(3)
+                if death == "exit-3":
+                    os._exit(3)
+                if death == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return [], [[lambda: None]], None, None
             return relate_part(path, lines)
 
         monkeypatch.setattr(cli, "_part_count", lambda workers: workers)
         monkeypatch.setattr(cli, "_relate_part", dying)
         [_, part1] = line_ranges(FIXTURE_CORPUS, 2)
+        parent = os.getpid()
         status, errors, out = self.extract(tmp_path, FIXTURE_CORPUS, 2, caplog)
+        if os.getpid() != parent:  # a child returned from main: it must not go on running the suite
+            os._exit(70)
         assert status == 1
         assert errors == [f"RuntimeError: the extract worker for lines {part1.first}-{part1.last} "
-                          "exited with code 3 before sending its result"]
+                          f"exited with code {code} before sending its result"]
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+        # the child that could not pickle its result printed the traceback
+        printed = "Traceback (most recent call last)" in capfd.readouterr().err
+        assert printed == (death == "unpicklable-result")
+
+    def test_result_cut_short_is_an_error_naming_its_lines(self):
+        # a child killed while it writes leaves a pickle cut short, which counts as no result
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(5)
+        with open(write_end, "wb") as sender:
+            sender.write(pickle.dumps(list(range(1000)), pickle.HIGHEST_PROTOCOL)[:-10])
+        [_, part1] = line_ranges(FIXTURE_CORPUS, 2)
+        unreaped = {pid}
+        with open(read_end, "rb") as receiver, pytest.raises(RuntimeError) as raised:
+            cli._receive_part(part1, receiver, pid, unreaped)
+        assert str(raised.value) == (f"the extract worker for lines {part1.first}-{part1.last} "
+                                     "exited with code 5 before sending its result")
+        assert unreaped == set()
+        assert_no_child_left()
 
     def test_error_in_part0_terminates_later_parts(self, tmp_path, caplog, monkeypatch):
         # part 1 would run for a minute; part 0's error needs nothing from it
@@ -318,7 +386,7 @@ class TestShardedExtract:
         assert time.monotonic() - start < 20
         assert status == 1 and errors[0].startswith("CorpusFormatError: line 2: invalid JSON record")
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("bad_file", ["vectors", "lexicon", "none"])
     def test_table_then_lexicon_then_corpus_error(self, tmp_path, caplog, monkeypatch, bad_file):
@@ -345,7 +413,7 @@ class TestShardedExtract:
         assert one[0] == 1 and len(one[1]) == 1 and one[1][0].startswith(message)
         assert bad_file != "lexicon" or "'treshold' is not a lexicon field" in one[1][0]
         assert not one[2].exists() and not two[2].exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_table_error_terminates_running_parts(self, tmp_path, caplog, monkeypatch):
         # part 1 would run for a minute; the table error needs nothing from it
@@ -365,13 +433,13 @@ class TestShardedExtract:
         assert time.monotonic() - start < 20
         assert status == 1 and errors == ["EmbeddingFormatError: line 2: expected 1 components, found 2"]
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2, 10_000])
     def test_part_count_never_exceeds_cpus(self, workers):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert cli._part_count(workers) == min(workers, cpus)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_part_count_without_affinity_uses_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -394,6 +462,7 @@ class TestShardedExtract:
             "    assert cli.main(['extract', '--corpus', path, '--embeddings', toy, '--out', out,\n"
             "                     '--workers', workers]) == status, path\n"
             "assert 'multiprocessing' not in sys.modules, 'a one-part extract imported multiprocessing'\n"
+            "assert 'pickle' not in sys.modules, 'a one-part extract imported pickle'\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
@@ -402,6 +471,30 @@ class TestShardedExtract:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_two_parts_import_no_multiprocessing(self, tmp_path):
+        # a fresh interpreter, which forks its two parts with os.fork alone; its
+        # stdout is a pipe, so a line still buffered at the forks is written once
+        script = (
+            "import sys\n"
+            "from finrelex import cli\n"
+            "cli._part_count = lambda workers: workers\n"
+            "corpus, toy, out = sys.argv[1:]\n"
+            "print('written once')\n"
+            "assert cli.main(['extract', '--corpus', corpus, '--embeddings', toy, '--out', out,\n"
+            "                 '--workers', '2']) == 0\n"
+            "assert 'pickle' in sys.modules, 'the corpus did not run as two parts'\n"
+            "assert 'multiprocessing' not in sys.modules, 'a two-part extract imported multiprocessing'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "pred.jsonl"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURE_CORPUS), str(TOY_EMBEDDINGS), str(out)],
+            capture_output=True, text=True, env=dict(env, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "written once\n"
 
     def test_parts_never_import_numpy(self, tmp_path):
         # a fresh interpreter, whose parts fork before it loads the table;
