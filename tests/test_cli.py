@@ -321,8 +321,15 @@ class TestShardedExtract:
         assert writer_status == 0
         assert piped.read_bytes() == regular.read_bytes()
 
-    @pytest.mark.parametrize("death, code", [("exit-3", 3), ("unpicklable-result", 1), ("sigkill", -9)])
-    def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, capfd, monkeypatch, death, code):
+    def test_dead_worker_is_an_error_naming_its_lines(self, tmp_path, caplog, capfd, monkeypatch):
+        self.assert_part1_death_reported(tmp_path, caplog, capfd, monkeypatch, "exit-3", 3)
+
+    @pytest.mark.parametrize("death, code", [("unpicklable-result", 1), ("sigkill", -9)])
+    def test_worker_dying_otherwise_is_an_error_naming_its_lines(self, tmp_path, caplog, capfd, monkeypatch,
+                                                                  death, code):
+        self.assert_part1_death_reported(tmp_path, caplog, capfd, monkeypatch, death, code)
+
+    def assert_part1_death_reported(self, tmp_path, caplog, capfd, monkeypatch, death, code):
         # the forked child inherits the patch, so part 1 dies before sending a result
         relate_part = cli._relate_part
 
