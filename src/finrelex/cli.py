@@ -454,7 +454,8 @@ def cmd_prepare(args: argparse.Namespace) -> None:
 
 def cmd_inspect(args: argparse.Namespace) -> None:
     from . import relex
-    doc = {d.id: d for d in corpus.load_documents(args.corpus)}.get(args.id)
+    # every line is read, one at a time, so a later malformed line or repeated id still fails
+    doc = {d.id: d for _, d in corpus.iter_documents(args.corpus) if d.id == args.id}.get(args.id)
     if doc is None:
         raise ValueError(f"no document with id {args.id!r} in {args.corpus}")
     view = TreeView.build(doc)

@@ -16,9 +16,8 @@ distinct string once.
 
 A record type of the package is a ``NamedTuple`` unless it needs what only a
 dataclass gives: validation at construction of values from outside the
-program (``RelationRecord``, ``LexiconConfig``, ``EvalConfig``), an equality
-that is not field by field (``EvalReport``, ``EmbeddingTable``), or a weak
-reference (:class:`AnnotatedDocument`).
+program (``RelationRecord``, ``LexiconConfig``, ``EvalConfig``), or an
+equality that is not field by field (``EvalReport``, ``EmbeddingTable``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import logging
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from sys import intern
 from typing import NamedTuple
@@ -96,8 +94,7 @@ class NounChunk(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class AnnotatedDocument:
+class AnnotatedDocument(NamedTuple):
     id: str
     text: str
     tokens: tuple[Token, ...]
@@ -109,7 +106,7 @@ class GoldExample(NamedTuple):
     """A manually labeled paragraph: input text plus serialized target records.
 
     A ``target_text`` without records (``""``, ``"|"``; see
-    :func:`is_informative`) means the paragraph carries no relevant
+    :func:`records.is_informative`) means the paragraph carries no relevant
     information.
     """
 
@@ -189,11 +186,6 @@ def _validate_document(doc_id: str, tokens: list[Token], entities: list[tuple[in
     for (s1, e1, _), (s2, e2, _) in zip(ordered, ordered[1:]):
         if s2 < e1:
             fail(f"noun chunks [{s1},{e1}) and [{s2},{e2}) overlap")
-
-
-def is_informative(target_text: str) -> bool:
-    """Whether a gold target holds a record: some ``|`` segment is not blank."""
-    return any(segment.strip() for segment in target_text.split(records_mod.RECORD_SEPARATOR))
 
 
 _DOCUMENT = Fields(id=str, text=str, tokens=list, entities=list, noun_chunks=list)
@@ -292,10 +284,9 @@ def save_gold(examples: list[GoldExample], path: str | Path) -> None:
 
 
 def _info_content(example: GoldExample) -> Counter:
-    if not is_informative(example.target_text):
+    if not records_mod.is_informative(example.target_text):
         return Counter()
-    parsed = records_mod.parse(example.target_text)
-    return Counter(records_mod._normalize(r) for r in parsed)
+    return records_mod.record_multiset(example.target_text)
 
 
 def _contained(inner: Counter, outer: Counter) -> bool:
@@ -382,8 +373,8 @@ def balanced_subset(train: list[GoldExample], seed: int) -> list[GoldExample]:
     When fewer empty examples exist than informative ones, every empty example
     is kept and the shortfall is logged.
     """
-    informative = [i for i, ex in enumerate(train) if is_informative(ex.target_text)]
-    empty = [i for i, ex in enumerate(train) if not is_informative(ex.target_text)]
+    informative = [i for i, ex in enumerate(train) if records_mod.is_informative(ex.target_text)]
+    empty = [i for i, ex in enumerate(train) if not records_mod.is_informative(ex.target_text)]
     if not informative:
         raise ValueError("training set has no informative examples to balance against")
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields
 
 from ._fileio import Fields
 from .corpus import GoldExample
+from .records import FIELD_SEPARATOR, RECORD_SEPARATOR
 
 logger = logging.getLogger(__name__)
 
@@ -152,10 +153,10 @@ def word_match(a: str, b: str, cfg: EvalConfig) -> bool:
 
 def _tokenize(s: str, cfg: EvalConfig) -> list[str]:
     """The case-folded words of ``s``.  ``casefold`` never maps a character to
-    or from whitespace, never produces ``|`` or ``,`` and is idempotent, so
+    or from whitespace, never produces a separator and is idempotent, so
     these are the words of ``s`` folded one by one."""
     if cfg.strip_separators:
-        s = s.replace("|", " ").replace(",", " ")
+        s = s.replace(RECORD_SEPARATOR, " ").replace(FIELD_SEPARATOR, " ")
     return s.casefold().split()
 
 

@@ -14,6 +14,7 @@ can never serialize into something that parses differently.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ VARIABLE_NAMES = ("founder", "country", "revenue", "customers/users", "investmen
 UNKNOWN_DATE = "unknown-date"
 
 RECORD_SEPARATOR = "|"
+FIELD_SEPARATOR = ","
 
 
 class RecordError(ValueError):
@@ -40,7 +42,7 @@ def _check_field(name: str, value: str, allow_comma: bool = False) -> None:
         raise RecordError(f"{name} must not have leading/trailing whitespace: {value!r}")
     if RECORD_SEPARATOR in value:
         raise RecordError(f"{name} must not contain {RECORD_SEPARATOR!r}: {value!r}")
-    if not allow_comma and "," in value:
+    if not allow_comma and FIELD_SEPARATOR in value:
         raise RecordError(f"{name} must not contain commas: {value!r}")
 
 
@@ -63,6 +65,10 @@ class RelationRecord:
         _check_field("variable_date", self.variable_date, allow_comma=True)
 
 
+def _fields(record: RelationRecord) -> tuple[str, str, str, str]:
+    return (record.company, record.variable_name, record.variable_value, record.variable_date)
+
+
 def serialize(records: list[RelationRecord]) -> str:
     """Render records as the pipe-separated target string.
 
@@ -71,13 +77,14 @@ def serialize(records: list[RelationRecord]) -> str:
     An empty list renders as the empty string.  A missing date is rendered as
     the literal ``unknown-date`` so every record keeps four positional fields.
     """
-    rendered = [
-        f"{r.company}, {r.variable_name}, {r.variable_value}, {r.variable_date}"
-        for r in records
-    ]
-    if not rendered:
+    if not records:
         return ""
-    return f"{RECORD_SEPARATOR} ".join(rendered) + RECORD_SEPARATOR
+    return " ".join([f"{FIELD_SEPARATOR} ".join(_fields(r)) + RECORD_SEPARATOR for r in records])
+
+
+def is_informative(target_text: str) -> bool:
+    """Whether a target holds a record: some ``|`` segment is not blank."""
+    return any(segment.strip() for segment in target_text.split(RECORD_SEPARATOR))
 
 
 def _split_records(s: str) -> Iterator[list[str]]:
@@ -88,22 +95,19 @@ def _split_records(s: str) -> Iterator[list[str]]:
         segment = segment.strip()
         if not segment:
             continue
-        parts = segment.split(",", 3)
+        parts = segment.split(FIELD_SEPARATOR, 3)
         if len(parts) < 4:
             raise RecordError(f"record {segment!r} has fewer than four comma-separated fields")
         yield [p.strip() for p in parts]
 
 
 def parse(s: str) -> list[RelationRecord]:
-    """Parse a serialized target string back into records.
-
-    Splits on ``|``, trims each segment, and splits a segment on its first
-    three commas so dates containing commas survive.  The empty string parses
-    to an empty list.  Raises :class:`RecordError` for segments with fewer
-    than three commas, for an empty field, or for a variable name outside the
+    """Parse a serialized target string back into records, one per segment
+    that :func:`_split_records` reads, so a target that is not informative
+    parses to an empty list.  Raises :class:`RecordError` for a segment with
+    fewer than three commas, an empty field, or a variable name outside the
     known inventory.  :func:`validate` accepts and rejects the same strings
-    without building the records.
-    """
+    without building the records."""
     return [RelationRecord(*fields) for fields in _split_records(s)]
 
 
@@ -121,6 +125,12 @@ def validate(s: str) -> None:
             RelationRecord(*fields)  # raises parse's RecordError
 
 
+def record_multiset(s: str) -> Counter[tuple[str, str, str, str]]:
+    """The records of target ``s`` (:func:`parse`) as a multiset of their
+    fields, each case-folded and its whitespace collapsed."""
+    return Counter(tuple(" ".join(f.casefold().split()) for f in _fields(r)) for r in parse(s))
+
+
 def load_predictions(path) -> dict[str, str]:
     """Load a prediction file: one ``{id, predicted_text}`` object of strings
     per line, ids unique; a malformed line raises :class:`RecordError`."""
@@ -136,9 +146,3 @@ def load_predictions(path) -> dict[str, str]:
 def save_predictions(pairs: list[tuple[str, str]], path) -> None:
     """Write (id, predicted_text) pairs as a prediction file, atomically."""
     atomic_write_text(path, _PREDICTION.dumps(pairs))
-
-
-def _normalize(record: RelationRecord) -> tuple[str, str, str, str]:
-    fields = (record.company, record.variable_name, record.variable_value, record.variable_date)
-    return tuple(" ".join(f.casefold().split()) for f in fields)  # type: ignore[return-value]
-

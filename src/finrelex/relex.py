@@ -27,8 +27,8 @@ renders it as the line ``finrelex inspect`` prints.
 ``extract`` integrates the pairwise relations into ordered
 :class:`~finrelex.records.RelationRecord` lists, classifying money bridges
 as revenue/investment and person mentions as founders.  It is two steps:
-:func:`relate`, which needs no embedding table and so imports no NumPy,
-turns a paragraph into :class:`Candidate` records in record order;
+:func:`relate`, which needs no table, so that extract's forked parts never
+load one, turns a paragraph into :class:`Candidate` records in record order;
 :func:`finish` classifies them with the table and keeps or drops each.
 """
 
@@ -333,7 +333,7 @@ def finish(
     form a well-formed record (embedded separator characters) is dropped
     with a warning.
     """
-    from . import semvec  # NumPy: only this step needs the table
+    from . import semvec  # only this step needs the table; the forked parts never load it
 
     records = []
     for c in candidates:

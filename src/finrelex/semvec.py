@@ -169,7 +169,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         try:
             entry = _entry_path(path)
             return _read_entry(entry, fh)
-        except (EOFError, OSError, RuntimeError, ValueError) as exc:
+        except (OSError, RuntimeError, ValueError) as exc:
             logger.debug("embedding cache miss for %s: %s", path, exc)
         fh.seek(0)
         table, warned, crc = _parse(fh, path)
@@ -327,7 +327,7 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
     """The table ``entry`` holds, its matrix and its word index read-only
     maps of the entry, read only when its copy of the table is byte for byte
     the regular file ``fh`` and its index sections match their CRC; else an
-    ``EOFError``, an ``OSError`` or a ``ValueError`` that says why not."""
+    ``OSError`` or a ``ValueError`` that says why not."""
     stamp = _entry_stamp()
     with open(entry, "rb") as src:
         header = src.readline(len(stamp) + 100)

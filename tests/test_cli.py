@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,11 @@ def assert_no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"this process has a child it has not reaped (waitpid gave {child})")
+
+
+def live_documents():
+    # the collector tracks every document: a NamedTuple, unlike a plain tuple, is never untracked
+    return sum(isinstance(obj, corpus.AnnotatedDocument) for obj in gc.get_objects())
 
 
 @pytest.fixture()
@@ -237,21 +241,15 @@ class TestShardedExtract:
         assert_no_child_left()
 
     def test_part_holds_one_document_at_a_time(self, monkeypatch):
-        # every document built is tracked; when each is related, it is the only one alive
-        live = weakref.WeakSet()
+        # when each document is related, it is the only one alive beyond those alive before
+        before = live_documents()
         counts = []
-        document_from_dict, relate = corpus._document_from_dict, relex.relate
-
-        def tracked(obj, lineno):
-            doc = document_from_dict(obj, lineno)
-            live.add(doc)
-            return doc
+        relate = relex.relate
 
         def counting(view):
-            counts.append(len(live))
+            counts.append(live_documents() - before)
             return relate(view)
 
-        monkeypatch.setattr(corpus, "_document_from_dict", tracked)
         monkeypatch.setattr(relex, "relate", counting)
         [part0, _] = line_ranges(FIXTURE_CORPUS, 2)
         loaded, related, load_error, relate_error = cli._relate_part(str(FIXTURE_CORPUS), part0)
@@ -792,6 +790,36 @@ class TestInspect:
     def test_document_without_relations(self, capsys):
         assert run("inspect", "--corpus", FIXTURE_CORPUS, "--id", "market-close") == 0
         assert "no heuristic fired" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("later, message", [
+        (b"[]", "CorpusFormatError: line 23: expected a JSON object, got list"),
+        (_LINES[0], "CorpusFormatError: line 23: duplicate document id 'apple-income'"),
+    ], ids=["malformed", "repeated-id"])
+    def test_later_bad_line_fails_after_wanted_document(self, tmp_path, capsys, caplog, later, message):
+        # the wanted document is on line 1, yet every line is read before anything is printed
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_bytes(b"\n".join([*_LINES, later]) + b"\n")
+        assert run("inspect", "--corpus", corpus_path, "--id", "apple-income") == 1
+        assert capsys.readouterr().out == ""
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage() == message
+
+    @pytest.mark.parametrize("doc_id", ["apple-income", "jumia-konga-report"], ids=["first", "last"])
+    def test_holds_at_most_two_documents(self, monkeypatch, capsys, doc_id):
+        # when each line is read: the document kept, if found, and the one read before
+        before = live_documents()
+        counts = []
+        document_from_dict = corpus._document_from_dict
+
+        def counting(obj, lineno):
+            counts.append(live_documents() - before)
+            return document_from_dict(obj, lineno)
+
+        monkeypatch.setattr(corpus, "_document_from_dict", counting)
+        assert run("inspect", "--corpus", FIXTURE_CORPUS, "--id", doc_id) == 0
+        assert f"document {doc_id}: " in capsys.readouterr().out
+        assert len(counts) == len(_LINES)
+        assert max(counts) <= 2
 
 
 class TestConfigAndFlags:

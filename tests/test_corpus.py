@@ -1,6 +1,8 @@
+import codecs
 import json
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +20,16 @@ from finrelex.corpus import (
     load_gold,
     split_train_test,
 )
-from finrelex.records import RelationRecord, parse
-from tests.conftest import FIXTURE_CORPUS
+from finrelex.records import (
+    FIELD_SEPARATOR,
+    RECORD_SEPARATOR,
+    RecordError,
+    RelationRecord,
+    is_informative,
+    load_predictions,
+    parse,
+)
+from tests.conftest import FIXTURE_CORPUS, FIXTURE_GOLD
 
 
 def write_lines(path, lines):
@@ -270,6 +280,78 @@ class TestMutatedDocuments:
                 load_documents(path)
             except DocumentValidationError as exc:
                 assert str(exc).startswith("document ")
+
+
+_GOLD_BYTES = FIXTURE_GOLD.read_bytes()
+# a prediction file of the fixture gold's targets
+_PREDICTION_BYTES = b"".join(
+    json.dumps({"id": ex["id"], "predicted_text": ex["target_text"]}, ensure_ascii=False).encode() + b"\n"
+    for ex in map(json.loads, _GOLD_BYTES.splitlines()))
+_MUTATIONS = ("flip", "cut", "drop", "retype", "repeat", "bom", "surrogate", "separator")
+
+
+class TestMutatedGoldSide:
+    @pytest.mark.parametrize("reader, error, original", [
+        (load_gold, CorpusFormatError, _GOLD_BYTES),
+        (load_predictions, RecordError, _PREDICTION_BYTES),
+    ], ids=["gold", "predictions"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_mutation_raises_only_the_documented_error(self, reader, error, original, data,
+                                                           tmp_path_factory):
+        # One mutation of one line: the reader returns, or raises its documented
+        # error naming a line of the file.  A mutation that breaks the line's
+        # record always raises, naming that line (a repeat, the copy).
+        lines = original.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+        fails_at = i + 1
+        if kind == "flip":
+            line = bytearray(lines[i])
+            line[data.draw(st.integers(0, len(line) - 1))] ^= data.draw(st.integers(1, 255))
+            lines[i] = bytes(line)
+            fails_at = None
+        elif kind == "cut":
+            cut = data.draw(st.integers(0, len(lines[i]) - 2))  # the closing brace goes
+            lines[i] = lines[i][:cut] + b"\n"
+            if not cut:
+                fails_at = None  # a blank line is skipped
+        elif kind == "repeat":
+            lines.insert(i + 1, lines[i])
+            fails_at = i + 2
+        elif kind == "bom":
+            lines[i] = codecs.BOM_UTF8 + lines[i]
+        elif kind == "separator":  # one gone from the target, which may still parse
+            obj = json.loads(lines[i])
+            key = "target_text" if reader is load_gold else "predicted_text"
+            text = obj[key]
+            cuts = [j for j, ch in enumerate(text) if ch in (RECORD_SEPARATOR, FIELD_SEPARATOR)]
+            if cuts:
+                j = data.draw(st.sampled_from(cuts))
+                obj[key] = text[:j] + text[j + 1:]
+            lines[i] = json.dumps(obj).encode() + b"\n"
+            fails_at = None
+        else:
+            obj = json.loads(lines[i])
+            key = data.draw(st.sampled_from(sorted(obj)), label="key")
+            if kind == "drop":
+                del obj[key]
+            elif kind == "retype":
+                obj[key] = data.draw(st.sampled_from([None, True, 1, 1.5, [], {}]))
+            else:
+                obj[key] += "\ud800"  # json.dumps writes it as the escape \ud800
+            lines[i] = json.dumps(obj).encode() + b"\n"
+        mutated = b"".join(lines)
+        path = tmp_path_factory.getbasetemp() / f"mutated-{reader.__name__}.jsonl"
+        path.write_bytes(mutated)
+        try:
+            reader(path)
+        except error as exc:
+            named = re.match(r"line (\d+): ", str(exc))
+            assert named and 1 <= int(named[1]) <= len(mutated.rstrip(b"\n").split(b"\n")), str(exc)
+            assert fails_at in (None, int(named[1])), str(exc)
+        else:
+            assert fails_at is None, kind
 
 
 def _quadratic_tree_check(tokens: list[Token]) -> str | None:
@@ -558,7 +640,7 @@ def distinct_gold(n):
      ("Acme, revenue, $1, unknown-date|", True), ("| Acme, revenue, $1, unknown-date", True)],
 )
 def test_is_informative(target, informative):
-    assert corpus.is_informative(target) is informative
+    assert is_informative(target) is informative
     assert bool(parse(target)) is informative
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -687,16 +686,74 @@ def _money_chain(k: int) -> dict:
     return _sentence_row("chain", words, entities)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-@pytest.mark.parametrize("shape,module,name,size,run", [
-    (lambda k: _verb_with_objects(k, "ORG", "MONEY"), relex, "_org_span_at", _once, relate_money_company),
-    (lambda k: _verb_with_objects(k, "ORG", "GPE"), relex, "_related", _once, relate_other_pairs),
-    (_money_chain, dt, "ancestors", len, relate_money_company),
-], ids=["money-company-verb-children", "other-pairs", "money-company-subject-chain"])
-def test_work_grows_linearly_in_sentence_length(shape, module, name, size, run):
+def _conj_chain(k: int) -> dict:
+    """A root verb whose organization subject heads a chain of k - 1
+    organizations, each the conjunct of the one before."""
+    words = [("sold", "VERB", "ROOT", 0), ("Acme", "PROPN", "nsubj", 0)]
+    words += [(f"Org{i}", "PROPN", "conj", i) for i in range(1, k)]
+    entities = [(1 + i, 2 + i, "ORG") for i in range(k)]
+    return _sentence_row("conj-chain", words, entities)
+
+
+def _prep_objects(k: int) -> dict:
+    """A root verb with one date, then k prepositions, each with an
+    organization as its object."""
+    words = [("met", "VERB", "ROOT", 0), ("Monday", "PROPN", "npadvmod", 0)]
+    for i in range(k):
+        words += [("with", "ADP", "prep", 0), (f"Org{i}", "PROPN", "pobj", 2 + 2 * i)]
+    entities = [(1, 2, "DATE")] + [(3 + 2 * i, 4 + 2 * i, "ORG") for i in range(k)]
+    return _sentence_row("prep-objects", words, entities)
+
+
+def _calls(module, name: str, size, run):
+    """The work of :func:`_work` as a function of the row alone."""
+    return lambda row: _work(row, module, name, size, run)
+
+
+def _subject_tests(row: dict) -> int:
+    """The membership tests against ``relex.SUBJECT_DEPS`` that
+    ``relate_money_company`` makes on ``row``'s document."""
+    tests = []
+
+    class Counting(frozenset):
+        def __contains__(self, dep):
+            tests.append(dep)
+            return super().__contains__(dep)
+
+    view = TreeView.build(_document(row))
+    with mock.patch.object(relex, "SUBJECT_DEPS", Counting(relex.SUBJECT_DEPS)):
+        relate_money_company(view)
+    return len(tests)
+
+
+_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+@pytest.mark.parametrize("shape,work", [
+    pytest.param(lambda k: _verb_with_objects(k, "ORG", "MONEY"),
+                 _calls(relex, "_org_span_at", _once, relate_money_company),
+                 id="money-company-verb-children", marks=_ITEM_1),
+    pytest.param(lambda k: _verb_with_objects(k, "ORG", "GPE"),
+                 _calls(relex, "_related", _once, relate_other_pairs), id="other-pairs", marks=_ITEM_1),
+    pytest.param(_money_chain, _calls(dt, "ancestors", len, relate_money_company),
+                 id="money-company-subject-chain", marks=_ITEM_1),
+    # 1a's guard gap: the subject search reads every child of the verb once per money entity
+    pytest.param(lambda k: _verb_with_objects(k, "ORG", "MONEY"), _subject_tests,
+                 id="money-company-subject-children", marks=_ITEM_1),
+    # 1c: path a sorts each conjunct's anchor subtree, path b scans the verb's
+    # children and path c the verb's subtree, once per organization
+    pytest.param(_conj_chain, _calls(dt, "subtree", len, relate_company_date),
+                 id="company-date-conj-chain", marks=_ITEM_1),
+    pytest.param(lambda k: _verb_with_objects(k, "ORG", "DATE"),
+                 _calls(relex, "_span_at", _once, relate_company_date),
+                 id="company-date-verb-children", marks=_ITEM_1),
+    pytest.param(_prep_objects, _calls(dt, "subtree", len, relate_company_date),
+                 id="company-date-prep-objects", marks=_ITEM_1),
+])
+def test_work_grows_linearly_in_sentence_length(shape, work):
     # within one sentence, four times the entities may cost at most about
     # four times the work; these shapes still cost sixteen times
-    counts = [_work(shape(k), module, name, size, run) for k in (20, 80)]
+    counts = [work(shape(k)) for k in (20, 80)]
     assert counts[1] <= 4.5 * counts[0]
 
 
@@ -739,9 +796,7 @@ class TestExtract:
 
     def test_removing_money_spans_preserves_other_records(self, documents, toy_table, lexicon):
         for doc in documents:
-            stripped = dataclasses.replace(
-                doc, entities=tuple(e for e in doc.entities if e.label != "MONEY")
-            )
+            stripped = doc._replace(entities=tuple(e for e in doc.entities if e.label != "MONEY"))
             base = extract(TreeView.build(doc), toy_table, lexicon)
             reduced = extract(TreeView.build(stripped), toy_table, lexicon)
             assert [r for r in reduced if r.variable_name in ("revenue", "investment")] == []
