@@ -52,40 +52,27 @@ def line_ranges(path: str | Path, parts: int) -> list[LineRange]:
     whole lines, in file order, each cut at the first line start at or after
     a ``1/parts`` share of the bytes: none for an empty file or one that is
     not regular (a pipe, told by a stat, since opening a named pipe waits
-    for its writer), fewer when a line spans a cut."""
+    for its writer), fewer when a line spans a cut.  The file is read once,
+    line by line."""
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
         return []
-    size, cuts = info.st_size, [0]
+    size = info.st_size
+    # the shares not yet passed, the next one last, above one no offset reaches
+    shares = [float("inf"), *(size * k // parts for k in range(parts - 1, 0, -1))]
+    ranges, start, first, offset = [], 0, 1, 0
     with open(path, "rb") as fh:
-        for k in range(1, parts):
-            cut = size * k // parts
-            if cut > cuts[-1]:
-                fh.seek(cut - 1)
-                fh.readline()
-                cuts.append(fh.tell())
-        cuts.append(size)
-        ranges, first = [], 1
-        for start, end in zip(cuts, cuts[1:]):
-            if start < end:
-                fh.seek(start)
-                count = _count_lines(fh, end - start)
-                ranges.append(LineRange(start, first, first + count - 1))
-                first += count
+        for lineno, line in enumerate(fh, start=1):
+            if offset >= shares[-1]:
+                while offset >= shares[-1]:  # this line start is the cut of every share it passed
+                    shares.pop()
+                if offset:  # a share of 0 cuts nothing off
+                    ranges.append(LineRange(start, first, lineno - 1))
+                    start, first = offset, lineno
+            offset += len(line)
+    if offset:
+        ranges.append(LineRange(start, first, lineno))
     return ranges
-
-
-def _count_lines(fh, size: int) -> int:
-    """Lines in the next ``size`` bytes of ``fh``, the last one with or without its newline."""
-    count, last = 0, b"\n"
-    while size > 0:
-        chunk = fh.read(min(size, 1 << 20))
-        if not chunk:
-            break
-        count += chunk.count(b"\n")
-        size -= len(chunk)
-        last = chunk[-1:]
-    return count + (last != b"\n")
 
 
 def iter_jsonl(path: str | Path, error: type[Exception],
@@ -137,10 +124,14 @@ def _reject_lone_surrogates(obj: object, lineno: int, error: type[Exception]) ->
 
 
 def _refusal(exc: Exception) -> str:
-    """Why ``json.loads`` refused a text: a syntax error's own message, or the
-    limit it hit; for a ``str`` it raises no other ``ValueError``."""
+    """Why ``json.loads`` refused a text: a syntax error's own message and
+    where it is (its line only past the first; the end of a text is the end
+    of its last line, not past its newline), or the limit it hit; for a
+    ``str`` it raises no other ``ValueError``."""
     if isinstance(exc, json.JSONDecodeError):
-        return exc.msg
+        pos = min(exc.pos, len(exc.doc.rstrip("\n")))
+        lineno, colno = exc.doc.count("\n", 0, pos) + 1, pos - exc.doc.rfind("\n", 0, pos)
+        return f"{exc.msg}: line {lineno} column {colno}" if lineno > 1 else f"{exc.msg}: column {colno}"
     if isinstance(exc, RecursionError):
         return "nested too deeply"
     return f"an integer has more than {sys.get_int_max_str_digits()} digits"

@@ -122,14 +122,12 @@ def _max_distance(longest: int, threshold: float) -> int:
 
     The expression is the fuzzy acceptance test itself and is monotone in
     ``d``, so ``distance <= d`` decides exactly as it does, boundary
-    included.  The estimate ``int((1 - threshold) * longest)`` can be off by
-    one either way in floating point and is corrected in both directions.
+    included.  Counting up from 0 evaluates it as written, in O(d), less
+    than the distance it bounds.
     """
-    d = min(int((1.0 - threshold) * longest), longest)
+    d = 0
     while d < longest and 1.0 - (d + 1) / longest >= threshold:
         d += 1
-    while 1.0 - d / longest < threshold:
-        d -= 1
     return d
 
 

@@ -77,8 +77,6 @@ def serialize(records: list[RelationRecord]) -> str:
     An empty list renders as the empty string.  A missing date is rendered as
     the literal ``unknown-date`` so every record keeps four positional fields.
     """
-    if not records:
-        return ""
     return " ".join([f"{FIELD_SEPARATOR} ".join(_fields(r)) + RECORD_SEPARATOR for r in records])
 
 

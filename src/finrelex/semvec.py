@@ -384,9 +384,7 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             raise ValueError("the table changed while it was parsed")
         yield table.vectors.cast("B")
         order = array("Q", map(index.__getitem__, sorted(index)))  # code point order is UTF-8 byte order
-        # an ASCII word's length is its UTF-8 length, so words are encoded only when one is not ASCII
-        encoded = index if all(map(str.isascii, index)) else map(str.encode, index)
-        lengths = array("Q", accumulate(map(len, encoded), initial=0))
+        lengths = array("Q", accumulate(map(len, map(str.encode, index)), initial=0))
         sections = zlib.crc32(order, zlib.crc32(lengths))
         yield lengths
         yield order

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finrelex import cli, corpus, records, relex, semvec
 from finrelex._fileio import line_ranges
@@ -157,6 +159,41 @@ _SHARDED_DEFECTS = {
 }
 
 
+# The defect kinds of _SHARDED_DEFECTS, each as the new bytes of the line it lands on.
+_LINE_DEFECTS = {
+    "bad-json": lambda line: b"{not json",
+    "invalid-head": lambda line: _set_head(line, 0, 99),
+    "no-tokens": lambda line: _drop_field(line, "tokens"),
+    "not-an-object": lambda line: b"[]",
+    "no-entities": lambda line: _drop_field(line, "entities"),
+    "non-utf8": lambda line: b'{"id": "caf\xff"}',
+    "cut-line": lambda line: line[:-9],
+}
+
+
+# The fixture lines with a country record that a "|" in "Nigeria" makes
+# unserializable, so finishing the document logs a warning.
+_COUNTRY_LINES = (8, 19)
+
+
+@st.composite
+def _defects(draw):
+    """0-3 defects on the fixture lines, as (index, kind, earlier index): a
+    kind of _LINE_DEFECTS, an earlier line's id, a relating error, or a
+    record that warns."""
+    defects = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["line", "duplicate-id", "relating-error", "warning"]))
+        if kind == "line":
+            kind = draw(st.sampled_from(list(_LINE_DEFECTS)))
+        if kind == "warning":
+            index = draw(st.sampled_from(_COUNTRY_LINES))
+        else:
+            index = draw(st.integers(1 if kind == "duplicate-id" else 0, len(_LINES) - 1))
+        defects.append((index, kind, draw(st.integers(0, index - 1)) if kind == "duplicate-id" else None))
+    return defects
+
+
 class TestShardedExtract:
     """``--workers 2`` splits the corpus into two parts, each run by a child
     forked before the table loads, and must fail exactly as one process does."""
@@ -188,6 +225,46 @@ class TestShardedExtract:
         assert one[0] == 1 and len(one[1]) == 1
         assert one[1][0].startswith(("CorpusFormatError: line ", "DocumentValidationError: "))
         assert not one[2].exists() and not two[2].exists()
+        assert_no_child_left()
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(defects=_defects(), workers=st.integers(1, 4), final_newline=st.booleans())
+    def test_any_defects_fail_as_one_process_at_any_part_count(self, tmp_path, caplog, defects, workers,
+                                                                final_newline):
+        # a later defect on a line replaces an earlier one
+        lines, failing = list(_LINES), set()
+        for index, kind, earlier in defects:
+            if kind == "duplicate-id":
+                lines[index] = _with_id(_LINES[index], json.loads(_LINES[earlier])["id"])
+            elif kind == "relating-error":
+                failing.add(json.loads(_LINES[index])["id"])
+            elif kind == "warning":
+                lines[index] = _LINES[index].replace(b"Nigeria", b"Nige|ria")
+            else:
+                lines[index] = _LINE_DEFECTS[kind](_LINES[index])
+        relate = relex.relate
+
+        def failing_relate(view):
+            if view.document.id in failing:
+                raise RuntimeError(f"relating {view.document.id} failed")
+            return relate(view)
+
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_bytes(b"\n".join(lines) + b"\n" * final_newline)
+
+        def outcome(workers):
+            status, errors, out = self.extract(tmp_path, corpus_path, workers, caplog)
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return status, errors, warnings, written
+
+        with pytest.MonkeyPatch.context() as patch:  # undone after each example
+            patch.setattr(cli, "_part_count", lambda workers: workers)
+            patch.setattr(relex, "relate", failing_relate)
+            one = outcome(1)
+            assert outcome(workers) == one
+        assert (one[0] == 0) == (one[3] is not None)
         assert_no_child_left()
 
     @pytest.mark.parametrize("part1_defect", [False, True], ids=["extraction-error", "later-load-error"])
@@ -946,7 +1023,7 @@ class TestConfigAndFlags:
     @pytest.mark.parametrize(
         "content,message",
         [
-            (b'{"seed": 1', "invalid JSON (Expecting ',' delimiter)"),
+            (b'{"seed": 1', "invalid JSON (Expecting ',' delimiter: column 11)"),
             (b'{"seed": "\xff"}', "not valid UTF-8 (invalid start byte)"),
             (b"[1]", "expected a JSON object, got list"),
             (b"3", "expected a JSON object, got int"),

@@ -354,6 +354,28 @@ class TestMutatedGoldSide:
             assert fails_at is None, kind
 
 
+def _iter_all_documents(path):
+    return list(corpus.iter_documents(path))
+
+
+_REPEATED_KEY = pytest.mark.xfail(strict=True, reason="repeated JSON key: ROADMAP item 9")
+
+
+@pytest.mark.parametrize("reader, error, original", [
+    pytest.param(load_gold, CorpusFormatError, _GOLD_BYTES, marks=_REPEATED_KEY, id="gold"),
+    pytest.param(load_predictions, RecordError, _PREDICTION_BYTES, marks=_REPEATED_KEY, id="predictions"),
+    pytest.param(_iter_all_documents, CorpusFormatError, FIXTURE_CORPUS.read_bytes(), marks=_REPEATED_KEY,
+                 id="documents"),
+])
+def test_repeated_key_names_its_line(tmp_path, reader, error, original):
+    # the decoder keeps a repeated key's last value, so line 2 loads with its own id
+    first, second = original.splitlines(keepends=True)[:2]
+    path = tmp_path / "repeated.jsonl"
+    path.write_bytes(first + b'{"id": "x", ' + second[1:])
+    with pytest.raises(error, match=r"^line 2: "):
+        reader(path)
+
+
 def _quadratic_tree_check(tokens: list[Token]) -> str | None:
     """Root-count and cycle checks that walk every token's full head chain,
     O(n * depth): the reference for the validator's single memoised walk."""

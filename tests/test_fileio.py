@@ -15,7 +15,9 @@ from finrelex._fileio import (
     decode_utf8,
     iter_jsonl,
     line_ranges,
+    read_json_object,
 )
+from tests.conftest import FIXTURE_CORPUS
 
 # One line's content: blank, or a JSON value, some long enough to span a cut.
 _CONTENT = st.one_of(
@@ -65,6 +67,47 @@ def test_line_ranges_cut_near_equal_byte_shares(tmp_path):
                                     LineRange(250, 51, 75), LineRange(375, 76, 100)]
 
 
+def _reference_line_ranges(path, parts):
+    """The two-pass cut before the one forward loop: seek to each share and
+    read on to the next line start, then count each range's lines; kept as a
+    test-only oracle."""
+    size, cuts = os.stat(path).st_size, [0]
+    with open(path, "rb") as fh:
+        for k in range(1, parts):
+            cut = size * k // parts
+            if cut > cuts[-1]:
+                fh.seek(cut - 1)
+                fh.readline()
+                cuts.append(fh.tell())
+        cuts.append(size)
+        ranges, first = [], 1
+        for start, end in zip(cuts, cuts[1:]):
+            if start < end:
+                fh.seek(start)
+                data = fh.read(end - start)
+                count = data.count(b"\n") + (not data.endswith(b"\n"))
+                ranges.append(LineRange(start, first, first + count - 1))
+                first += count
+    return ranges
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.integers(0, 200), max_size=12), final_newline=st.booleans())
+@example(lines=[0, 0, 0], final_newline=True)
+@example(lines=[0], final_newline=False)
+def test_line_ranges_match_two_pass_reference(rows_path, lines, final_newline):
+    # lines of 0-200 bytes, so that some share falls inside a line, newline-only files among them
+    raw = b"\n".join(b"x" * n for n in lines) + (b"\n" if lines and final_newline else b"")
+    rows_path.write_bytes(raw)
+    for parts in range(1, 10):
+        assert line_ranges(rows_path, parts) == _reference_line_ranges(rows_path, parts)
+
+
+def test_line_ranges_of_fixture_match_two_pass_reference():
+    for parts in range(1, 10):
+        assert line_ranges(FIXTURE_CORPUS, parts) == _reference_line_ranges(FIXTURE_CORPUS, parts)
+
+
 def test_file_that_is_not_regular_is_one_unsplit_part():
     # its size says nothing of its lines, so it has no ranges and the caller
     # reads it whole, as one part
@@ -82,7 +125,9 @@ def _reference_iter_jsonl(path, error):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise error(f"line {lineno}: invalid JSON record ({exc.msg})") from exc
+                # a line holds no newline but its last character: an error past it is at the line's end
+                column = min(exc.pos, len(line.rstrip("\n"))) + 1
+                raise error(f"line {lineno}: invalid JSON record ({exc.msg}: column {column})") from exc
             if "\\" in line and ("\\ud" in line or "\\uD" in line):
                 _reject_lone_surrogates(obj, lineno, error)
             yield lineno, obj
@@ -118,6 +163,34 @@ _LINE = st.tuples(st.sampled_from([""] * 12 + ["\ufeff", " ", "\xa0"]),
 def test_iter_jsonl_matches_per_line_json_loads(rows_path, lines):
     rows_path.write_text("".join(lines), encoding="utf-8", newline="")
     assert _outcome(iter_jsonl, rows_path) == _outcome(_reference_iter_jsonl, rows_path)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('"a"\n"cut\n', "Invalid control character at: column 5"),
+    ('"a"\n{"id": "x"\n', "Expecting ',' delimiter: column 11"),
+    ('"a"\n{"id": "x"\r\n', "Expecting ',' delimiter: column 12"),
+    ('"a"\n{"id": "x"', "Expecting ',' delimiter: column 11"),
+    ('"a"\n1 2\n', "Extra data: column 3"),
+], ids=["control-character", "end-of-line", "end-of-crlf-line", "end-of-file", "extra-data"])
+def test_decode_error_names_its_column(rows_path, text, reason):
+    # an error at the end of a line is at its end, not on a line after it
+    rows_path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ValueError) as info:
+        list(iter_jsonl(rows_path, ValueError))
+    assert str(info.value) == f"line 2: invalid JSON record ({reason})"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"a": 1,\n "b": 2\n "c": 3}\n', "Expecting ',' delimiter: line 3 column 2"),
+    ('{"a": 1,\n "b": 2\n\n', "Expecting ',' delimiter: line 2 column 8"),
+    ('{"a": 1 "b": 2}', "Expecting ',' delimiter: column 9"),
+], ids=["later-line", "end-of-text", "first-line"])
+def test_decode_error_names_the_line_of_an_object_file(tmp_path, text, reason):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_json_object(path, ValueError, "config")
+    assert str(info.value) == f"config: invalid JSON ({reason})"
 
 
 _ROW = Fields(id=str, predicted_text=str, n=int)
