@@ -6,23 +6,23 @@ lexicons and taking the single most similar word; person mentions get the
 same treatment against a founder lexicon.  A classification only sticks when
 the winning similarity strictly exceeds the configured threshold.
 
-An :class:`EmbeddingTable` is one read-only float64 matrix, ``vectors``,
-over one flat ``array('d')`` or a read-only map of a cache entry, and the
-``index`` of each case-folded word's row: a dict after a parse, a mapping
-over the same map after a cache hit.  A :class:`Classifier` holds the
-lexicon rows of one table and lexicon, with their norms, and the verdict of
-each phrase it has classified; each table builds it at its first
-classification with that lexicon and keeps it for the rest of the run, so a
-run classifies each distinct phrase once.  Phrase
+An :class:`EmbeddingTable` is the ``index`` of each case-folded word's row
+and ``vectors``, the rows of one (V, D) float64 matrix: after a parse, a
+dict and one flat ``array('d')``; after a cache hit, a mapping and rows that
+read the cache entry's file with ``os.pread`` as they are looked up.  A
+:class:`Classifier` holds the lexicon rows of one table and lexicon, with
+their norms, and the verdict of each phrase it has classified; each table
+builds it at its first classification with that lexicon and keeps it for
+the rest of the run, so a run classifies each distinct phrase once.  Phrase
 means, norms and dot products are worked out in Python floats, each sum
 added left to right, so a similarity, and so a verdict, is the same on every
 machine and Python version.
 
 :func:`load_embeddings` caches the parse of each regular table file on
 disk, one entry per table path under the user's cache directory: a later
-load of the same bytes maps the entry's words and matrix instead of parsing
-the text, so it builds no object per word, and only the pages of the words
-and rows it looks up are read.
+load of the same bytes reads the entry's words and rows as it looks them up
+instead of parsing the text, so it builds no object per word and maps
+nothing, and holds in memory only the rows it has looked up.
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ import contextlib
 import functools
 import logging
 import math
-import mmap
 import operator
 import os
 import stat
 import sys
+import weakref
 import zlib
 from array import array
-from bisect import bisect_left
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice
 from pathlib import Path
@@ -69,36 +68,43 @@ class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding or lexicon files."""
 
 
+class Rows:
+    """The V rows of a (V, D) float64 matrix: ``len`` is V, ``dim`` is D, and
+    row ``i`` is a read-only 1-D ``memoryview`` of the ``8 * D`` bytes that
+    ``read(size, offset)`` returns from byte ``8 * D * i`` of the matrix: a
+    slice of one flat ``array('d')`` after a parse, an ``os.pread`` of the
+    cache entry after a hit."""
+
+    def __init__(self, read: Callable[[int, int], bytes | memoryview], rows: int, dim: int) -> None:
+        self.read, self.dim, self._rows = read, dim, rows
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, row: int) -> memoryview:
+        if not 0 <= row < self._rows:
+            raise IndexError(row)
+        return memoryview(self.read(8 * self.dim, 8 * self.dim * row)).cast("d")
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Case-folded word -> row ``index`` into ``vectors``, a (V, D) float64
-    matrix: a read-only ``memoryview`` cast over one flat ``array('d')``
-    (a parse) or over a read-only map of the cache entry's matrix (a hit).
+    """Case-folded word -> row ``index`` into the :class:`Rows` ``vectors``.
     ``index`` is a ``Mapping``: a dict after a parse, and after a hit one
-    that binary-searches the entry's mapped words, iterating in row order
-    either way.
-
-    A table compares by identity.  ``lookup`` returns a row as a 1-D slice
-    of that same buffer.  The table keeps the :class:`Classifier` of each
-    lexicon it classifies with, built at the first classification; the
-    lexicon rows it holds are such slices, so the matrix must not change
-    after the table's first classification.
+    that binary-searches the entry's words, iterating in row order either
+    way.  A table compares by identity.  It keeps the :class:`Classifier` of
+    each lexicon it classifies with, built at the first classification; the
+    lexicon rows it holds may be slices of the parse's array, so the matrix
+    must not change after the table's first classification.
     """
 
     index: Mapping[str, int]
-    vectors: memoryview
+    vectors: Rows
     _classifiers: dict[LexiconConfig, Classifier] = field(default_factory=dict, init=False, repr=False)
-    _flat: memoryview = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_flat", self.vectors.cast("B").cast("d"))
 
     def lookup(self, word: str) -> memoryview | None:
         row = self.index.get(word.casefold())
-        if row is None:
-            return None
-        dim = self.vectors.shape[1]
-        return self._flat[row * dim:(row + 1) * dim]
+        return None if row is None else self.vectors[row]
 
     def classifier(self, lex: LexiconConfig) -> Classifier:
         """The classifier of ``lex`` over this table, built at its first use."""
@@ -146,21 +152,22 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     The file is read ``CHUNK_LINES`` lines at a time; each chunk is decoded
     once (bytes that are not UTF-8 are an error naming their line), and each
     line's components are read with ``float`` and appended to one flat
-    ``array('d')`` of ``8 * V * D`` bytes, which ``vectors`` views.
+    ``array('d')`` of ``8 * V * D`` bytes, which ``vectors`` reads.
 
     The parse of a regular file is cached in one entry file per table path,
     under ``$XDG_CACHE_HOME/finrelex`` (``~/.cache/finrelex`` when that is
-    unset, empty or relative).  A later load maps the entry's words and
-    matrix read-only instead of parsing, and returns an equal table, only
-    when the entry's copy of the table is byte for byte the file and the
-    entry's word index matches its CRC; otherwise it parses and overwrites
-    the entry, which takes about twice the table on disk; only the four most
-    recently written entries are kept.  An entry is only ever replaced by a
-    rename or deleted, which leaves a table mapped from it intact; an entry
-    truncated in place while a run maps it kills that run with ``SIGBUS``.  A table whose
-    parse logged a warning or raised is never cached, nor is a pipe, which
-    is parsed as it streams.  A cache that cannot be read or
-    written is a miss, logged at DEBUG.
+    unset, empty or relative).  A later load keeps the entry open and reads
+    each word and row from it as it is looked up, instead of parsing, and
+    returns an equal table, only when the entry's copy of the table is byte
+    for byte the file and the entry's matrix and word index match their
+    CRC; otherwise it parses and overwrites the entry, which takes about
+    twice the table on disk; only the four most recently written entries
+    are kept.  An entry is only ever replaced by a rename or deleted, which
+    leaves a table read from it intact; a lookup in a table whose entry was
+    truncated in place reads short and raises :class:`EmbeddingFormatError`
+    naming the entry.  A table whose parse logged a warning or raised is
+    never cached, nor is a pipe, which is parsed as it streams.  A cache
+    that cannot be read or written is a miss, logged at DEBUG.
     """
     with open(path, "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -235,10 +242,10 @@ def _parse(fh, path: str | Path) -> tuple[EmbeddingTable, bool, int]:
     return EmbeddingTable(index, _matrix(flat, dimension)), warned, crc
 
 
-def _matrix(buffer: array | memoryview, dim: int) -> memoryview:
-    """The read-only (V, D) float64 matrix view of ``buffer``, V rows of ``dim`` components."""
-    view = memoryview(buffer).cast("B").toreadonly()
-    return view.cast("d", (len(view) // (8 * dim), dim))
+def _matrix(flat: array, dim: int) -> Rows:
+    """The rows of the (V, D) float64 matrix ``flat`` holds, D = ``dim``."""
+    view = memoryview(flat).cast("B").toreadonly()
+    return Rows(lambda size, at: view[at:at + size], len(flat) // dim, dim)
 
 
 # An entry of the parse cache is one file: a header line, the table's bytes,
@@ -250,16 +257,16 @@ def _matrix(buffer: array | memoryview, dim: int) -> memoryview:
 # before each row, and of all rows (rows + 1 native uint64s); the rows in the
 # UTF-8 byte order of their words (rows native uint64s); and the words in row
 # order, each ended by "\n", in UTF-8.  The trailer is two native uint64s:
-# the words section's length and the CRC-32 of the three sections, which the
-# writer knows only once it has streamed them.  The entry is named from the
-# table's real path, so a table has one entry, which a changed table or
-# another stamp replaces by a rename; it is read only after its copy of the
-# table has compared equal to the file being loaded and its sections match
-# their CRC, and then its matrix and index are mapped, not read: no padding
-# aligns them, since a memoryview reads each element with memcpy.  Writing an
+# the words section's length and the CRC-32 of the matrix and the three
+# sections, which the writer knows only once it has streamed them.  The
+# entry is named from the table's real path, so a table has one entry, which
+# a changed table or another stamp replaces by a rename; it is used only
+# after its copy of the table has compared equal to the file being loaded
+# and its matrix and sections match their CRC, and then its words and rows
+# are read with ``os.pread`` as they are looked up, never mapped.  Writing an
 # entry deletes all but the ``_KEPT_ENTRIES`` most recently written, so tables
 # at passing paths (a temporary directory per run) do not pile up.
-_ENTRY_VERSION = b"finrelex-embeddings 4"
+_ENTRY_VERSION = b"finrelex-embeddings 5"
 _KEPT_ENTRIES = 4
 _READ_BYTES = 1 << 16
 _WORDS_PER_WRITE = 1 << 12
@@ -284,50 +291,64 @@ def _entry_path(path: str | Path) -> Path:
     return base / "finrelex" / f"embeddings-{zlib.crc32(os.fsencode(os.path.realpath(path))):08x}"
 
 
-class _MappedIndex(Mapping):
-    """Word -> row of a table read back from a cache entry, answered from the
-    entry's mapped index sections, with no object per word: ``lengths``, the
-    UTF-8 length of the words of all rows before each row, and ``order``, the
-    rows in the UTF-8 byte order of their words, over the words section at
-    ``base`` in ``mapped``, where each word is ended by a newline.  A word is
-    found by a binary search of ``order``; iteration yields the words in row
-    order."""
+class _EntryIndex(Mapping):
+    """Word -> row of a table read back from a cache entry, with no object
+    per word: a binary search of the entry's rows in the UTF-8 byte order of
+    their words, three ``os.pread`` calls on the entry's open file a probe.
+    The table's rows are read through ``read`` too, which raises
+    :class:`EmbeddingFormatError` naming the entry for a short read, as from
+    an entry truncated in place.  The file is closed once the index is gone."""
 
-    def __init__(self, mapped: mmap.mmap, base: int, lengths: memoryview, order: memoryview) -> None:
-        self._mapped = mapped
-        self._base = base
-        self._lengths = lengths
-        self._order = order
+    def __init__(self, entry: Path, fd: int, lengths: int, rows: int) -> None:
+        self._entry, self._fd, self._lengths, self._rows = entry, fd, lengths, rows
+        self._order = lengths + 8 * (rows + 1)
+        self._words = self._order + 8 * rows
+        weakref.finalize(self, os.close, fd)
+
+    def read(self, size: int, offset: int) -> bytes:
+        """The ``size`` bytes of the entry from byte ``offset``."""
+        data = os.pread(self._fd, size, offset)
+        if len(data) != size:
+            raise EmbeddingFormatError(f"{self._entry}: the cache entry was cut short while a table read it")
+        return data
 
     def __getitem__(self, word: str) -> int:
         try:
             key = word.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which no decoded table word holds
             raise KeyError(word) from None
-        at = bisect_left(self._order, key, key=self._word)
-        if at == len(self._order) or self._word(self._order[at]) != key:
-            raise KeyError(word)
-        return self._order[at]
+        lo, hi = 0, self._rows
+        while lo < hi:  # a binary search of the order section
+            mid = (lo + hi) // 2
+            row = int.from_bytes(self.read(8, self._order + 8 * mid), sys.byteorder)
+            probe = self._word(row)
+            if probe < key:
+                lo = mid + 1
+            elif probe > key:
+                hi = mid
+            else:
+                return row
+        raise KeyError(word)
 
     def __iter__(self) -> Iterator[str]:
-        words = self._mapped[self._base:self._base + self._lengths[-1] + len(self._order)]
-        return iter(words.decode("utf-8").split("\n")[:-1])
+        size = int.from_bytes(self.read(8, self._lengths + 8 * self._rows), sys.byteorder) + self._rows
+        return iter(self.read(size, self._words).decode("utf-8").split("\n")[:-1])
 
     def __len__(self) -> int:
-        return len(self._order)
+        return self._rows
 
     def _word(self, row: int) -> bytes:
         """The UTF-8 bytes of row ``row``'s word, the key of the search: the
         rows before it each add their word's length and a newline."""
-        start = self._base + self._lengths[row] + row
-        return self._mapped[start:start + self._lengths[row + 1] - self._lengths[row]]
+        start, stop = array("Q", self.read(16, self._lengths + 8 * row))
+        return self.read(stop - start, self._words + start + row)
 
 
 def _read_entry(entry: Path, fh) -> EmbeddingTable:
-    """The table ``entry`` holds, its matrix and its word index read-only
-    maps of the entry, read only when its copy of the table is byte for byte
-    the regular file ``fh`` and its index sections match their CRC; else an
-    ``OSError`` or a ``ValueError`` that says why not."""
+    """The table ``entry`` holds, its words and rows read from the entry's
+    file as they are looked up, only when its copy of the table is byte for
+    byte the regular file ``fh`` and its matrix and index sections match
+    their CRC; else an ``OSError`` or a ``ValueError`` that says why not."""
     stamp = _entry_stamp()
     with open(entry, "rb") as src:
         header = src.readline(len(stamp) + 100)
@@ -335,15 +356,14 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
         if len(fields) != 4 or fields[0] != stamp or not header.endswith(b"\n"):
             raise ValueError("the entry's header is not this version's")
         size, rows, dim = sizes = list(map(int, fields[1:]))
-        mapped = mmap.mmap(src.fileno(), 0, access=mmap.ACCESS_READ)
-        view = memoryview(mapped)
         matrix = slice(len(header) + size, len(header) + size + 8 * rows * dim)
         order = slice(matrix.stop + 8 * (rows + 1), matrix.stop + 16 * rows + 8)
-        if min(sizes) < 1 or len(mapped) < order.stop + _TRAILER_BYTES:
+        length = os.fstat(src.fileno()).st_size
+        if min(sizes) < 1 or length < order.stop + _TRAILER_BYTES:
             raise ValueError("the entry's size does not match its header")
-        words_size, index_crc = view[-_TRAILER_BYTES:].cast("Q")
-        sections = slice(matrix.stop, order.stop + words_size)
-        if len(mapped) != sections.stop + _TRAILER_BYTES:
+        words_size, stored_crc = array("Q", os.pread(src.fileno(), _TRAILER_BYTES, length - _TRAILER_BYTES))
+        sections = slice(matrix.start, order.stop + words_size)
+        if length != sections.stop + _TRAILER_BYTES:
             raise ValueError("the entry's size does not match its header")
         fh.seek(0)
         for start in range(0, size, _READ_BYTES):
@@ -352,15 +372,13 @@ def _read_entry(entry: Path, fh) -> EmbeddingTable:
                 raise ValueError("the entry holds another table")
         if fh.read(1):
             raise ValueError("the entry holds another table")
-        # read, not touched through the map, so only the pages that lookups read stay resident
-        src.seek(sections.start)
         crc = 0
         for start in range(sections.start, sections.stop, _READ_BYTES):
             crc = zlib.crc32(src.read(min(_READ_BYTES, sections.stop - start)), crc)
-    if crc != index_crc:
-        raise ValueError("the entry's index does not match its CRC")
-    index = _MappedIndex(mapped, order.stop, view[matrix.stop:order.start].cast("Q"), view[order].cast("Q"))
-    return EmbeddingTable(index, _matrix(view[matrix], dim))
+        if crc != stored_crc:
+            raise ValueError("the entry's matrix and index do not match their CRC")
+        index = _EntryIndex(entry, os.dup(src.fileno()), matrix.stop, rows)
+    return EmbeddingTable(index, Rows(lambda size, at: index.read(size, matrix.start + at), rows, dim))
 
 
 def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
@@ -369,7 +387,7 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
     rename.  The bytes are copied from ``fh`` a chunk at a time and checked
     against ``crc``, so a table rewritten during its parse is not cached."""
     size = fh.tell()
-    rows, dim = table.vectors.shape
+    rows, dim = len(table.vectors), table.vectors.dim
     index = table.index
 
     def parts():
@@ -382,10 +400,11 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             yield chunk
         if copied != crc or fh.tell() != size or fh.read(1):
             raise ValueError("the table changed while it was parsed")
-        yield table.vectors.cast("B")
+        matrix = table.vectors.read(8 * rows * dim, 0)
+        yield matrix
         order = array("Q", map(index.__getitem__, sorted(index)))  # code point order is UTF-8 byte order
         lengths = array("Q", accumulate(map(len, map(str.encode, index)), initial=0))
-        sections = zlib.crc32(order, zlib.crc32(lengths))
+        sections = zlib.crc32(order, zlib.crc32(lengths, zlib.crc32(matrix)))
         yield lengths
         yield order
         words = iter(index)
@@ -394,6 +413,7 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             sections = zlib.crc32(chunk, sections)
             yield chunk
         yield array("Q", [lengths[-1] + rows, sections])
+
 
     os.makedirs(entry.parent, mode=0o700, exist_ok=True)
     atomic_write_bytes(entry, parts())

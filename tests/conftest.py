@@ -18,8 +18,7 @@ def table_of(vectors):
     one matrix row each in the dict's order."""
     rows = list(vectors.values())
     flat = array("d", [x for row in rows for x in row])
-    matrix = memoryview(flat).cast("B").cast("d", (len(rows), len(rows[0])))
-    return semvec.EmbeddingTable({word: row for row, word in enumerate(vectors)}, matrix)
+    return semvec.EmbeddingTable({word: row for row, word in enumerate(vectors)}, semvec._matrix(flat, len(rows[0])))
 
 
 @pytest.fixture(scope="session", autouse=True)

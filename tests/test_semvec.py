@@ -1,4 +1,5 @@
 import codecs
+import gc
 import logging
 import math
 import os
@@ -11,6 +12,7 @@ import zlib
 from array import array
 from collections import Counter
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -43,7 +45,7 @@ def tiny_table(tmp_path):
 
 class TestLoadEmbeddings:
     def test_three_word_table(self, tiny_table):
-        assert tiny_table.vectors.shape[1] == 2
+        assert tiny_table.vectors.dim == 2
         assert sorted(tiny_table.index) == ["income", "raised", "revenue"]
 
     def test_empty_file_rejected(self, tmp_path):
@@ -77,14 +79,14 @@ class TestLoadEmbeddings:
         path = tmp_path / "vectors.txt"
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert table.vectors.shape[1] == 3
+        assert table.vectors.dim == 3
         assert len(table.vectors) == 2
 
     def test_header_after_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("\n  \n2 3\nfoo 1 2 3\nbar 0 1 0\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert table.vectors.shape[1] == 3
+        assert table.vectors.dim == 3
         assert sorted(table.index) == ["bar", "foo"]
 
     def test_only_first_non_blank_line_can_be_header(self, tmp_path):
@@ -206,13 +208,19 @@ def _warnings_of_semvec():
         semvec.logger.setLevel(level)
 
 
+def _row_bytes(table):
+    """The rows ``lookup`` returns for the words of ``table``, in row order,
+    as one string of bytes, so ``-0.0`` differs from ``0.0``."""
+    return b"".join(map(table.lookup, table.index))
+
+
 def _outcome(load, path):
     with _warnings_of_semvec() as messages:
         try:
             table = load(path)
         except EmbeddingFormatError as exc:
             return ("error", str(exc)), messages
-    return (table.vectors.shape, list(table.index.items()), table.vectors.tobytes()), messages
+    return ((len(table.vectors), table.vectors.dim), list(table.index.items()), _row_bytes(table)), messages
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,9 +261,12 @@ def _entries(cache_dir):
 def test_table_rows_share_one_matrix(tmp_path, cache_dir):
     path = tmp_path / "vectors.txt"
     path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
-    for _ in range(2):  # the parse, then the cache entry read back
-        table = load_embeddings(path)
-        assert table.lookup("B").obj is table.lookup("a").obj is table.vectors.obj
+    parsed = load_embeddings(path)
+    # a parse's rows are slices of one array; a hit reads each row it looks up from the entry
+    assert parsed.lookup("B").obj is parsed.lookup("a").obj
+    with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+        hit = load_embeddings(path)
+    for table in (parsed, hit):
         assert table.lookup("B").tolist() == [0.0, 1.0]
         assert table.lookup("c") is None
         assert sorted(table.index.values()) == list(range(len(table.vectors)))
@@ -269,15 +280,20 @@ def _without_columns(entry):
     return header[:-len(b" 2 2")] + b" 2 0\n" + rest[:size] + rest[size + 32:]
 
 
-def _flipped(section):
-    """A damage that flips one bit of ``section`` (the first byte of the
-    word lengths or the order array, or the last of the trailer's CRC) of an
-    entry of a 2 x 2 table."""
+def _sections(entry):
+    """The (start, stop) byte range of each part of a valid cache entry."""
+    header = entry.index(b"\n") + 1
+    size, rows, dim = map(int, entry[:header].split()[-3:])
+    bounds = [0, *accumulate([header, size, 8 * rows * dim, 8 * (rows + 1), 8 * rows]), len(entry) - 16, len(entry)]
+    names = ["header", "table", "matrix", "lengths", "order", "words", "trailer"]
+    return {name: (start, stop) for name, start, stop in zip(names, bounds, bounds[1:])}
+
+
+def _flipped(section, offset=0):
+    """A damage that flips one bit of byte ``offset`` of ``section`` of an entry."""
 
     def damage(entry):
-        header = entry.index(b"\n") + 1
-        lengths = header + int(entry[:header].split()[-3]) + 32
-        at = {"lengths": lengths, "order": lengths + 24, "crc": len(entry) - 1}[section]
+        at = _sections(entry)[section][0] + offset
         return entry[:at] + bytes([entry[at] ^ 1]) + entry[at + 1:]
 
     return damage
@@ -292,11 +308,12 @@ class TestEmbeddingCache:
         with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
             hit = load_embeddings(path)
         assert list(hit.index.items()) == list(parsed.index.items())
-        assert hit.vectors.tolist() == parsed.vectors.tolist()
-        assert hit.vectors.tobytes() == parsed.vectors.tobytes()  # -0.0 stays -0.0
-        assert hit.vectors.format == "d" and hit.vectors.shape == parsed.vectors.shape == (18, 4)
-        assert hit.vectors.c_contiguous
-        assert hit.lookup("strasse") is not None
+        assert _row_bytes(hit) == _row_bytes(parsed)  # -0.0 stays -0.0
+        assert math.copysign(1.0, hit.lookup("STRASSE")[0]) == -1.0
+        assert (len(hit.vectors), hit.vectors.dim) == (len(parsed.vectors), parsed.vectors.dim) == (18, 4)
+        row = hit.lookup("strasse")
+        assert row.format == "d" and row.shape == (4,) and row.readonly
+        assert row.tolist() == [-0.0, 1e-320, 2.5, 3.0]
         assert _entries(cache_dir) == [entry]
 
     @pytest.mark.parametrize("edited", ["a 1.6 0\nb 0 1\n", "a 1.5 0\nb 0 1\nc 1 1\n"], ids=["digit", "appended"])
@@ -352,10 +369,12 @@ class TestEmbeddingCache:
         _without_columns,
         # a word cut, repeated or added changes the entry's size or the CRC of its index sections
         lambda b: b[: b.rindex(b"b\n")], lambda b: b.replace(b"\nb\n", b"\na\n"), lambda b: b + b"c\n",
-        # a flipped bit in the word index, or in the CRC the trailer holds for it, fails the CRC check
-        _flipped("lengths"), _flipped("order"), _flipped("crc"),
+        # a flipped bit in the matrix or the word index, or in the CRC the trailer holds for them,
+        # fails the CRC check
+        _flipped("matrix"), _flipped("lengths"), _flipped("order"), _flipped("trailer", 15),
     ], ids=["last-byte-cut", "halved", "garbage", "empty", "other-version", "huge-width", "no-width",
-            "missing-word", "repeated-word", "extra-word", "flipped-length", "flipped-order", "wrong-crc"])
+            "missing-word", "repeated-word", "extra-word", "flipped-matrix", "flipped-length", "flipped-order",
+            "wrong-crc"])
     def test_damaged_entry_is_a_miss_that_is_rewritten(self, tmp_path, cache_dir, damage):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
@@ -365,7 +384,7 @@ class TestEmbeddingCache:
         entry.write_bytes(damage(good))
         again = load_embeddings(path)
         assert list(again.index.items()) == list(parsed.index.items())
-        assert again.vectors.tobytes() == parsed.vectors.tobytes()
+        assert _row_bytes(again) == _row_bytes(parsed)
         assert entry.read_bytes() == good
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
@@ -407,7 +426,7 @@ class TestEmbeddingCache:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert list(table.index.items()) == [("a", 0), ("b", 1)]
-        assert table.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert [table.lookup(word).tolist() for word in table.index] == [[1.0, 0.0], [0.0, 1.0]]
         assert _entries(cache_dir) == []
 
     def test_one_entry_per_table_path(self, tmp_path, cache_dir):
@@ -459,7 +478,7 @@ class TestEmbeddingCache:
         path.write_text("".join(f"w{i} " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(64)) + "\n"
                                 for i in range(2000)), encoding="utf-8")
         parsed = load_embeddings(path)
-        assert parsed.vectors.nbytes == 1_024_000
+        assert len(parsed.vectors) * parsed.vectors.dim * 8 == 1_024_000
         with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
             tracemalloc.start()
             try:
@@ -467,8 +486,8 @@ class TestEmbeddingCache:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert hit.vectors.tobytes() == parsed.vectors.tobytes()
-        assert peak < parsed.vectors.nbytes // 2
+        assert _row_bytes(hit) == _row_bytes(parsed)
+        assert peak < 1_024_000 // 2
 
     def test_hit_builds_no_per_word_objects(self, tmp_path, cache_dir):
         words = 20_000
@@ -487,13 +506,13 @@ class TestEmbeddingCache:
         assert not isinstance(hit.index, dict) and len(hit.index) == words
         assert hit.lookup("W19999").tolist() == parsed.lookup("w19999").tolist() == [19999.0, -19999.0]
 
-    def test_mapped_table_outlives_its_entry(self, tmp_path, cache_dir, lexicon):
+    def test_hit_outlives_its_entry(self, tmp_path, cache_dir, lexicon):
         path = tmp_path / "vectors.txt"
         path.write_bytes(TOY_EMBEDDINGS.read_bytes())
         parsed = load_embeddings(path)
         with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
             hit = load_embeddings(path)
-        assert parsed.vectors.readonly and hit.vectors.readonly
+        assert all(table.lookup(word).readonly for table in (parsed, hit) for word in parsed.index)
         money, person = _classified_phrases(parsed, lexicon)
 
         def rows_and_verdicts(table):
@@ -504,11 +523,11 @@ class TestEmbeddingCache:
         before = rows_and_verdicts(hit)
         assert before == rows_and_verdicts(parsed)
         [entry] = _entries(cache_dir)
-        mapped = entry.stat().st_ino
-        # an edited table misses, and its entry replaces the mapped one by rename
+        read = entry.stat().st_ino
+        # an edited table misses, and its entry replaces the one the hit reads by rename
         path.write_bytes(TOY_EMBEDDINGS.read_bytes() + b"extra 1 0 0 0\n")
         assert load_embeddings(path).lookup("extra").tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert _entries(cache_dir) == [entry] and entry.stat().st_ino != mapped
+        assert _entries(cache_dir) == [entry] and entry.stat().st_ino != read
         # newer entries evict it
         os.utime(entry, ns=(0, 0))
         for i in range(semvec._KEPT_ENTRIES):
@@ -518,10 +537,117 @@ class TestEmbeddingCache:
         assert entry not in _entries(cache_dir)
         assert rows_and_verdicts(hit) == before
 
+    def test_lookup_in_an_entry_cut_in_place_raises_naming_it(self, tmp_path, cache_dir, lexicon):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(TOY_EMBEDDINGS.read_bytes())
+        parsed = load_embeddings(path)
+        [entry] = _entries(cache_dir)
+        good = entry.read_bytes()
+        sections = _sections(good)
+        # a cut before the word index fails every lookup, one in the last word some, one in the trailer none
+        for cut, failing in ((0, "all"), (sections["matrix"][0] + 8, "all"), (sections["lengths"][0] + 8, "all"),
+                             (sections["words"][1] - 2, "some"), (len(good) - 1, "none")):
+            entry.write_bytes(good)
+            with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+                hit = load_embeddings(path)
+            os.truncate(entry, cut)
+            raised = 0
+            for word in parsed.index:
+                try:
+                    row = hit.lookup(word)
+                except EmbeddingFormatError as exc:
+                    assert str(exc) == f"{entry}: the cache entry was cut short while a table read it"
+                    raised += 1
+                else:  # a word whose search and row lie before the cut: never a short or zeroed row
+                    assert row.tobytes() == parsed.lookup(word).tobytes()
+            assert {"all": raised == len(parsed.index), "some": 0 < raised < len(parsed.index),
+                    "none": raised == 0}[failing]
+            if failing == "all":
+                with pytest.raises(EmbeddingFormatError, match="cut short"):
+                    hit.classifier(lexicon)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads Linux's /proc/self/maps")
+    def test_hit_maps_nothing(self, tmp_path, cache_dir, lexicon):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(TOY_EMBEDDINGS.read_bytes())
+        load_embeddings(path)
+        [entry] = _entries(cache_dir)
+        with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+            hit = load_embeddings(path)
+        hit.classifier(lexicon)
+        assert all(hit.lookup(word) is not None for word in hit.index)
+        assert entry.name not in Path("/proc/self/maps").read_text(encoding="utf-8")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts Linux's /proc/self/fd")
+    def test_dropped_hits_leave_no_file_open(self, tmp_path, cache_dir, lexicon):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        load_embeddings(path)
+        collector_was_on = gc.isenabled()
+        gc.collect()  # the tables of earlier tests that built a classifier, which keep their entries open
+        gc.disable()  # as in cli.main: a table without a classifier is freed by its reference count
+        try:
+            open_files = len(os.listdir("/proc/self/fd"))
+            with warnings.catch_warnings(record=True) as caught, \
+                    mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
+                warnings.simplefilter("always")
+                for _ in range(200):
+                    hit = load_embeddings(path)
+                    assert hit.lookup("b").tolist() == [0.0, 1.0]
+                    assert len(os.listdir("/proc/self/fd")) == open_files + 1  # the hit keeps its entry open
+                    del hit
+                # a classifier refers back to its table, so that cycle waits for the collector
+                load_embeddings(path).classifier(lexicon)
+                gc.collect()
+        finally:
+            if collector_was_on:
+                gc.enable()
+        assert len(os.listdir("/proc/self/fd")) == open_files
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_stamp_covers_both_parsing_modules(self):
         src = Path(semvec.__file__)
         crc = zlib.crc32(src.with_name("_fileio.py").read_bytes(), zlib.crc32(src.read_bytes()))
         assert semvec._entry_stamp().endswith(b" src-%08x" % crc)
+
+
+_SECTION_NAMES = st.sampled_from(["header", "table", "matrix", "lengths", "order", "words", "trailer"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_SECTION_NAMES, st.integers(0, 1 << 10), st.integers(1, 255)), max_size=3),
+       st.none() | st.tuples(_SECTION_NAMES, st.integers(0, 1 << 10), st.integers(0, 1 << 10)))
+# a flipped matrix byte, which the CRC did not cover up to layout 4: "a" read back as [inf, 0.0]
+@example([("matrix", 7, 0x40)], None)
+def test_any_damaged_entry_is_a_miss_that_is_rewritten(tmp_path_factory, flips, cut):
+    """Up to three bytes flipped and one run of bytes cut out, anywhere in an
+    entry, make a miss: the table is parsed again, equal to the first parse,
+    and the entry is written again byte for byte."""
+    if not flips and cut is None:
+        return
+    path = tmp_path_factory.getbasetemp() / "damaged-entry-vectors.txt"
+    path.write_text("a 1 0\nStraße -0 1e-320\n日本 2.5 3\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as home, \
+            mock.patch.dict(os.environ, XDG_CACHE_HOME=home):
+        parsed = load_embeddings(path)
+        entry = semvec._entry_path(path)
+        good = entry.read_bytes()
+        sections = _sections(good)
+        damaged = bytearray(good)
+        for name, offset, mask in flips:  # a repeated byte is flipped by the last mask, so never back
+            start, stop = sections[name]
+            damaged[start + offset % (stop - start)] = good[start + offset % (stop - start)] ^ mask
+        if cut is not None:
+            name, offset, length = cut
+            start = sections[name][0] + offset % (sections[name][1] - sections[name][0])
+            del damaged[start:start + 1 + length % (len(good) - start)]
+        entry.write_bytes(damaged)
+        with mock.patch.object(semvec, "_parse", wraps=semvec._parse) as parse:
+            again = load_embeddings(path)
+        assert parse.call_count == 1
+        assert list(again.index.items()) == list(parsed.index.items())
+        assert _row_bytes(again) == _row_bytes(parsed)
+        assert entry.read_bytes() == good
 
 
 # Words that sort between others, one a prefix of another, and non-ASCII
@@ -546,15 +672,21 @@ def test_mapped_lookups_equal_dict_lookups(tmp_path_factory, vocabulary, probes)
         parsed = load_embeddings(path)
         with mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
             hit = load_embeddings(path)
-        with mock.patch.object(semvec._MappedIndex, "_word", autospec=True,
-                               side_effect=semvec._MappedIndex._word) as key:
+        probes = len(vocabulary).bit_length()  # a binary search that stops at the word it finds
+        with mock.patch.object(semvec._EntryIndex, "_word", autospec=True,
+                               side_effect=semvec._EntryIndex._word) as key, \
+                mock.patch.object(os, "pread", side_effect=os.pread) as pread:
             for word in words:
-                before = key.call_count
+                before, reads = key.call_count, pread.call_count
                 assert hit.index.get(word) == parsed.index.get(word)
-                # a binary search, then one compare
-                assert key.call_count - before <= len(vocabulary).bit_length() + 1
+                assert key.call_count - before <= probes
+                # three reads a key: its order slot, its two lengths, the word
+                assert pread.call_count - reads <= 3 * probes
+                reads = pread.call_count
+                assert hit.lookup(word) == parsed.lookup(word)
+                # and one more for the row
+                assert pread.call_count - reads <= 3 * probes + 1
         assert list(hit.index.items()) == list(parsed.index.items())
-        assert all(hit.lookup(word) == parsed.lookup(word) for word in words)
 
 
 class TestPhraseVector:
@@ -1031,8 +1163,8 @@ class TestCommittedToyTable:
                 assert classify_money_phrase(toy_table, lexicon, word) == "investment", word
 
     def test_no_nan_or_inf(self, toy_table):
-        rows = toy_table.vectors.tolist()
-        assert len(rows) == len(toy_table.index)
+        rows = [toy_table.lookup(word).tolist() for word in toy_table.index]
+        assert len(rows) == len(toy_table.vectors)
         for vec in rows:
             assert all(math.isfinite(x) for x in vec)
-            assert len(vec) == toy_table.vectors.shape[1]
+            assert len(vec) == toy_table.vectors.dim
