@@ -378,16 +378,13 @@ def balanced_subset(train: list[GoldExample], seed: int) -> list[GoldExample]:
     if not informative:
         raise ValueError("training set has no informative examples to balance against")
 
-    if len(empty) <= len(informative):
-        chosen = empty
-        if len(empty) < len(informative):
-            logger.warning(
-                "only %d empty examples available for %d informative ones",
-                len(empty),
-                len(informative),
-            )
-    else:
-        chosen = random.Random(seed).sample(empty, len(informative))
+    if len(empty) < len(informative):
+        logger.warning(
+            "only %d empty examples available for %d informative ones",
+            len(empty),
+            len(informative),
+        )
+    chosen = random.Random(seed).sample(empty, min(len(empty), len(informative)))
 
     keep = set(informative) | set(chosen)
     return [ex for i, ex in enumerate(train) if i in keep]

@@ -88,8 +88,6 @@ def edit_distance(a: str, b: str, limit: int) -> int:
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    if a == b:
-        return 0
     if len(a) > len(b):
         a, b = b, a
     over = limit + 1

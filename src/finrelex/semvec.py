@@ -12,11 +12,12 @@ dict and one flat ``array('d')``; after a cache hit, a mapping and rows that
 read the cache entry's file with ``os.pread`` as they are looked up.  A
 :class:`Classifier` holds the lexicon rows of one table and lexicon, with
 their norms, and the verdict of each phrase it has classified; each table
-builds it at its first classification with that lexicon and keeps it for
-the rest of the run, so a run classifies each distinct phrase once.  Phrase
-means, norms and dot products are worked out in Python floats, each sum
-added left to right, so a similarity, and so a verdict, is the same on every
-machine and Python version.
+builds it at its first classification with that lexicon and keeps it for the
+rest of the run, so a run classifies each distinct phrase once.  It never
+refers to the table, so reference counting alone frees a dropped table and
+closes a hit's entry file.  Phrase means, norms and dot products are worked
+out in Python floats, each sum added left to right, so a similarity, and so
+a verdict, is the same on every machine and Python version.
 
 :func:`load_embeddings` caches the parse of each regular table file on
 disk, one entry per table path under the user's cache directory: a later
@@ -414,7 +415,6 @@ def _write_entry(entry: Path, fh, crc: int, table: EmbeddingTable) -> None:
             yield chunk
         yield array("Q", [lengths[-1] + rows, sections])
 
-
     os.makedirs(entry.parent, mode=0o700, exist_ok=True)
     atomic_write_bytes(entry, parts())
     written = []
@@ -444,7 +444,7 @@ def load_lexicon(path: str | Path) -> LexiconConfig:
         threshold = obj["threshold"]
         if type(threshold) not in (int, float):
             raise EmbeddingFormatError(f"{path}: 'threshold' must be a number, got {threshold!r}")
-        kwargs["threshold"] = float(threshold)
+        kwargs["threshold"] = float(str(threshold))  # via str: an integer too big for float() is inf, like 1e999
     try:
         return LexiconConfig(**kwargs)
     except ValueError as exc:
@@ -481,19 +481,19 @@ def _norm(v: Sequence[float]) -> float:
 class Classifier:
     """The money and founder classifiers of one table and lexicon.
 
-    Each lexicon word is looked up, and its vector's norm computed, once,
-    when the classifier is built; an out-of-vocabulary word is left out of
-    its group.  Each phrase then costs one phrase vector and norm, and one
-    ``dot / (nu * nv)`` per lexicon row, the first time it is classified:
-    the money verdict of each phrase, and the founder verdict of each
-    (person, context) pair, is kept and returned again on a later call.  A
-    zero vector on either side gives similarity 0.0, with a warning: once
-    per lexicon word at build time, and once per distinct phrase classified
-    (a money phrase and a person pooled with its context apart).
+    Its ``table`` shares the index and rows of the table it is built from,
+    with no classifier.  Each lexicon word is looked up, and its norm
+    computed, once, when the classifier is built; an out-of-vocabulary word is
+    left out of its group.  Each phrase then costs one phrase vector and norm,
+    and one ``dot / (nu * nv)`` per lexicon row, at its first classification:
+    one memo keeps the verdict of each money phrase and of each (person,
+    context) pair.  A zero vector on either side gives similarity 0.0, with a
+    warning: once per lexicon word at build time, and once per distinct phrase
+    classified (a money phrase and a person pooled with its context apart).
     """
 
     def __init__(self, table: EmbeddingTable, lex: LexiconConfig) -> None:
-        self.table = table
+        self.table = EmbeddingTable(table.index, table.vectors)
         self.threshold = lex.threshold
         self.groups = {
             group: _lexicon_rows(table, group, words)
@@ -503,8 +503,7 @@ class Classifier:
                 (FOUNDER, lex.founder_words),
             )
         }
-        self._money: dict[str, str] = {}
-        self._person: dict[tuple[str, str], str] = {}
+        self._verdicts: dict[str | tuple[str, str], str] = {}
 
     def best_similarities(self, phrase: str, *groups: str) -> tuple[float, ...] | None:
         """For each of ``groups``, the highest similarity of the phrase
@@ -530,32 +529,26 @@ class Classifier:
 
     def money(self, phrase: str) -> str:
         """See :func:`classify_money_phrase`."""
-        verdict = self._money.get(phrase)
-        if verdict is None:
-            verdict = self._money[phrase] = self._classify_money(phrase)
-        return verdict
-
-    def _classify_money(self, phrase: str) -> str:
-        sims = self.best_similarities(phrase, REVENUE, INVESTMENT)
-        if sims is None:
-            return UNKNOWN
-        rev_sim, inv_sim = sims
-        if max(rev_sim, inv_sim) <= self.threshold or rev_sim == inv_sim:
-            return UNKNOWN
-        return REVENUE if rev_sim > inv_sim else INVESTMENT
+        return self._verdict(phrase, phrase, (REVENUE, INVESTMENT), UNKNOWN)
 
     def person(self, phrase: str, context: str) -> str:
         """See :func:`classify_person_phrase`."""
-        verdict = self._person.get((phrase, context))
-        if verdict is None:
-            verdict = self._person[phrase, context] = self._classify_person(phrase, context)
-        return verdict
+        return self._verdict((phrase, context), f"{phrase} {context}".strip(), (FOUNDER,), OTHER)
 
-    def _classify_person(self, phrase: str, context: str) -> str:
-        sims = self.best_similarities(f"{phrase} {context}".strip(), FOUNDER)
-        if sims is None or sims[0] <= self.threshold:
-            return OTHER
-        return FOUNDER
+    def _verdict(self, key: str | tuple[str, str], phrase: str, groups: tuple[str, ...], default: str) -> str:
+        """The one of ``groups`` whose best similarity to ``phrase`` is
+        strictly above the threshold and tied with no other group's, else
+        ``default``: worked out at the first call with ``key``, then kept."""
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = default
+            sims = self.best_similarities(phrase, *groups)
+            if sims is not None:
+                best = max(sims)
+                if best > self.threshold and sims.count(best) == 1:
+                    verdict = groups[sims.index(best)]
+            self._verdicts[key] = verdict
+        return verdict
 
 
 def _lexicon_rows(

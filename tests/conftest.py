@@ -1,7 +1,10 @@
+import json
+import math
 from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from finrelex import corpus, semvec
 from finrelex.deptree import TreeView
@@ -19,6 +22,27 @@ def table_of(vectors):
     rows = list(vectors.values())
     flat = array("d", [x for row in rows for x in row])
     return semvec.EmbeddingTable({word: row for row, word in enumerate(vectors)}, semvec._matrix(flat, len(rows[0])))
+
+
+# a value of each JSON kind, and the two non-finite numbers Python's JSON reader takes
+RETYPED = [["sales", 3], "sales", 1, 0.25, 10 ** 400, None, True, math.nan, math.inf]
+
+
+def mutated_json(data, obj: dict) -> bytes:
+    """The JSON text of ``obj`` with one drawn mutation: a byte flipped, the
+    text cut short, an unknown key added or one value retyped."""
+    kind = data.draw(st.sampled_from(["flip", "cut", "unknown", "retype"]), label="mutation")
+    obj = dict(obj)
+    if kind == "unknown":
+        obj[data.draw(st.sampled_from(["treshold", "words", ""]), label="key")] = 0.5
+    elif kind == "retype":
+        obj[data.draw(st.sampled_from(sorted(obj)), label="key")] = data.draw(st.sampled_from(RETYPED))
+    text = bytearray(json.dumps(obj).encode("utf-8"))
+    if kind == "flip":
+        text[data.draw(st.integers(0, len(text) - 1))] ^= data.draw(st.integers(1, 255))
+    elif kind == "cut":
+        del text[data.draw(st.integers(0, len(text) - 1)):]
+    return bytes(text)
 
 
 @pytest.fixture(scope="session", autouse=True)

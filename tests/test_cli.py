@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from finrelex import cli, corpus, records, relex, semvec
 from finrelex._fileio import line_ranges
 from finrelex.cli import build_parser, main
-from tests.conftest import DATA_DIR, FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
+from tests.conftest import DATA_DIR, FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS, mutated_json
 
 FIXTURE_INSPECT = DATA_DIR / "fixture_inspect.txt"
 
@@ -1042,6 +1043,22 @@ class TestConfigAndFlags:
         [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
         assert record.getMessage() == f"ValueError: config file {config}: {message}"
         assert not out_dir.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_mutation_of_a_config_applies_or_names_the_file(self, tmp_path_factory, data):
+        # the config loads and the command runs, or main exits 1 naming the file
+        config = tmp_path_factory.getbasetemp() / "mutated-config.json"
+        config.write_bytes(mutated_json(data, {"seed": 3, "test_fraction": 0.25, "balanced": True,
+                                               "mode": "fuzzy", "threshold": 0.8, "workers": 2}))
+        ran = []
+        with mock.patch.object(cli, "cmd_prepare", ran.append), mock.patch.object(cli.logger, "error") as error:
+            status = run("--config", config, "prepare", "--gold", FIXTURE_GOLD, "--out-dir", "split")
+        if status == 0:
+            assert len(ran) == 1 and not error.called
+        else:
+            [(_, kind, exc)] = [call.args for call in error.call_args_list]
+            assert (status, kind, ran) == (1, "ValueError", []) and str(exc).startswith(f"config file {config}: ")
 
     def test_config_serves_several_subcommands(self, tmp_path):
         # keys of another subcommand are legal; an int is a number

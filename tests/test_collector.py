@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from finrelex import cli, corpus, records
+from finrelex import cli, corpus, records, semvec
 from finrelex._fileio import line_ranges
 from finrelex.cli import main
 from tests.conftest import FIXTURE_CORPUS, FIXTURE_GOLD, TOY_EMBEDDINGS
@@ -87,6 +87,25 @@ def test_records_make_no_reference_cycles(tmp_path, stage):
     stage(roots[0])  # first-call imports and caches, outside the count
     small, large = (_cyclic_garbage(lambda: stage(root)) for root in roots)
     assert small == large
+
+
+@pytest.mark.parametrize("hit", [False, True], ids=["parsed", "cache-hit"])
+def test_dropped_table_with_classifier_leaves_no_cycle(tmp_path, monkeypatch, lexicon, hit):
+    # a classifier does not refer back to the table that keeps it, so reference
+    # counting alone frees a dropped table, and closes a hit's entry file
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(TOY_EMBEDDINGS.read_bytes())
+    if hit:
+        semvec.load_embeddings(path)  # the entry that the counted load reads
+
+    def classify() -> None:
+        table = semvec.load_embeddings(path)
+        assert isinstance(table.index, semvec._EntryIndex) is hit
+        semvec.classify_money_phrase(table, lexicon, "net income")
+        semvec.classify_person_phrase(table, lexicon, "Jane Doe", "founder")
+
+    assert _cyclic_garbage(classify) == 0
 
 
 @pytest.mark.parametrize("corpus_path, status", [(FIXTURE_CORPUS, 0), (Path("missing.jsonl"), 1)],

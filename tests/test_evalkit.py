@@ -104,12 +104,15 @@ class TestWordMatch:
 
 class TestEditDistance:
     @pytest.mark.parametrize(
-        "a,b,expected",
-        [("", "", 0), ("abc", "abc", 0), ("abc", "", 3), ("kitten", "sitting", 3), ("cow", "bowl", 2)],
+        "a,b,limit,expected",
+        [("", "", 0, 0), ("abc", "abc", 3, 0), ("abc", "", 3, 3), ("kitten", "sitting", 7, 3), ("cow", "bowl", 4, 2),
+         ("abc", "abc", 0, 0)],
+        ids=["--0", "abc-abc-0", "abc--3", "kitten-sitting-3", "cow-bowl-2", "abc-abc-0-at-limit-0"],
     )
-    def test_known_distances(self, a, b, expected):
-        # a limit as long as the longer word leaves the distance uncapped
-        assert edit_distance(a, b, max(len(a), len(b))) == expected
+    def test_known_distances(self, a, b, limit, expected):
+        # a limit as long as the longer word leaves the distance uncapped; at limit 0
+        # only the band's diagonal is filled, which equal words leave at 0
+        assert edit_distance(a, b, limit) == expected
 
     def test_symmetry(self):
         rng = random.Random(11)

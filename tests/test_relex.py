@@ -825,12 +825,18 @@ class TestExtract:
         table = semvec.load_embeddings(TOY_EMBEDDINGS)
         money_calls = mock.Mock(wraps=semvec.classify_money_phrase)
         person_calls = mock.Mock(wraps=semvec.classify_person_phrase)
-        money_work = mock.Mock(side_effect=semvec.Classifier._classify_money)
-        person_work = mock.Mock(side_effect=semvec.Classifier._classify_person)
+        decide = semvec.Classifier._verdict
+        worked_out = []  # the key of each verdict call that worked out similarities
+
+        def verdict(clf, key, *rest):
+            with mock.patch.object(clf, "best_similarities", wraps=clf.best_similarities) as work:
+                answer = decide(clf, key, *rest)
+            worked_out.extend([key] * work.call_count)
+            return answer
+
         with mock.patch.object(semvec, "classify_money_phrase", money_calls), \
                 mock.patch.object(semvec, "classify_person_phrase", person_calls), \
-                mock.patch.object(semvec.Classifier, "_classify_money", lambda *a: money_work(*a)), \
-                mock.patch.object(semvec.Classifier, "_classify_person", lambda *a: person_work(*a)):
+                mock.patch.object(semvec.Classifier, "_verdict", verdict):
             first, again = ([extract(TreeView.build(doc), table, lexicon) for doc in documents] for _ in range(2))
         assert first == again == [extract(TreeView.build(doc), table, lexicon) for doc in documents]
         candidates = [c for doc in documents for c in relex.relate(TreeView.build(doc))]
@@ -840,8 +846,8 @@ class TestExtract:
         # one classifier call per relation, but each distinct phrase is worked out once
         assert [c.args[2] for c in money_calls.call_args_list] == money_phrases * 2
         assert [c.args[2:] for c in person_calls.call_args_list] == person_keys * 2
-        assert [c.args[1] for c in money_work.call_args_list] == list(dict.fromkeys(money_phrases))
-        assert [c.args[1:] for c in person_work.call_args_list] == list(dict.fromkeys(person_keys))
+        assert [k for k in worked_out if isinstance(k, str)] == list(dict.fromkeys(money_phrases))
+        assert [k for k in worked_out if isinstance(k, tuple)] == list(dict.fromkeys(person_keys))
 
 def test_relate_imports_no_numpy():
     # a fresh interpreter, which holds only the modules relate imports

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -33,7 +34,7 @@ from finrelex.semvec import (
     phrase_vector,
 )
 
-from tests.conftest import FIXTURE_CORPUS, TOY_EMBEDDINGS, table_of
+from tests.conftest import FIXTURE_CORPUS, TOY_EMBEDDINGS, mutated_json, table_of
 
 
 @pytest.fixture()
@@ -245,6 +246,51 @@ def test_loader_matches_per_line_reference(tmp_path_factory, text, chunk_lines):
         cached = want[0][0] != "error" and not want[1]
         assert len(list(Path(home).glob("finrelex/*"))) == int(cached)
         assert _outcome(load_embeddings, path) == want
+
+
+_TOY_BYTES = TOY_EMBEDDINGS.read_bytes()
+# what may stand between a table's fields: str.split splits on each of them
+_SEPARATORS = ["\t", "\x0b", "\x0c", "\r", "\x85", "\u2028"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_mutation_of_a_table_loads_alike_cold_and_warm(tmp_path_factory, data):
+    # One mutation of the toy table: it loads, or raises EmbeddingFormatError
+    # naming a line of the file or the file itself; a second load, which reads
+    # the entry the first one wrote, ends the same way.
+    lines = _TOY_BYTES.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    kind = data.draw(st.sampled_from(["flip", "cut", "separator", "non-finite"]), label="mutation")
+    if kind == "flip":
+        line = bytearray(lines[i])
+        line[data.draw(st.integers(0, len(line) - 1))] ^= data.draw(st.integers(1, 255))
+        lines[i] = bytes(line)
+    elif kind == "cut":
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 2))] + b"\n"
+    else:
+        fields = lines[i].decode("utf-8").split(" ")
+        if kind == "separator":
+            j = data.draw(st.integers(1, len(fields) - 1))
+            fields[j - 1:j + 1] = [fields[j - 1] + data.draw(st.sampled_from(_SEPARATORS)) + fields[j]]
+        else:
+            j = data.draw(st.integers(1, len(fields) - 1))
+            fields[j] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999"])) + "\n" * (j == len(fields) - 1)
+        lines[i] = " ".join(fields).encode("utf-8")
+    path = tmp_path_factory.getbasetemp() / "mutated-vectors.txt"
+    path.write_bytes(b"".join(lines))
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as home, \
+            mock.patch.dict(os.environ, XDG_CACHE_HOME=home):
+        cold = _outcome(load_embeddings, path)
+        assert _outcome(load_embeddings, path) == cold
+    if cold[0][0] == "error":
+        message = cold[0][1]
+        named = re.match(r"line (\d+): ", message)
+        assert (named and 1 <= int(named[1]) <= len(lines)) or message.startswith(f"{path}: "), message
+    elif kind == "separator":
+        assert cold == _outcome(load_embeddings, TOY_EMBEDDINGS)
+    else:
+        assert kind != "non-finite", cold  # a cut may leave a blank line or a shorter number
 
 
 @pytest.fixture()
@@ -584,21 +630,20 @@ class TestEmbeddingCache:
         path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
         load_embeddings(path)
         collector_was_on = gc.isenabled()
-        gc.collect()  # the tables of earlier tests that built a classifier, which keep their entries open
-        gc.disable()  # as in cli.main: a table without a classifier is freed by its reference count
+        gc.disable()  # as in cli.main: a table, with or without a classifier, is freed by its reference count
         try:
             open_files = len(os.listdir("/proc/self/fd"))
             with warnings.catch_warnings(record=True) as caught, \
                     mock.patch.object(semvec, "_parse", side_effect=AssertionError("parsed again")):
                 warnings.simplefilter("always")
-                for _ in range(200):
+                for classifies in [False, True] * 100:
                     hit = load_embeddings(path)
                     assert hit.lookup("b").tolist() == [0.0, 1.0]
+                    if classifies:
+                        assert hit.classifier(lexicon).money("b") == semvec.UNKNOWN
                     assert len(os.listdir("/proc/self/fd")) == open_files + 1  # the hit keeps its entry open
                     del hit
-                # a classifier refers back to its table, so that cycle waits for the collector
-                load_embeddings(path).classifier(lexicon)
-                gc.collect()
+                    assert len(os.listdir("/proc/self/fd")) == open_files
         finally:
             if collector_was_on:
                 gc.enable()
@@ -662,8 +707,8 @@ _VOCABULARY = ["a", "ab", "abc", "b", "c", "z", "é", "éa", "ß", "Straße", "s
 # a lone surrogate, which no UTF-8 table holds and no UTF-8 key can stand for
 @example(["a", "ab", "c", "é", "Straße"],
          ["b", "b", "aa", "a", "ab", "abc", "é", "straße", "strasse", "zz", "\ud800"])
-def test_mapped_lookups_equal_dict_lookups(tmp_path_factory, vocabulary, probes):
-    path = tmp_path_factory.getbasetemp() / "mapped-vectors.txt"
+def test_entry_lookups_equal_dict_lookups(tmp_path_factory, vocabulary, probes):
+    path = tmp_path_factory.getbasetemp() / "entry-vectors.txt"
     path.write_text("".join(f"{word} {row} 1\n" for row, word in enumerate(vocabulary)), encoding="utf-8")
     words = [*vocabulary, *probes, *(word.casefold() for word in vocabulary)]
     # a cache home of this example's own, so its first load parses
@@ -1119,6 +1164,14 @@ class TestLexiconConfig:
             load_lexicon(path)
         assert str(info.value) == f"{path}: threshold must be in [0, 1], got {value}"
 
+    def test_load_lexicon_rejects_integer_too_large_for_a_float(self, tmp_path):
+        # float() of it used to leak a bare OverflowError
+        path = tmp_path / "lexicon.json"
+        path.write_text(f'{{"threshold": {10 ** 400}}}', encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"{path}: threshold must be in [0, 1], got inf"
+
     def test_load_lexicon_rejects_unknown_key(self, tmp_path):
         # a misspelt key used to load silently with the default threshold
         path = tmp_path / "lexicon.json"
@@ -1143,6 +1196,24 @@ class TestLexiconConfig:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError):
             load_lexicon(path)
+
+
+_LEXICON = {"revenue_words": list(semvec.DEFAULT_REVENUE_WORDS),
+            "investment_words": list(semvec.DEFAULT_INVESTMENT_WORDS),
+            "founder_words": list(semvec.DEFAULT_FOUNDER_WORDS), "threshold": 0.5}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_mutation_of_a_lexicon_loads_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated-lexicon.json"
+    path.write_bytes(mutated_json(data, _LEXICON))
+    try:
+        lex = load_lexicon(path)
+    except EmbeddingFormatError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+    else:
+        assert isinstance(lex, LexiconConfig) and 0.0 <= lex.threshold <= 1.0
 
 
 class TestCommittedToyTable:
